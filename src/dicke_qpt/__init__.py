@@ -14,9 +14,9 @@ from .errors import (CapacityError, ConfigError, CutoffConvergenceError,
                      DickeError, FitError, GridCoverageError, IntegrityError,
                      ParameterError, PhaseError, SolverError)
 from .model import (BasisIndex, ModelParams, assemble_hamiltonian, build_basis,
-                    dump_matrix, make_params, parity_operator)
+                    make_params, parity_operator)
 from .perturbative import (PerturbativeResult, perturbative_entropy,
-                           strong_coupling_entropy_limit, strong_coupling_state)
+                           strong_coupling_state)
 from .sweep import (MeasureReport, ScalingFit, SweepConfig, SweepFailure, emit,
                     fit_critical_exponents, fit_entropy_scaling, run_sweep)
 from .thermo import (GaussianRDMParams, NormalPhaseSolution, SRPhaseSolution,

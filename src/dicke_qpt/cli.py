@@ -6,24 +6,40 @@ min/max values are relative offsets |lambda - lambda_c| / lambda_c and the
 grid straddles the critical point.  A flat key=value config file can seed
 any flag; explicit flags win.
 
-Exit status: 0 on full success, 2 when some sweep points failed (the
-failures are listed under "errors" in JSON output and on stderr).
+Every SweepConfig field that carries help metadata is a --flag of the same
+name (underscores as dashes); every field is a config-file key.
+
+Exit status: 0 on full success, 1 on bad arguments or configuration, 2 when
+some sweep points failed (the failures are listed under "errors" in JSON
+output and on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .errors import DickeError
-from .sweep import (KNOWN_BACKENDS, KNOWN_MEASURES, SweepConfig, emit,
-                    run_sweep)
+from .errors import ConfigError, DickeError
+from .sweep import SweepConfig, emit, run_sweep
 
-_FLOAT_KEYS = {"omega", "omega0", "lambda_min", "lambda_max", "cutoff_growth", "tol"}
-_INT_KEYS = {"lambda_steps", "cutoff_start", "jobs", "max_dim"}
-_BOOL_KEYS = {"two_lobe"}
-_LIST_KEYS = {"n_atoms", "measures"}
-_STR_KEYS = {"lambda_scale", "backend", "out", "format"}
+_FIELDS = {f.name: f for f in dataclasses.fields(SweepConfig)}
+_OUTPUT_KEYS = ("out", "format")
+_FORMATS = ("csv", "json")
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"bad boolean {raw!r}")
+
+
+# text parser per field annotation; tuple fields stay comma strings until
+# build_config splits them
+_PARSERS = {"float": float, "int": int, "int | None": int, "bool": _parse_bool,
+            "str": str, "tuple": str}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,55 +47,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dicke-sweep",
         description="Sweep ground-state entanglement measures of the single-mode "
                     "Dicke model over coupling and system size.")
-    p.add_argument("--config", help="flat key = value file seeding any flag below")
-    p.add_argument("--omega", type=float, help="field frequency (default 1)")
-    p.add_argument("--omega0", type=float, help="atomic splitting (default 1)")
-    p.add_argument("--lambda-min", type=float, dest="lambda_min",
-                   help="grid start in units of lambda_c (log scale: relative offset)")
-    p.add_argument("--lambda-max", type=float, dest="lambda_max",
-                   help="grid end in units of lambda_c (log scale: relative offset)")
-    p.add_argument("--lambda-steps", type=int, dest="lambda_steps",
-                   help="number of grid points (>= 2)")
-    p.add_argument("--lambda-scale", choices=("linear", "log"), dest="lambda_scale",
-                   help="linear grid, or log-spaced offsets straddling lambda_c")
-    p.add_argument("--n-atoms", dest="n_atoms",
-                   help="comma list of atom numbers; 'inf' adds thermodynamic-limit rows")
-    p.add_argument("--measures",
-                   help="comma subset of " + ",".join(KNOWN_MEASURES))
-    p.add_argument("--backend", choices=KNOWN_BACKENDS + ("all",),
-                   help="ed (finite-N), td (closed forms), perturbative, or all")
-    p.add_argument("--cutoff-start", type=int, dest="cutoff_start",
-                   help="initial boson cutoff (default: displacement estimate)")
-    p.add_argument("--cutoff-growth", type=float, dest="cutoff_growth",
-                   help="cutoff escalation factor (> 1, default 1.5)")
-    p.add_argument("--tol", type=float, help="cutoff-convergence energy tolerance")
+    p.add_argument("--config",
+                   help="flat key = value file seeding any flag below "
+                        "(plus two_lobe = true|false)")
+    for f in _FIELDS.values():
+        if "help" in f.metadata:
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=_PARSERS[f.type], help=f.metadata["help"])
     p.add_argument("--single-lobe", action="store_true",
                    help="report the broken-symmetry single-lobe entropy above lambda_c")
-    p.add_argument("--jobs", type=int, help="parallel workers over sweep points")
-    p.add_argument("--max-dim", type=int, dest="max_dim",
-                   help="basis dimension ceiling (capacity guard)")
     p.add_argument("--out", help="output file path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
+    p.add_argument("--format", choices=_FORMATS, help="output format")
     return p
 
 
 def _parse_scalar(key: str, raw: str):
     raw = raw.strip()
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"bad boolean {raw!r} for {key}")
-    if key in _LIST_KEYS:
+    if key in _OUTPUT_KEYS:
         return raw
-    if key in _STR_KEYS:
-        return raw
-    raise ValueError(f"unknown config key {key!r}")
+    if key not in _FIELDS:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        return _PARSERS[_FIELDS[key].type](raw)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def read_config_file(path: str) -> dict:
@@ -110,20 +101,16 @@ def _parse_n_atoms(raw: str) -> tuple:
 
 def build_config(args: argparse.Namespace) -> tuple[SweepConfig, str | None, str]:
     """Merge defaults, config file, and flags (flags win)."""
-    merged: dict = {}
-    if args.config:
-        merged.update(read_config_file(args.config))
-    for key in ("omega", "omega0", "lambda_min", "lambda_max", "lambda_steps",
-                "lambda_scale", "n_atoms", "measures", "backend", "cutoff_start",
-                "cutoff_growth", "tol", "jobs", "max_dim", "out", "format"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+    merged: dict = read_config_file(args.config) if args.config else {}
+    merged.update((key, val) for key, val in vars(args).items()
+                  if val is not None and key not in ("config", "single_lobe"))
     if args.single_lobe:
         merged["two_lobe"] = False
 
     out_path = merged.pop("out", None)
     fmt = merged.pop("format", "csv")
+    if fmt not in _FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}")
     if "n_atoms" in merged and isinstance(merged["n_atoms"], str):
         merged["n_atoms"] = _parse_n_atoms(merged["n_atoms"])
     if "measures" in merged and isinstance(merged["measures"], str):
@@ -135,7 +122,11 @@ def build_config(args: argparse.Namespace) -> tuple[SweepConfig, str | None, str
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad arguments, but 2 means partial failure here
+        return 1 if exc.code else 0
     try:
         config, out_path, fmt = build_config(args)
     except (DickeError, ValueError, OSError) as exc:

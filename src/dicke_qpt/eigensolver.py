@@ -1,7 +1,7 @@
 """Ground-state extraction and boson-cutoff convergence certification.
 
-The ground eigenpair is taken from the positive-parity sector by default
-(the finite-N ground state has positive parity).  Dense diagonalization is
+The ground eigenpair is taken from the positive-parity sector (the finite-N
+ground state has positive parity).  Dense diagonalization is
 used up to DENSE_LIMIT; above that an implicitly restarted Lanczos solve
 with a deterministic start vector keeps output reproducible.
 """
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CutoffConvergenceError, SolverError
+from .errors import CapacityError, CutoffConvergenceError, SolverError
 from .model import (DEFAULT_MAX_DIMENSION, BasisIndex, ModelParams,
                     assemble_hamiltonian, build_basis)
 
@@ -30,10 +30,9 @@ class GroundState:
     """Ground eigenpair over a BasisIndex.
 
     amplitudes is the full-basis real vector (unit norm, deterministic sign:
-    the largest-magnitude amplitude is positive).  parity is +1 when the
-    solve was parity-projected.  converged marks cutoff certification by
+    the largest-magnitude amplitude is positive), supported on the parity
+    sector named by parity.  converged marks cutoff certification by
     converge_cutoff, not the eigensolve itself; residual is ||Hv - Ev||_2.
-    doublet_gap is reported for unprojected solves (lowest two levels).
     """
 
     energy: float
@@ -43,7 +42,6 @@ class GroundState:
     residual: float
     converged: bool
     basis: BasisIndex
-    doublet_gap: float | None = None
 
     def reshape(self) -> np.ndarray:
         return self.basis.reshape(self.amplitudes)
@@ -52,18 +50,17 @@ class GroundState:
         return float((self.reshape()[-1] ** 2).sum())
 
 
-def _lowest_eigenpairs(H: sp.spmatrix, k: int, tol: float):
+def _lowest_eigenpair(H: sp.spmatrix, tol: float) -> tuple[float, np.ndarray]:
     dim = H.shape[0]
-    if dim <= DENSE_LIMIT or k >= dim - 1:
+    if dim <= DENSE_LIMIT:
         w, v = np.linalg.eigh(H.toarray())
-        return w[:k], v[:, :k]
+        return float(w[0]), v[:, 0]
     # deterministic start vector keeps repeated runs bit-identical
     v0 = np.full(dim, 1.0 / math.sqrt(dim))
     v0[0] += 0.5
-    w, v = spla.eigsh(H, k=k, which="SA", v0=v0, tol=tol * 1e-2,
+    w, v = spla.eigsh(H, k=1, which="SA", v0=v0, tol=tol * 1e-2,
                       maxiter=max(5000, 40 * dim))
-    order = np.argsort(w)
-    return w[order], v[:, order]
+    return float(w[0]), v[:, 0]
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -73,30 +70,16 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def ground_state(hamiltonian: sp.spmatrix, basis: BasisIndex,
-                 tol: float = DEFAULT_TOL,
-                 project_parity: bool = True) -> GroundState:
-    """Certified lowest eigenpair of the (optionally parity-projected) Hamiltonian.
+                 tol: float = DEFAULT_TOL) -> GroundState:
+    """Certified lowest eigenpair of the positive-parity block of the Hamiltonian.
 
     Raises SolverError (carrying the best residual) if the residual check
     ||Hv - Ev|| <= tol * |E| cannot be met.
     """
-    if project_parity:
-        idx = basis.parity_indices(+1)
-        Hp = hamiltonian[idx][:, idx]
-        w, v = _lowest_eigenpairs(Hp, 1, tol)
-        energy = float(w[0])
-        amplitudes = np.zeros(basis.dim)
-        amplitudes[idx] = v[:, 0]
-        parity = +1
-        gap = None
-    else:
-        w, v = _lowest_eigenpairs(hamiltonian, 2, tol)
-        energy = float(w[0])
-        amplitudes = v[:, 0]
-        gap = float(w[1] - w[0])
-        sector = float(np.sum(basis.parity * amplitudes**2))
-        parity = int(round(sector)) if abs(sector) > 0.5 else 0
-
+    idx = basis.parity_indices(+1)
+    energy, vec = _lowest_eigenpair(hamiltonian[idx][:, idx], tol)
+    amplitudes = np.zeros(basis.dim)
+    amplitudes[idx] = vec
     amplitudes = _fix_sign(amplitudes / np.linalg.norm(amplitudes))
     residual = float(np.linalg.norm(hamiltonian @ amplitudes - energy * amplitudes))
     threshold = tol * (abs(energy) if energy != 0 else 1.0)
@@ -104,9 +87,9 @@ def ground_state(hamiltonian: sp.spmatrix, basis: BasisIndex,
         raise SolverError(
             f"residual {residual:.3e} above tolerance {threshold:.3e} "
             f"(dim={basis.dim})", residual=residual)
-    return GroundState(energy=energy, amplitudes=amplitudes, parity=parity,
+    return GroundState(energy=energy, amplitudes=amplitudes, parity=+1,
                        n_max_used=basis.n_max, residual=residual,
-                       converged=False, basis=basis, doublet_gap=gap)
+                       converged=False, basis=basis)
 
 
 def suggest_cutoff(params: ModelParams, floor: int = 8) -> int:
@@ -124,7 +107,6 @@ def converge_cutoff(params: ModelParams,
                     growth: float = 1.5,
                     energy_tol: float = DEFAULT_ENERGY_TOL,
                     tol: float = DEFAULT_TOL,
-                    project_parity: bool = True,
                     max_dim: int = DEFAULT_MAX_DIMENSION) -> GroundState:
     """Escalate n_max until the ground energy and Fock tail are certified.
 
@@ -142,12 +124,12 @@ def converge_cutoff(params: ModelParams,
     while True:
         try:
             basis = build_basis(params, n_max, max_dim=max_dim)
-        except Exception as exc:
+        except CapacityError as exc:
             raise CutoffConvergenceError(
                 f"cutoff escalation hit capacity before convergence: {exc}",
                 energy_history=history) from exc
         H = assemble_hamiltonian(params, basis)
-        state = ground_state(H, basis, tol=tol, project_parity=project_parity)
+        state = ground_state(H, basis, tol=tol)
         history.append(state.energy)
         tail_ok = state.top_fock_weight() < TOP_WEIGHT_LIMIT
         if params.coupling == 0.0 and tail_ok:
@@ -163,4 +145,4 @@ def _certified(state: GroundState) -> GroundState:
     return GroundState(energy=state.energy, amplitudes=state.amplitudes,
                        parity=state.parity, n_max_used=state.n_max_used,
                        residual=state.residual, converged=True,
-                       basis=state.basis, doublet_gap=state.doublet_gap)
+                       basis=state.basis)

@@ -172,18 +172,3 @@ def assemble_hamiltonian(params: ModelParams, basis: BasisIndex) -> sp.csr_matri
 def parity_operator(basis: BasisIndex) -> sp.csr_matrix:
     """Diagonal parity operator, eigenvalues (-1)^(n + m + j)."""
     return sp.diags(basis.parity.astype(float), format="csr")
-
-
-def matrix_triples(mat: sp.spmatrix):
-    """Nonzero (row, col, value) triples sorted by (row, col)."""
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    return coo.row[order], coo.col[order], coo.data[order]
-
-
-def dump_matrix(mat: sp.spmatrix, path) -> None:
-    """Write 'row col value' lines, sorted by (row, col), 17 significant digits."""
-    rows, cols, data = matrix_triples(mat)
-    with open(path, "w") as fh:
-        for r, c, v in zip(rows, cols, data):
-            fh.write(f"{r} {c} {v:.17g}\n")

@@ -35,11 +35,6 @@ def perturbative_entropy(params: ModelParams) -> PerturbativeResult:
     return PerturbativeResult(sigma=sigma, entropy_bits=s)
 
 
-def strong_coupling_entropy_limit() -> float:
-    """Entropy of the strong-coupling limiting state: exactly one bit."""
-    return 1.0
-
-
 def coherent_amplitudes(alpha: float, n_max: int) -> np.ndarray:
     """Fock amplitudes of |alpha>, computed in log space to avoid overflow."""
     n = np.arange(n_max + 1)
@@ -66,12 +61,6 @@ def jx_extremal_amplitudes(n_atoms: int, sign: int) -> np.ndarray:
     if sign < 0:
         amps = amps * (-1.0) ** (n_atoms - n_up)
     return amps
-
-
-def suggested_strong_coupling_cutoff(params: ModelParams) -> int:
-    """Cutoff covering the coherent Poisson tail: alpha^2 + 6 alpha."""
-    alpha = math.sqrt(2.0 * params.j) * params.coupling / params.omega
-    return math.ceil(alpha**2 + 6.0 * alpha)
 
 
 def strong_coupling_state(params: ModelParams, basis: BasisIndex) -> np.ndarray:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import entanglement, thermo
 from .eigensolver import converge_cutoff
-from .errors import ConfigError, FitError
+from .errors import ConfigError, DickeError, FitError
 from .model import DEFAULT_MAX_DIMENSION, make_params
 from .perturbative import perturbative_entropy
 
@@ -29,6 +29,13 @@ BASE_COLUMNS = ("lambda", "lambda_rel", "n_atoms", "n_max", "s_vn", "l_lin",
 EXTRA_COLUMNS = ("t_eff", "kappa")
 # relative half-width of the lambda_c hole punched into TD grids
 CRITICAL_EXCLUSION = 1e-12
+# domain failures that become per-point rows; anything else is a bug and raises
+POINT_ERRORS = (DickeError, np.linalg.LinAlgError, ArpackNoConvergence)
+
+
+def _option(default, help: str):
+    """A SweepConfig field with a CLI flag documented by help."""
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass(frozen=True)
@@ -41,25 +48,36 @@ class SweepConfig:
     [lambda_min, lambda_max] and places points on both sides of lambda_c.
     n_atoms entries are positive ints; the string "inf" requests
     thermodynamic-limit rows.  tol is the cutoff-convergence energy
-    tolerance.
+    tolerance; solver_tol bounds each eigenpair residual relative to |E|.
+    two_lobe=False reports the broken-symmetry single-lobe entropy above
+    lambda_c.  Every field is a config-file key; each field with help
+    metadata is also a --flag of the same name (two_lobe has --single-lobe).
     """
 
-    omega: float = 1.0
-    omega0: float = 1.0
-    lambda_min: float = 0.0
-    lambda_max: float = 3.0
-    lambda_steps: int = 16
-    lambda_scale: str = "linear"
-    n_atoms: tuple = (8,)
-    measures: tuple = ("s_vn", "l_lin", "q_avg", "ipr_inv")
-    backend: str = "ed"
-    cutoff_start: int | None = None
-    cutoff_growth: float = 1.5
-    tol: float = 1e-9
-    solver_tol: float = 1e-10
+    omega: float = _option(1.0, "field frequency (default 1)")
+    omega0: float = _option(1.0, "atomic splitting (default 1)")
+    lambda_min: float = _option(
+        0.0, "grid start in units of lambda_c (log scale: relative offset)")
+    lambda_max: float = _option(
+        3.0, "grid end in units of lambda_c (log scale: relative offset)")
+    lambda_steps: int = _option(16, "number of grid points (>= 2)")
+    lambda_scale: str = _option(
+        "linear", "linear grid, or log for log-spaced offsets straddling lambda_c")
+    n_atoms: tuple = _option(
+        (8,), "comma list of atom numbers; 'inf' adds thermodynamic-limit rows")
+    measures: tuple = _option(("s_vn", "l_lin", "q_avg", "ipr_inv"),
+                              "comma subset of " + ",".join(KNOWN_MEASURES))
+    backend: str = _option(
+        "ed", "ed (finite-N), td (closed forms), perturbative, or all")
+    cutoff_start: int | None = _option(
+        None, "initial boson cutoff (default: displacement estimate)")
+    cutoff_growth: float = _option(1.5, "cutoff escalation factor (> 1, default 1.5)")
+    tol: float = _option(1e-9, "cutoff-convergence energy tolerance")
+    solver_tol: float = _option(
+        1e-10, "eigenpair residual tolerance, relative to |E| (default 1e-10)")
     two_lobe: bool = True
-    jobs: int = 1
-    max_dim: int = DEFAULT_MAX_DIMENSION
+    max_dim: int = _option(DEFAULT_MAX_DIMENSION,
+                           "basis dimension ceiling (capacity guard)")
 
     def validate(self) -> None:
         if self.omega <= 0 or self.omega0 <= 0:
@@ -85,8 +103,6 @@ class SweepConfig:
         for n in self.n_atoms:
             if n != "inf" and (int(n) != n or n < 1):
                 raise ConfigError(f"bad n_atoms entry {n!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
     @property
     def lambda_c(self) -> float:
@@ -259,10 +275,11 @@ def measure_point_perturbative(config: SweepConfig, coupling: float) -> MeasureR
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailure]]:
-    """Evaluate every (coupling, N, backend) point; failures are per-point.
+    """Evaluate every (coupling, N, backend) point; domain failures are per-point.
 
     Returns (reports, failures), reports sorted canonically so downstream
-    output is independent of scheduling order.
+    output is independent of evaluation order.  Errors outside POINT_ERRORS
+    propagate.
     """
     config.validate()
     tasks = []
@@ -278,29 +295,21 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
             for lam in config.lambda_grid():
                 tasks.append(("perturbative", None, float(lam)))
 
-    def evaluate(task):
-        backend, n, lam = task
+    reports: list[MeasureReport] = []
+    failures: list[SweepFailure] = []
+    for backend, n, lam in tasks:
         try:
             if backend == "ed":
-                return measure_point_ed(config, n, lam)
-            if backend == "td":
-                return measure_point_td(config, lam)
-            return measure_point_perturbative(config, lam)
-        except Exception as exc:
-            return SweepFailure(backend=backend, coupling=lam,
-                                n_atoms=n if backend == "ed" else None,
-                                message=f"{type(exc).__name__}: {exc}")
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(evaluate, tasks))
-    else:
-        results = [evaluate(t) for t in tasks]
-
-    reports = sorted((r for r in results if isinstance(r, MeasureReport)),
-                     key=MeasureReport.sort_key)
-    failures = sorted((r for r in results if isinstance(r, SweepFailure)),
-                      key=lambda f: (f.backend, f.coupling))
+                reports.append(measure_point_ed(config, n, lam))
+            elif backend == "td":
+                reports.append(measure_point_td(config, lam))
+            else:
+                reports.append(measure_point_perturbative(config, lam))
+        except POINT_ERRORS as exc:
+            failures.append(SweepFailure(backend=backend, coupling=lam, n_atoms=n,
+                                         message=f"{type(exc).__name__}: {exc}"))
+    reports.sort(key=MeasureReport.sort_key)
+    failures.sort(key=lambda f: (f.backend, f.coupling))
     return reports, failures
 
 

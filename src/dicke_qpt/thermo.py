@@ -216,7 +216,6 @@ class ThermalOscillator:
     """
 
     omega_eff: float
-    mass: float
     temperature: float
     beta: float
 
@@ -245,13 +244,11 @@ def effective_temperature(rdmp: GaussianRDMParams,
     omega_eff = rdmp.omega if omega_eff is None else omega_eff
     theta = mixing_parameter(rdmp)
     if theta == 0.0:
-        return ThermalOscillator(omega_eff=omega_eff, mass=1.0,
-                                 temperature=math.inf, beta=0.0)
+        return ThermalOscillator(omega_eff=omega_eff, temperature=math.inf, beta=0.0)
     if math.isinf(theta):
-        return ThermalOscillator(omega_eff=omega_eff, mass=1.0,
-                                 temperature=0.0, beta=math.inf)
-    return ThermalOscillator(omega_eff=omega_eff, mass=1.0,
-                             temperature=omega_eff / theta, beta=theta / omega_eff)
+        return ThermalOscillator(omega_eff=omega_eff, temperature=0.0, beta=math.inf)
+    return ThermalOscillator(omega_eff=omega_eff, temperature=omega_eff / theta,
+                             beta=theta / omega_eff)
 
 
 def thermal_entropy_bits(theta: float) -> float:

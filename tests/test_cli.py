@@ -1,9 +1,11 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
-from dicke_qpt.cli import main, read_config_file
+from dicke_qpt import SweepConfig
+from dicke_qpt.cli import build_config, build_parser, main, read_config_file
 
 
 def run_cli(args, capsys):
@@ -46,6 +48,21 @@ class TestMain:
         code, _, err = run_cli(["--lambda-steps", "1"], capsys)
         assert code == 1
         assert "error" in err
+
+    def test_unparsable_argument_exits_one(self, capsys):
+        code, _, err = run_cli(["--lambda-steps", "x"], capsys)
+        assert code == 1
+        assert "invalid int value" in err
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli(["--help"], capsys)
+        assert code == 0
+        assert "--solver-tol" in out
+
+    def test_jobs_flag_rejected(self, capsys):
+        code, _, err = run_cli(["--jobs", "2"], capsys)
+        assert code == 1
+        assert "unrecognized arguments" in err
 
     def test_partial_failures_exit_two(self, capsys):
         code, out, err = run_cli([
@@ -121,10 +138,74 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             read_config_file(cfg)
 
+    def test_jobs_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("backend = td\njobs = 2\n")
+        code, _, err = run_cli(["--config", str(cfg)], capsys)
+        assert code == 1
+        assert "unknown config key 'jobs'" in err
+
+    def test_unknown_format_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("backend = td\nformat = xml\n")
+        code, out, err = run_cli(["--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == "" and "unknown output format 'xml'" in err
+
     def test_missing_config_exits_one(self, capsys):
         code, _, err = run_cli(["--config", "/nonexistent/sweep.cfg"], capsys)
         assert code == 1
         assert "error" in err
+
+
+# one valid non-default value per SweepConfig field: (text, parsed value)
+FIELD_SAMPLES = {
+    "omega": ("2.0", 2.0),
+    "omega0": ("0.5", 0.5),
+    "lambda_min": ("0.25", 0.25),
+    "lambda_max": ("2.5", 2.5),
+    "lambda_steps": ("5", 5),
+    "lambda_scale": ("log", "log"),
+    "n_atoms": ("4,inf", (4, "inf")),
+    "measures": ("s_vn,kappa", ("s_vn", "kappa")),
+    "backend": ("td", "td"),
+    "cutoff_start": ("12", 12),
+    "cutoff_growth": ("2.0", 2.0),
+    "tol": ("1e-7", 1e-7),
+    "solver_tol": ("1e-9", 1e-9),
+    "two_lobe": ("false", False),
+    "max_dim": ("5000", 5000),
+}
+# lets every sample validate, log scale included; samples override it
+BASE_SETTINGS = {"lambda_min": "0.1"}
+
+
+def as_flags(settings):
+    argv = []
+    for key, text in settings.items():
+        if key == "two_lobe":
+            assert text == "false"
+            argv.append("--single-lobe")
+        else:
+            argv += ["--" + key.replace("_", "-"), text]
+    return argv
+
+
+@pytest.mark.parametrize("fld", dataclasses.fields(SweepConfig),
+                         ids=lambda f: f.name)
+def test_every_config_field_reaches_config(fld, tmp_path):
+    """Each SweepConfig field is settable by flag and by config-file key."""
+    text, expected = FIELD_SAMPLES[fld.name]
+    assert getattr(SweepConfig(), fld.name) != expected
+    settings = {**BASE_SETTINGS, fld.name: text}
+
+    config, _, _ = build_config(build_parser().parse_args(as_flags(settings)))
+    assert getattr(config, fld.name) == expected
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    config, _, _ = build_config(build_parser().parse_args(["--config", str(cfg)]))
+    assert getattr(config, fld.name) == expected
 
 
 def test_module_entry_point():

@@ -52,12 +52,15 @@ class TestGroundState:
         gs = ground_state(assemble_hamiltonian(params, basis), basis)
         assert gs.amplitudes[np.argmax(np.abs(gs.amplitudes))] > 0
 
-    def test_unprojected_reports_doublet_gap(self):
+    def test_projected_energy_is_full_ground_energy(self):
+        # above lambda_c the two parity sectors are nearly degenerate; the
+        # positive-parity block must still hold the global minimum
         params = make_params(1, 1, 1.2 * 0.5, 6)
         basis = build_basis(params, 24)
-        gs = ground_state(assemble_hamiltonian(params, basis), basis,
-                          project_parity=False)
-        assert gs.doublet_gap is not None and gs.doublet_gap > 0
+        H = assemble_hamiltonian(params, basis)
+        gs = ground_state(H, basis)
+        oracle = np.linalg.eigvalsh(H.toarray())[0]
+        assert gs.energy == pytest.approx(oracle, abs=1e-10)
         assert gs.parity == +1
 
     def test_variational_monotonicity(self):

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicke_qpt import (CapacityError, ParameterError, assemble_hamiltonian,
-                       build_basis, dump_matrix, make_params, parity_operator)
-from dicke_qpt.model import matrix_triples
+                       build_basis, make_params, parity_operator)
 
 
 def dense_reference_hamiltonian(params, n_max):
@@ -149,25 +148,3 @@ class TestHamiltonian:
         assert abs(P @ H - H @ P).max() == 0.0
         assert set(np.unique(basis.parity)) <= {-1, 1}
 
-
-class TestDump:
-    def test_triples_sorted_and_complete(self):
-        params = make_params(1, 1, 0.4, 2)
-        basis = build_basis(params, 2)
-        H = assemble_hamiltonian(params, basis)
-        rows, cols, vals = matrix_triples(H)
-        order = np.lexsort((cols, rows))
-        assert (order == np.arange(len(rows))).all()
-        assert len(vals) == H.nnz
-
-    def test_dump_roundtrip(self, tmp_path):
-        params = make_params(1, 1, 0.4, 2)
-        basis = build_basis(params, 3)
-        H = assemble_hamiltonian(params, basis)
-        path = tmp_path / "matrix.txt"
-        dump_matrix(H, path)
-        rebuilt = np.zeros(H.shape)
-        for line in path.read_text().splitlines():
-            r, c, v = line.split()
-            rebuilt[int(r), int(c)] = float(v)
-        np.testing.assert_array_equal(rebuilt, H.toarray())

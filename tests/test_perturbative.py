@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from dicke_qpt import (make_params, partial_trace, perturbative_entropy,
-                       strong_coupling_entropy_limit, strong_coupling_state,
-                       von_neumann_entropy)
+                       strong_coupling_state, von_neumann_entropy)
+from dicke_qpt.eigensolver import suggest_cutoff
 from dicke_qpt.entanglement import _make_rdm
-from dicke_qpt.perturbative import (coherent_amplitudes,
-                                    jx_extremal_amplitudes,
-                                    suggested_strong_coupling_cutoff)
+from dicke_qpt.perturbative import coherent_amplitudes, jx_extremal_amplitudes
 
 
 class TestWeakCoupling:
@@ -43,12 +41,9 @@ class TestWeakCoupling:
 
 
 class TestStrongCoupling:
-    def test_limit_is_one_bit(self):
-        assert strong_coupling_entropy_limit() == 1.0
-
     def test_overlap_with_exact_ground_state(self, ground):
         params = make_params(1, 1, 2.0, 8)  # four times critical
-        start = suggested_strong_coupling_cutoff(params) + 10
+        start = suggest_cutoff(params) + 10
         gs = ground(1.0, 1.0, 2.0, 8, n_max_start=start)
         limit_state = strong_coupling_state(params, gs.basis)
         overlap = float(np.dot(limit_state, gs.amplitudes)) ** 2
@@ -57,7 +52,7 @@ class TestStrongCoupling:
     def test_limiting_state_atom_rdm_is_balanced(self, ground):
         params = make_params(1, 1, 2.0, 8)
         gs = ground(1.0, 1.0, 2.0, 8,
-                    n_max_start=suggested_strong_coupling_cutoff(params) + 10)
+                    n_max_start=suggest_cutoff(params) + 10)
         psi = strong_coupling_state(params, gs.basis)
         A = gs.basis.reshape(psi)
         ev = np.sort(np.linalg.eigvalsh(A.T @ A))[::-1]
@@ -68,7 +63,7 @@ class TestStrongCoupling:
     def test_limiting_state_entropy_is_one_bit(self, ground):
         params = make_params(1, 1, 2.0, 8)
         gs = ground(1.0, 1.0, 2.0, 8,
-                    n_max_start=suggested_strong_coupling_cutoff(params) + 10)
+                    n_max_start=suggest_cutoff(params) + 10)
         psi = strong_coupling_state(params, gs.basis)
         A = gs.basis.reshape(psi)
         rdm = _make_rdm("atoms", A.T @ A)
@@ -77,7 +72,7 @@ class TestStrongCoupling:
     def test_positive_parity(self, ground):
         params = make_params(1, 1, 2.0, 8)
         gs = ground(1.0, 1.0, 2.0, 8,
-                    n_max_start=suggested_strong_coupling_cutoff(params) + 10)
+                    n_max_start=suggest_cutoff(params) + 10)
         psi = strong_coupling_state(params, gs.basis)
         assert float((gs.basis.parity * psi**2).sum()) == pytest.approx(1.0, abs=1e-12)
 
@@ -108,4 +103,4 @@ class TestBuildingBlocks:
     def test_suggested_cutoff_covers_displacement(self):
         params = make_params(1, 1, 2.0, 8)
         alpha = np.sqrt(8.0) * 2.0
-        assert suggested_strong_coupling_cutoff(params) >= alpha**2 + 6 * alpha - 1
+        assert suggest_cutoff(params) >= alpha**2 + 6 * alpha - 1

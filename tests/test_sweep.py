@@ -47,10 +47,10 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(lambda_steps=1), dict(lambda_scale="cubic"),
         dict(backend="dmrg"), dict(measures=("s_vn", "negativity")),
-        dict(cutoff_growth=1.0), dict(n_atoms=(0,)), dict(jobs=0),
+        dict(cutoff_growth=1.0), dict(n_atoms=(0,)),
         dict(lambda_min=0.5, lambda_max=0.2),
         dict(lambda_scale="log", lambda_min=0.0, lambda_max=0.1),
-        dict(omega=-1.0),
+        dict(omega=-1.0), dict(omega0=0.0),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -138,12 +138,16 @@ class TestRunSweep:
         assert [(r.n_atoms, round(r.coupling_rel, 6)) for r in ed] == [
             (2, 0.1), (2, 0.5), (4, 0.1), (4, 0.5)]
 
-    def test_parallel_equals_serial(self):
-        base = dict(lambda_min=0.1, lambda_max=1.8, lambda_steps=5,
-                    backend="td")
-        serial, _ = run_sweep(SweepConfig(**base, jobs=1))
-        parallel, _ = run_sweep(SweepConfig(**base, jobs=3))
-        assert emit(serial) == emit(parallel)
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only domain failures become rows under "errors"; a bug must crash
+        def broken(params, two_lobe=True):
+            raise TypeError("bug in a measure")
+
+        monkeypatch.setattr("dicke_qpt.thermo.entropy_td", broken)
+        config = SweepConfig(lambda_min=0.2, lambda_max=0.8, lambda_steps=2,
+                             backend="td", measures=("s_vn",))
+        with pytest.raises(TypeError, match="bug in a measure"):
+            run_sweep(config)
 
     def test_report_bounds(self):
         config = SweepConfig(lambda_min=0.3, lambda_max=1.7, lambda_steps=3,
