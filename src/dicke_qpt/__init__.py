@@ -11,8 +11,8 @@ from .entanglement import (ReducedDensityMatrix, average_linear_entropy_Q,
                            meyer_wallach_Q_generic, partial_trace,
                            single_atom_rdm, von_neumann_entropy)
 from .errors import (CapacityError, ConfigError, CutoffConvergenceError,
-                     DickeError, FitError, GridCoverageError, IntegrityError,
-                     ParameterError, PhaseError, SolverError)
+                     DickeError, FitError, IntegrityError, ParameterError,
+                     PhaseError, SolverError)
 from .model import (BasisIndex, ModelParams, assemble_hamiltonian, build_basis,
                     make_params, parity_operator)
 from .perturbative import (PerturbativeResult, perturbative_entropy,

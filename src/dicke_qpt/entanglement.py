@@ -4,7 +4,7 @@ Covers the bipartite atom-field reduced density matrices and their von
 Neumann / linear entropies, the single-atom reduced state built from
 collective expectations, the subsystem-averaged linear entropy Q, a generic
 qubit-register Q evaluator, and the coordinate-space inverse participation
-ratio built on harmonic-oscillator eigenfunctions.
+ratio, integrated by a tensor Gauss-Hermite rule that is exact for the state.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import GridCoverageError, IntegrityError, ParameterError
+from .errors import IntegrityError, ParameterError
 from .eigensolver import GroundState
 from .model import BasisIndex, ModelParams
 
@@ -181,51 +182,54 @@ def oscillator_eigenfunctions(xs: np.ndarray, k_max: int, freq: float) -> np.nda
     return out
 
 
-def default_grid(basis: BasisIndex, params: ModelParams,
-                 padding: float = 6.0) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate grid covering the truncated state's oscillator support.
+def _hermite_functions(t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermite functions psi_{k-1}(t) and psi_k(t), each mantissa * exp(log_scale).
 
-    Extents follow the classical turning point of the highest retained level
-    plus padding; point counts resolve the shortest oscillation wavelength.
+    psi_n(t) = H_n(t) exp(-t^2/2) / sqrt(2^n n! sqrt(pi)).  The Gaussian and
+    the growth of the recurrence live in log_scale, so nothing under- or
+    overflows at the outermost nodes.
     """
-    def axis(k_top: int, freq: float) -> np.ndarray:
-        scale = math.sqrt(2 * k_top + 1)
-        extent = (scale + padding) / math.sqrt(freq)
-        n_pts = max(301, math.ceil(8.0 * scale * (scale + padding) / math.pi))
-        return np.linspace(-extent, extent, n_pts)
+    prev, cur = np.zeros_like(t), np.ones_like(t)
+    log_scale = -0.5 * t**2 - 0.25 * math.log(math.pi)
+    for n in range(k):
+        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * t * cur - math.sqrt(n / (n + 1.0)) * prev
+        if n % 16 == 15:
+            s = np.abs(prev) + np.abs(cur)
+            prev, cur, log_scale = prev / s, cur / s, log_scale + np.log(s)
+    return prev, cur, log_scale
 
-    return axis(basis.n_max, params.omega), axis(basis.n_atoms, params.omega0)
 
+def _gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-node Gauss-Hermite nodes t and scaled weights W = w exp(t^2).
 
-def coordinate_wavefunction(state: GroundState, basis: BasisIndex,
-                            params: ModelParams,
-                            xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Psi(x, y) on the grid: field oscillator (omega) along x, the
-    atomic-excitation boson n_b = m + j (omega0) along y."""
-    fx = oscillator_eigenfunctions(xs, basis.n_max, params.omega)
-    fy = oscillator_eigenfunctions(ys, basis.n_atoms, params.omega0)
-    return fx @ basis.reshape(state.amplitudes) @ fy.T
+    Nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math.
+    Comp. 23, 221 (1969)), polished by one Newton step on psi_k; the weights
+    are W = 1 / (k psi_{k-1}(t)^2).  The plain weights w underflow to zero
+    beyond |t| ~ 27, where strong-coupling states still have weight.
+    """
+    t = eigh_tridiagonal(np.zeros(k), np.sqrt(np.arange(1, k) / 2.0), eigvals_only=True)
+    prev, cur, _ = _hermite_functions(t, k)
+    t = t - cur / (math.sqrt(2.0 * k) * prev - t * cur)
+    prev, _, log_scale = _hermite_functions(t, k)
+    return t, np.exp(-2.0 * (np.log(np.abs(prev)) + log_scale)) / k
 
 
 def inverse_participation_ratio(state: GroundState, basis: BasisIndex,
-                                params: ModelParams,
-                                grid: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+                                params: ModelParams) -> float:
     """Unnormalized coordinate-space IPR, integral of Psi^4 over the plane.
 
-    Trapezoid quadrature on a tensor grid; raises GridCoverageError when the
-    boundary amplitude exceeds 1e-6 of the peak (grid too small).
+    Psi(x, y) has the field oscillator (omega) along x and the atomic-
+    excitation boson n_b = m + j (omega0) along y.  Along an axis of
+    frequency f with top level k, Psi^4 is a polynomial of degree 4k in
+    t = sqrt(2 f) x times exp(-t^2).  A K-node Gauss-Hermite rule is exact to
+    degree 2K - 1, so the tensor rule with 2 n_max + 1 (field) and 2 N + 1
+    (atoms) nodes is exact up to rounding.
     """
-    xs, ys = grid if grid is not None else default_grid(basis, params)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    psi = coordinate_wavefunction(state, basis, params, xs, ys)
-    peak = float(np.abs(psi).max())
-    edge = max(np.abs(psi[0]).max(), np.abs(psi[-1]).max(),
-               np.abs(psi[:, 0]).max(), np.abs(psi[:, -1]).max())
-    if peak > 0 and edge > 1e-6 * peak:
-        raise GridCoverageError(
-            f"boundary amplitude {edge:.2e} exceeds 1e-6 of peak {peak:.2e}; "
-            "enlarge the grid")
-    wx = np.gradient(xs)
-    wy = np.gradient(ys)
-    return float(np.einsum("i,ij,j->", wx, psi**4, wy))
+    def axis(k_top: int, freq: float) -> np.ndarray:
+        t, weights = _gauss_hermite(2 * k_top + 1)
+        return weights[:, None] ** 0.25 * oscillator_eigenfunctions(
+            t / math.sqrt(2.0 * freq), k_top, freq)
+
+    psi = (axis(basis.n_max, params.omega) @ basis.reshape(state.amplitudes)
+           @ axis(basis.n_atoms, params.omega0).T)
+    return float(np.sum(psi**4) / (2.0 * math.sqrt(params.omega * params.omega0)))

@@ -43,10 +43,6 @@ class PhaseError(DickeError, ValueError):
     """A closed-form expression was evaluated in the wrong coupling phase."""
 
 
-class GridCoverageError(DickeError):
-    """A coordinate grid does not cover the wavefunction support."""
-
-
 class FitError(DickeError):
     """A scaling fit could not be performed on the given data."""
 

@@ -9,21 +9,17 @@ import numpy as np
 
 from .model import BasisIndex, ModelParams
 
-# weak-coupling form tracks the exact entropy up to roughly this ratio
-VALIDITY_RATIO = 0.4
-
 
 @dataclass(frozen=True)
 class PerturbativeResult:
     """Weak-coupling entropy; N-independent by construction.
 
-    sigma = coupling / (omega + omega0); trusted for coupling ratios up to
-    validity_max_ratio times the critical coupling.
+    sigma = coupling / (omega + omega0); the weak-coupling form tracks the
+    exact entropy up to about 0.4 times the critical coupling.
     """
 
     sigma: float
     entropy_bits: float
-    validity_max_ratio: float = VALIDITY_RATIO
 
 
 def perturbative_entropy(params: ModelParams) -> PerturbativeResult:

@@ -100,6 +100,10 @@ class SweepConfig:
                 raise ConfigError(f"unknown measure {meas!r}")
         if self.cutoff_growth <= 1.0:
             raise ConfigError("cutoff_growth must exceed 1")
+        if self.cutoff_start is not None and self.cutoff_start < 0:
+            raise ConfigError("cutoff_start must be >= 0")
+        if self.tol <= 0 or self.solver_tol <= 0 or self.max_dim < 1:
+            raise ConfigError("tol, solver_tol and max_dim must be positive")
         for n in self.n_atoms:
             if n != "inf" and (int(n) != n or n < 1):
                 raise ConfigError(f"bad n_atoms entry {n!r}")

@@ -238,10 +238,9 @@ def mixing_parameter(rdmp: GaussianRDMParams) -> float:
     return math.acosh(rhs)
 
 
-def effective_temperature(rdmp: GaussianRDMParams,
-                          omega_eff: float | None = None) -> ThermalOscillator:
+def effective_temperature(rdmp: GaussianRDMParams) -> ThermalOscillator:
     """Effective temperature T = Omega / theta; diverges at the critical point."""
-    omega_eff = rdmp.omega if omega_eff is None else omega_eff
+    omega_eff = rdmp.omega
     theta = mixing_parameter(rdmp)
     if theta == 0.0:
         return ThermalOscillator(omega_eff=omega_eff, temperature=math.inf, beta=0.0)

@@ -44,8 +44,10 @@ class TestMain:
         assert code == 0
         assert '"reports"' in out and '"errors"' in out
 
-    def test_invalid_arguments_exit_one(self, capsys):
-        code, _, err = run_cli(["--lambda-steps", "1"], capsys)
+    @pytest.mark.parametrize("args", [["--lambda-steps", "1"], ["--tol", "0"]],
+                             ids=["lambda_steps", "tol"])
+    def test_invalid_arguments_exit_one(self, args, capsys):
+        code, _, err = run_cli(args, capsys)
         assert code == 1
         assert "error" in err
 

@@ -1,15 +1,18 @@
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dicke_qpt import (GridCoverageError, IntegrityError, ParameterError,
-                       average_linear_entropy_Q, build_basis,
-                       inverse_participation_ratio, linear_entropy,
+from dicke_qpt import (IntegrityError, ParameterError, average_linear_entropy_Q,
+                       build_basis, inverse_participation_ratio, linear_entropy,
                        linear_entropy_td, make_params, meyer_wallach_Q_generic,
                        partial_trace, single_atom_rdm, von_neumann_entropy)
-from dicke_qpt.entanglement import collective_expectations, default_grid
+from dicke_qpt.entanglement import collective_expectations
 from dicke_qpt.eigensolver import GroundState
+from dicke_qpt.perturbative import coherent_amplitudes
 
 
 def embed_in_qubit_register(state, basis):
@@ -249,23 +252,34 @@ class TestIPR:
         value = inverse_participation_ratio(gs, gs.basis, params)
         assert value == pytest.approx(1 / (2 * np.pi), abs=1e-9)
 
-    def test_stable_under_grid_doubling(self, resonant_ground):
-        gs = resonant_ground(0.5, 8)
-        params = make_params(1, 1, 0.25, 8)
-        xs, ys = default_grid(gs.basis, params)
-        coarse = inverse_participation_ratio(gs, gs.basis, params, (xs, ys))
-        fine = inverse_participation_ratio(
-            gs, gs.basis, params,
-            (np.linspace(xs[0], xs[-1], 2 * len(xs)),
-             np.linspace(ys[0], ys[-1], 2 * len(ys))))
-        assert abs(fine - coarse) < 1e-6
+    @pytest.mark.parametrize("omega, omega0, alpha, n_max, n_atoms", [
+        (1.0, 1.0, 0.0, 8, 4), (1.0, 1.0, 3.0, 60, 4),
+        (1.0, 1.0, 16.0, 420, 4), (0.7, 1.3, 16.0, 420, 6),
+    ])
+    def test_coherent_state_exact(self, omega, omega0, alpha, n_max, n_atoms):
+        # |alpha> (x) |j, -j> is a displaced ground Gaussian on both axes, so
+        # its IPR is sqrt(omega omega0) / (2 pi) whatever alpha is
+        params = make_params(omega, omega0, 0.0, n_atoms)
+        basis = build_basis(params, n_max)
+        amps = np.zeros((n_max + 1, n_atoms + 1))
+        amps[:, 0] = coherent_amplitudes(alpha, n_max)
+        state = GroundState(energy=0.0, amplitudes=amps.ravel() / np.linalg.norm(amps),
+                            parity=0, n_max_used=n_max, residual=0.0,
+                            converged=True, basis=basis)
+        value = inverse_participation_ratio(state, basis, params)
+        assert abs(value / (math.sqrt(omega * omega0) / (2 * np.pi)) - 1) < 1e-12
 
-    def test_small_grid_rejected(self, resonant_ground):
-        gs = resonant_ground(0.5, 4)
-        params = make_params(1, 1, 0.25, 4)
-        tiny = (np.linspace(-1.0, 1.0, 64), np.linspace(-1.0, 1.0, 64))
-        with pytest.raises(GridCoverageError):
-            inverse_participation_ratio(gs, gs.basis, params, tiny)
+    def test_loads_no_scipy_special(self):
+        # scipy.special costs about 60 ms per fresh interpreter; the rule is
+        # built on scipy.linalg, which the eigensolver loads anyway
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import dicke_qpt as dq; "
+                "p = dq.make_params(1.0, 1.0, 0.6, 4); s = dq.converge_cutoff(p); "
+                "dq.inverse_participation_ratio(s, s.basis, p); "
+                "print('scipy.special' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_approaches_closed_form(self, resonant_ground):
         from dicke_qpt import ipr_td

@@ -51,6 +51,8 @@ class TestConfig:
         dict(lambda_min=0.5, lambda_max=0.2),
         dict(lambda_scale="log", lambda_min=0.0, lambda_max=0.1),
         dict(omega=-1.0), dict(omega0=0.0),
+        dict(tol=0.0), dict(solver_tol=-1e-10), dict(max_dim=0),
+        dict(cutoff_start=-1),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
