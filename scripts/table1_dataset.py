@@ -5,7 +5,7 @@ Two fits:
   * closed-form slopes approaching the transition from below
     (gap +1/2, length scale -1/4, entropy -1/4 against log2 distance);
   * the peak-entropy growth exponent over N in {8, 16, 32, 64}
-    (expected near 0.14; this part takes about 6 s on 2 cores).
+    (expected near 0.14; this part takes about 1 s on a 2-core Intel Xeon VM).
 """
 
 import argparse

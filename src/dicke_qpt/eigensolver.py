@@ -1,14 +1,27 @@
 """Ground-state extraction and boson-cutoff convergence certification.
 
 The ground eigenpair is taken from the positive-parity sector (the finite-N
-ground state has positive parity).  Dense diagonalization is
-used up to DENSE_LIMIT; above that an implicitly restarted Lanczos solve
-with a deterministic start vector keeps output reproducible.
+ground state has positive parity).  Blocks of up to DENSE_LIMIT states are
+diagonalized densely; larger ones by implicitly restarted Lanczos (ARPACK
+eigsh, Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), which
+computes only the lowest eigenpair.  DENSE_LIMIT is the measured crossover:
+median timings of dense eigh against eigsh on parity blocks of the Dicke
+Hamiltonian (N = 4..16, lambda/lambda_c = 0.5..2; 2-core Intel Xeon VM, 2
+BLAS threads) were 1.0 vs 2.1 ms at 95 states, 2.1 vs 2.2 ms at 140, 2.2
+vs 1.9 ms at 145, 3.9 vs 2.2 ms at 196 and 15 vs 3.3 ms at 349.
+
+A standalone solve starts Lanczos from a fixed vector, so repeated runs are
+bit-identical.  During cutoff escalation each solve instead starts from the
+previous cutoff's ground vector, zero-padded: the basis is n-major, so the
+smaller basis is a prefix of the larger one and the padded vector is already
+close to the new ground state.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +32,7 @@ from .errors import CapacityError, CutoffConvergenceError, SolverError
 from .model import (DEFAULT_MAX_DIMENSION, BasisIndex, ModelParams,
                     assemble_hamiltonian, build_basis)
 
-DENSE_LIMIT = 2000
+DENSE_LIMIT = 140
 DEFAULT_TOL = 1e-10
 DEFAULT_ENERGY_TOL = 1e-9
 TOP_WEIGHT_LIMIT = 1e-8
@@ -50,14 +63,41 @@ class GroundState:
         return float((self.reshape()[-1] ** 2).sum())
 
 
-def _lowest_eigenpair(H: sp.spmatrix, tol: float) -> tuple[float, np.ndarray]:
+# Full-basis Lanczos start vector for the ground_state call that
+# converge_cutoff makes inside _started_from; unset everywhere else.
+_START: ContextVar[np.ndarray | None] = ContextVar("dicke_qpt_lanczos_start",
+                                                   default=None)
+
+
+@contextmanager
+def _started_from(prev: GroundState | None, basis: BasisIndex):
+    """Start the ground_state solve made inside the block from prev.
+
+    prev's basis is a prefix of basis (n-major order), so zero-padding its
+    amplitudes at the end gives the same state in the larger basis.  With
+    prev None the solve keeps the fixed start vector.
+    """
+    start = None
+    if prev is not None:
+        start = np.zeros(basis.dim)
+        start[:prev.basis.dim] = prev.amplitudes
+    token = _START.set(start)
+    try:
+        yield
+    finally:
+        _START.reset(token)
+
+
+def _lowest_eigenpair(H: sp.spmatrix, tol: float,
+                      v0: np.ndarray | None) -> tuple[float, np.ndarray]:
     dim = H.shape[0]
     if dim <= DENSE_LIMIT:
         w, v = np.linalg.eigh(H.toarray())
         return float(w[0]), v[:, 0]
-    # deterministic start vector keeps repeated runs bit-identical
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    v0[0] += 0.5
+    if v0 is None:
+        # deterministic start vector keeps repeated runs bit-identical
+        v0 = np.full(dim, 1.0 / math.sqrt(dim))
+        v0[0] += 0.5
     w, v = spla.eigsh(H, k=1, which="SA", v0=v0, tol=tol * 1e-2,
                       maxiter=max(5000, 40 * dim))
     return float(w[0]), v[:, 0]
@@ -77,7 +117,9 @@ def ground_state(hamiltonian: sp.spmatrix, basis: BasisIndex,
     ||Hv - Ev|| <= tol * |E| cannot be met.
     """
     idx = basis.parity_indices(+1)
-    energy, vec = _lowest_eigenpair(hamiltonian[idx][:, idx], tol)
+    start = _START.get()
+    energy, vec = _lowest_eigenpair(hamiltonian[idx][:, idx], tol,
+                                    None if start is None else start[idx])
     amplitudes = np.zeros(basis.dim)
     amplitudes[idx] = vec
     amplitudes = _fix_sign(amplitudes / np.linalg.norm(amplitudes))
@@ -112,6 +154,8 @@ def converge_cutoff(params: ModelParams,
 
     Convergence requires successive ground energies to agree within
     energy_tol and the weight on the top Fock layer to stay below 1e-8.
+    Each solve after the first starts Lanczos from the previous ground
+    vector, zero-padded to the new cutoff.
     Returns the final GroundState with converged=True and n_max_used set.
     Raises CutoffConvergenceError (with the observed energy sequence) if the
     dimension ceiling is hit first.
@@ -129,7 +173,8 @@ def converge_cutoff(params: ModelParams,
                 f"cutoff escalation hit capacity before convergence: {exc}",
                 energy_history=history) from exc
         H = assemble_hamiltonian(params, basis)
-        state = ground_state(H, basis, tol=tol)
+        with _started_from(prev, basis):
+            state = ground_state(H, basis, tol=tol)
         history.append(state.energy)
         tail_ok = state.top_fock_weight() < TOP_WEIGHT_LIMIT
         if params.coupling == 0.0 and tail_ok:

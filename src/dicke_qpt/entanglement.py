@@ -10,6 +10,8 @@ ratio, integrated by a tensor Gauss-Hermite rule that is exact for the state.
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,35 +170,39 @@ def meyer_wallach_Q_generic(qubit_state: np.ndarray) -> float:
 def oscillator_eigenfunctions(xs: np.ndarray, k_max: int, freq: float) -> np.ndarray:
     """Orthonormal harmonic-oscillator eigenfunctions phi_k(x), k <= k_max.
 
-    Unit mass, frequency freq; stable three-term recurrence on the scaled
-    coordinate xi = sqrt(freq) * x.  Returns shape (len(xs), k_max + 1).
+    Unit mass, frequency freq: phi_k(x) = freq^(1/4) psi_k(xi) with the
+    Hermite functions psi_k of the scaled coordinate xi = sqrt(freq) * x.
+    Each column is mantissa * exp(log_scale), so the Gaussian does not
+    underflow far out (exp(-xi^2/2) is 0 beyond xi ~ 38.6).  Returns shape
+    (len(xs), k_max + 1).
     """
     xi = np.sqrt(freq) * np.asarray(xs, dtype=float)
     out = np.empty((xi.size, k_max + 1))
-    out[:, 0] = freq**0.25 * np.pi**-0.25 * np.exp(-0.5 * xi**2)
-    if k_max >= 1:
-        out[:, 1] = math.sqrt(2.0) * xi * out[:, 0]
-    for k in range(1, k_max):
-        out[:, k + 1] = (math.sqrt(2.0 / (k + 1)) * xi * out[:, k]
-                         - math.sqrt(k / (k + 1.0)) * out[:, k - 1])
+    log_scale = None
+    for k, (_, cur, scale) in enumerate(_hermite_functions(xi, k_max)):
+        if scale is not log_scale:      # a new scale only every 16 steps
+            log_scale, factor = scale, freq**0.25 * np.exp(scale)
+        out[:, k] = cur * factor
     return out
 
 
-def _hermite_functions(t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermite functions psi_{k-1}(t) and psi_k(t), each mantissa * exp(log_scale).
+def _hermite_functions(t: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Hermite functions psi_{n-1}(t) and psi_n(t) for n = 0..k, as mantissas.
 
-    psi_n(t) = H_n(t) exp(-t^2/2) / sqrt(2^n n! sqrt(pi)).  The Gaussian and
-    the growth of the recurrence live in log_scale, so nothing under- or
-    overflows at the outermost nodes.
+    psi_n(t) = H_n(t) exp(-t^2/2) / sqrt(2^n n! sqrt(pi)).  Yields (prev,
+    cur, log_scale) with psi = mantissa * exp(log_scale); the Gaussian and
+    the growth of the recurrence live in log_scale, a new array every 16
+    steps, so nothing under- or overflows at the outermost nodes.
     """
     prev, cur = np.zeros_like(t), np.ones_like(t)
     log_scale = -0.5 * t**2 - 0.25 * math.log(math.pi)
+    yield prev, cur, log_scale
     for n in range(k):
         prev, cur = cur, math.sqrt(2.0 / (n + 1)) * t * cur - math.sqrt(n / (n + 1.0)) * prev
         if n % 16 == 15:
             s = np.abs(prev) + np.abs(cur)
             prev, cur, log_scale = prev / s, cur / s, log_scale + np.log(s)
-    return prev, cur, log_scale
+        yield prev, cur, log_scale
 
 
 def _gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,9 +214,9 @@ def _gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
     beyond |t| ~ 27, where strong-coupling states still have weight.
     """
     t = eigh_tridiagonal(np.zeros(k), np.sqrt(np.arange(1, k) / 2.0), eigvals_only=True)
-    prev, cur, _ = _hermite_functions(t, k)
+    prev, cur, _ = deque(_hermite_functions(t, k), maxlen=1).pop()
     t = t - cur / (math.sqrt(2.0 * k) * prev - t * cur)
-    prev, _, log_scale = _hermite_functions(t, k)
+    prev, _, log_scale = deque(_hermite_functions(t, k), maxlen=1).pop()
     return t, np.exp(-2.0 * (np.log(np.abs(prev)) + log_scale)) / k
 
 

@@ -143,23 +143,18 @@ def assemble_hamiltonian(params: ModelParams, basis: BasisIndex) -> sp.csr_matri
     cols = [np.arange(dim)]
     vals = [diag]
 
-    pref = params.coupling / math.sqrt(2.0 * j)
     raise_m = np.sqrt(j * (j + 1) - m * (m + 1))   # m -> m + 1
     lower_m = np.sqrt(j * (j + 1) - m * (m - 1))   # m -> m - 1
+    nn = np.arange(n_max)[:, None]                  # lower Fock level n
+    field = params.coupling / math.sqrt(2.0 * j) * np.sqrt(nn + 1.0)
     for dnb, spin in ((+1, raise_m), (-1, lower_m)):
         ok = (n_b + dnb >= 0) & (n_b + dnb <= N)
-        src_nb = n_b[ok]
-        spin_ok = spin[ok]
-        for nn in range(n_max):
-            lo = nn * (N + 1) + src_nb
-            hi = (nn + 1) * (N + 1) + src_nb + dnb
-            v = pref * math.sqrt(nn + 1) * spin_ok
-            rows.append(lo)
-            cols.append(hi)
-            vals.append(v)
-            rows.append(hi)
-            cols.append(lo)
-            vals.append(v)
+        lo = (nn * (N + 1) + n_b[ok]).ravel()
+        hi = lo + (N + 1 + dnb)
+        v = (field * spin[ok]).ravel()
+        rows += [lo, hi]
+        cols += [hi, lo]
+        vals += [v, v]
 
     H = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

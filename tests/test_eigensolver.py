@@ -1,9 +1,34 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from dicke_qpt import (CutoffConvergenceError, SolverError,
                        assemble_hamiltonian, build_basis, converge_cutoff,
-                       ground_state, make_params)
+                       ground_state, make_params, partial_trace,
+                       von_neumann_entropy)
+from dicke_qpt import eigensolver
+from dicke_qpt.eigensolver import (DEFAULT_ENERGY_TOL, TOP_WEIGHT_LIMIT,
+                                   suggest_cutoff)
+
+
+def hamiltonian_and_basis(params, n_max):
+    basis = build_basis(params, n_max)
+    return assemble_hamiltonian(params, basis), basis
+
+
+def cold_escalation(params, growth=1.5):
+    """Oracle: converge_cutoff's acceptance rule, each solve from scratch."""
+    n_max = suggest_cutoff(params)
+    prev = None
+    while True:
+        state = ground_state(*hamiltonian_and_basis(params, n_max))
+        if (prev is not None and state.top_fock_weight() < TOP_WEIGHT_LIMIT
+                and abs(state.energy - prev.energy) < DEFAULT_ENERGY_TOL):
+            return state
+        prev = state
+        n_max = max(n_max + 2, math.ceil(n_max * growth))
 
 
 class TestGroundState:
@@ -73,7 +98,7 @@ class TestGroundState:
         assert all(e1 <= e0 + 1e-13 for e0, e1 in zip(energies, energies[1:]))
 
     def test_iterative_path_agrees_with_dense(self):
-        # dimension above the dense threshold exercises the Lanczos branch
+        # a 2219-state parity block, far above DENSE_LIMIT: the Lanczos branch
         params = make_params(1, 1, 0.35, 16)
         basis = build_basis(params, 260)
         H = assemble_hamiltonian(params, basis)
@@ -81,6 +106,19 @@ class TestGroundState:
         idx = basis.parity_indices(+1)
         dense = np.linalg.eigvalsh(H[idx][:, idx].toarray())[0]
         assert gs.energy == pytest.approx(dense, abs=1e-9)
+
+    def test_dense_and_lanczos_paths_agree(self, monkeypatch):
+        # N = 16 at lambda_c, n_max 45: a 391-state parity block
+        params = make_params(1, 1, 0.5, 16)
+        basis = build_basis(params, 45)
+        H = assemble_hamiltonian(params, basis)
+        monkeypatch.setattr(eigensolver, "DENSE_LIMIT", 10**6)
+        dense = ground_state(H, basis)
+        monkeypatch.setattr(eigensolver, "DENSE_LIMIT", 0)
+        lanczos = ground_state(H, basis)
+        assert basis.parity_indices(+1).size == 391
+        assert abs(lanczos.energy - dense.energy) <= 1e-12 * abs(dense.energy)
+        np.testing.assert_allclose(lanczos.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
 
 
 class TestCutoffConvergence:
@@ -111,6 +149,41 @@ class TestCutoffConvergence:
             converge_cutoff(make_params(1, 1, 2.0, 8), n_max_start=10,
                             max_dim=200)
         assert len(err.value.energy_history) >= 1
+
+    @pytest.mark.parametrize("n_atoms, ratio", [(16, 1.0), (32, 1.5), (64, 1.1)])
+    def test_warm_start_matches_cold_escalation(self, n_atoms, ratio):
+        params = make_params(1, 1, 0.5 * ratio, n_atoms)
+        warm = converge_cutoff(params)
+        cold = cold_escalation(params)
+        assert warm.n_max_used == cold.n_max_used
+        assert abs(warm.energy - cold.energy) <= 1e-12 * abs(cold.energy)
+        s_warm = von_neumann_entropy(partial_trace(warm, warm.basis, "atoms"))
+        s_cold = von_neumann_entropy(partial_trace(cold, cold.basis, "atoms"))
+        assert abs(s_warm - s_cold) <= 1e-10
+
+    def test_escalation_starts_from_padded_previous_vector(self, monkeypatch):
+        starts, states = [], []
+
+        def recording_eigsh(H, **kwargs):
+            starts.append(kwargs["v0"])
+            return eigsh(H, **kwargs)
+
+        def recording_ground_state(H, basis, tol):
+            states.append(ground_state(H, basis, tol))
+            return states[-1]
+
+        monkeypatch.setattr(eigensolver.spla, "eigsh", recording_eigsh)
+        monkeypatch.setattr(eigensolver, "ground_state", recording_ground_state)
+        params = make_params(1, 1, 0.75, 16)
+        converge_cutoff(params)                 # three Lanczos solves
+        assert len(starts) == len(states) == 3
+        # the first solve keeps the fixed start of a standalone solve
+        ground_state(*hamiltonian_and_basis(params, states[0].n_max_used))
+        np.testing.assert_array_equal(starts[0], starts[-1])
+        for prev, state, v0 in zip(states, states[1:], starts[1:]):
+            padded = np.zeros(state.basis.dim)
+            padded[:prev.basis.dim] = prev.amplitudes
+            np.testing.assert_array_equal(v0, padded[state.basis.parity_indices(+1)])
 
     def test_growth_must_exceed_one(self):
         with pytest.raises(ValueError):

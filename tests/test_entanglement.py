@@ -255,10 +255,12 @@ class TestIPR:
     @pytest.mark.parametrize("omega, omega0, alpha, n_max, n_atoms", [
         (1.0, 1.0, 0.0, 8, 4), (1.0, 1.0, 3.0, 60, 4),
         (1.0, 1.0, 16.0, 420, 4), (0.7, 1.3, 16.0, 420, 6),
+        (1.0, 1.0, 27.0, 1100, 4), (1.0, 1.0, 30.0, 1300, 4),
     ])
     def test_coherent_state_exact(self, omega, omega0, alpha, n_max, n_atoms):
         # |alpha> (x) |j, -j> is a displaced ground Gaussian on both axes, so
-        # its IPR is sqrt(omega omega0) / (2 pi) whatever alpha is
+        # its IPR is sqrt(omega omega0) / (2 pi) whatever alpha is; at alpha
+        # 27 and 30 the lobe sits where exp(-xi^2/2) alone underflows
         params = make_params(omega, omega0, 0.0, n_atoms)
         basis = build_basis(params, n_max)
         amps = np.zeros((n_max + 1, n_atoms + 1))

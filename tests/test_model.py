@@ -100,11 +100,13 @@ class TestHamiltonian:
         assert H[i, k] == pytest.approx(0.3, abs=1e-15)
 
     def test_matches_dense_kronecker_oracle(self):
-        params = make_params(1, 1, 0.5, 2)
-        basis = build_basis(params, 2)
-        H = assemble_hamiltonian(params, basis).toarray()
-        np.testing.assert_allclose(H, dense_reference_hamiltonian(params, 2),
-                                   atol=1e-14)
+        # odd N gives half-integer m; n_max 7 gives several Fock layers
+        for params, n_max in ((make_params(1, 1, 0.5, 2), 2),
+                              (make_params(1.3, 0.7, 0.9, 5), 7)):
+            basis = build_basis(params, n_max)
+            H = assemble_hamiltonian(params, basis).toarray()
+            np.testing.assert_allclose(H, dense_reference_hamiltonian(params, n_max),
+                                       atol=1e-14)
 
     def test_exactly_symmetric(self):
         params = make_params(1.3, 0.7, 0.9, 5)

@@ -85,6 +85,16 @@ class TestBuildingBlocks:
         assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
         assert float((c**2 * n).sum()) == pytest.approx(alpha**2, abs=1e-10)
 
+    def test_coherent_amplitudes_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        alpha, n_max = 16.0, 420
+        c = coherent_amplitudes(alpha, n_max)
+        with mpmath.workdps(40):
+            for n in range(n_max + 1):
+                exact = (mpmath.exp(-mpmath.mpf(alpha) ** 2 / 2) * mpmath.mpf(alpha) ** n
+                         / mpmath.sqrt(mpmath.factorial(n)))
+                assert abs(float((mpmath.mpf(c[n]) - exact) / exact)) < 1e-13, n
+
     def test_coherent_vacuum(self):
         c = coherent_amplitudes(0.0, 5)
         assert c[0] == 1.0 and abs(c[1:]).max() == 0.0
