@@ -13,6 +13,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -205,6 +206,7 @@ def _hermite_functions(t: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, ...]
         yield prev, cur, log_scale
 
 
+@lru_cache(maxsize=16)
 def _gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
     """k-node Gauss-Hermite nodes t and scaled weights W = w exp(t^2).
 
@@ -212,12 +214,17 @@ def _gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
     Comp. 23, 221 (1969)), polished by one Newton step on psi_k; the weights
     are W = 1 / (k psi_{k-1}(t)^2).  The plain weights w underflow to zero
     beyond |t| ~ 27, where strong-coupling states still have weight.
+    Cached by k, so the atom-axis rule (k = 2N + 1) is built once per N; the
+    arrays are shared by every caller and therefore read-only.
     """
     t = eigh_tridiagonal(np.zeros(k), np.sqrt(np.arange(1, k) / 2.0), eigvals_only=True)
     prev, cur, _ = deque(_hermite_functions(t, k), maxlen=1).pop()
     t = t - cur / (math.sqrt(2.0 * k) * prev - t * cur)
     prev, _, log_scale = deque(_hermite_functions(t, k), maxlen=1).pop()
-    return t, np.exp(-2.0 * (np.log(np.abs(prev)) + log_scale)) / k
+    weights = np.exp(-2.0 * (np.log(np.abs(prev)) + log_scale)) / k
+    t.setflags(write=False)
+    weights.setflags(write=False)
+    return t, weights
 
 
 def inverse_participation_ratio(state: GroundState, basis: BasisIndex,

@@ -9,9 +9,13 @@ reproduce byte-identical output files.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -27,6 +31,12 @@ KNOWN_BACKENDS = ("ed", "td", "perturbative")
 BASE_COLUMNS = ("lambda", "lambda_rel", "n_atoms", "n_max", "s_vn", "l_lin",
                 "q_avg", "ipr_inv", "jz_mean", "residual", "converged")
 EXTRA_COLUMNS = ("t_eff", "kappa")
+# output columns named differently from their MeasureReport attribute
+_ATTRIBUTES = {"lambda": "coupling", "lambda_rel": "coupling_rel"}
+_PLAIN_TYPES = frozenset((type(None), bool, int, float, str))
+_JSON_NONFINITE = {"Infinity": '"inf"', "-Infinity": '"-inf"', "NaN": '"nan"'}
+# reports per JSON encoder pass: bounds the transient one-string-per-value list
+_JSON_BLOCK = 4096
 # relative half-width of the lambda_c hole punched into TD grids
 CRITICAL_EXCLUSION = 1e-12
 # domain failures that become per-point rows; anything else is a bug and raises
@@ -141,9 +151,13 @@ class SweepConfig:
         return tuple(int(n) for n in self.n_atoms if n != "inf")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MeasureReport:
-    """One evaluated sweep point."""
+    """One evaluated sweep point.
+
+    Not frozen: a sweep builds one per point, and a frozen dataclass takes
+    about four times as long to construct.
+    """
 
     backend: str
     coupling: float
@@ -165,26 +179,6 @@ class MeasureReport:
         n_key = (-1.0 if self.n_atoms is None
                  else float(self.n_atoms) if self.n_atoms != math.inf else 1e300)
         return (backend_rank, n_key, self.coupling)
-
-    def as_dict(self, extras: bool) -> dict:
-        out = {
-            "lambda": self.coupling,
-            "lambda_rel": self.coupling_rel,
-            "n_atoms": self.n_atoms,
-            "n_max": self.n_max,
-            "s_vn": self.s_vn,
-            "l_lin": self.l_lin,
-            "q_avg": self.q_avg,
-            "ipr_inv": self.ipr_inv,
-            "jz_mean": self.jz_mean,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-        if extras:
-            out["t_eff"] = self.t_eff
-            out["kappa"] = self.kappa
-        out["backend"] = self.backend
-        return out
 
 
 @dataclass(frozen=True)
@@ -248,26 +242,11 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float) -> Meas
 def measure_point_td(config: SweepConfig, coupling: float) -> MeasureReport:
     # n_atoms is irrelevant to the closed forms; any valid value works
     params = make_params(config.omega, config.omega0, coupling, 2)
-    lc = params.lambda_c
-    values: dict = {}
-    if "s_vn" in config.measures:
-        values["s_vn"] = thermo.entropy_td(params, two_lobe=config.two_lobe)
-    if "l_lin" in config.measures:
-        values["l_lin"] = thermo.linear_entropy_td(params)
-    if "q_avg" in config.measures:
-        values["q_avg"] = thermo.q_td(params)
-    if "ipr_inv" in config.measures:
-        values["ipr_inv"] = thermo.ipr_td(params)
-    if "t_eff" in config.measures or "kappa" in config.measures:
-        rdmp = thermo.rdm_params(thermo.phase_solution(params))
-        if "t_eff" in config.measures:
-            values["t_eff"] = thermo.effective_temperature(rdmp).temperature
-        if "kappa" in config.measures:
-            values["kappa"] = rdmp.kappa
-    mu = (lc / coupling) ** 2 if coupling > lc else 1.0
+    forms = thermo.closed_forms(params, two_lobe=config.two_lobe)
     return MeasureReport(backend="td", coupling=coupling,
-                         coupling_rel=coupling / lc, n_atoms=math.inf,
-                         jz_mean=-0.5 * mu, converged=True, **values)
+                         coupling_rel=coupling / params.lambda_c, n_atoms=math.inf,
+                         jz_mean=forms.jz_mean, converged=True,
+                         **{m: getattr(forms, m) for m in config.measures})
 
 
 def measure_point_perturbative(config: SweepConfig, coupling: float) -> MeasureReport:
@@ -416,57 +395,109 @@ def fit_critical_exponents(reports: list[MeasureReport],
     return out
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
+def _plain(value):
+    """The Python scalar that a report value equals.
 
-
-def _json_safe(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
+    numpy bools, numpy integers and float subclasses such as numpy.float64
+    become bool, int and float, so both formats write them as those.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
     return value
+
+
+def _columns(reports: list[MeasureReport], columns: tuple) -> list[list]:
+    """One list of plain Python scalars per output column."""
+    out = []
+    for column in columns:
+        values = list(map(attrgetter(_ATTRIBUTES.get(column, column)), reports))
+        if not _PLAIN_TYPES.issuperset(map(type, values)):
+            values = list(map(_plain, values))
+        out.append(values)
+    return out
+
+
+def _csv_text(columns: tuple, cells: list[list]) -> str:
+    """Header and rows: bools as true/false, None empty, the rest as str()."""
+    for k, values in enumerate(cells):
+        if bool in set(map(type, values)):
+            cells[k] = ["true" if v is True else "false" if v is False else v
+                        for v in values]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
+    return buf.getvalue()
+
+
+def _json_reports(cells: list[list], columns: tuple) -> list[str]:
+    """The "reports" array as json.dumps(indent=2) lays it out at depth 1.
+
+    Returned as pieces to concatenate.  Each block of rows is one C-encoder
+    pass with one value per line (an encoded value never contains a raw
+    newline), filled into a fixed row template.  Non-finite floats come out
+    as the bare tokens Infinity, -Infinity and NaN, and are written as the
+    strings "inf", "-inf" and "nan".
+    """
+    n_rows = len(cells[0])
+    if n_rows == 0:
+        return ["[]"]
+    row = ("    {\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
+           + "\n    }")
+    pieces = ["[\n"]
+    for start in range(0, n_rows, _JSON_BLOCK):
+        block = [values[start:start + _JSON_BLOCK] for values in cells]
+        flat = json.dumps(list(chain.from_iterable(zip(*block))), separators=("\n", ":"))
+        encoded = tuple(_JSON_NONFINITE.get(v, v) for v in flat[1:-1].split("\n"))
+        if start:
+            pieces.append(",\n")
+        pieces.append(",\n".join([row] * len(block[0])) % encoded)
+    pieces.append("\n  ]")
+    return pieces
 
 
 def emit(reports: list[MeasureReport], fits=None, path=None, fmt: str = "csv",
          failures: list[SweepFailure] = ()) -> str:
     """Write the dataset to path; returns the serialized text.
 
-    CSV: fixed header with the base columns in order (t_eff/kappa appended
-    only when some report carries them, backend always last).  JSON: object
-    with "reports", "fits", and "errors" keys.  Output bytes are a pure
-    function of the inputs.
+    Rows are sorted by MeasureReport.sort_key, so output bytes are a pure
+    function of the inputs.  Columns: the base columns in order, then
+    t_eff and kappa when some report carries them, then backend.  Report
+    values are written as the Python scalars they equal: numpy bools,
+    integers and floats as bool, int and float.
+
+    CSV: the header line, then one line per report, each ending in "\n",
+    cells joined by ",": None is empty, bools are true/false, floats are
+    repr() (so inf, -inf and nan), ints and strings are str().  Only a
+    string holding a comma, a quote or a newline would be quoted, and no
+    report field written by this package holds one.  JSON: byte-identical to
+    json.dumps(payload, indent=2, allow_nan=False) + "\n", where payload is
+    {"reports": [one object per report, keys as the CSV columns], "fits":
+    {quantity: fit.as_dict()}, "errors": [f.as_dict() per failure]} and
+    non-finite report values are the strings "inf", "-inf" and "nan".
     """
     reports = sorted(reports, key=MeasureReport.sort_key)
     extras = any(r.t_eff is not None or r.kappa is not None for r in reports)
+    columns = BASE_COLUMNS + (EXTRA_COLUMNS if extras else ()) + ("backend",)
     if fmt == "csv":
-        columns = BASE_COLUMNS + (EXTRA_COLUMNS if extras else ()) + ("backend",)
-        lines = [",".join(columns)]
-        for rep in reports:
-            row = rep.as_dict(extras)
-            lines.append(",".join(_format_cell(row[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(columns, _columns(reports, columns))
     elif fmt == "json":
-        payload = {
-            "reports": [{k: _json_safe(v) for k, v in r.as_dict(extras).items()}
-                        for r in reports],
+        # the small rest of the payload goes through json.dumps as it is;
+        # the reports array is spliced in where its empty "[]" was written
+        rest = json.dumps({
+            "reports": [],
             "fits": ({name: fit.as_dict() for name, fit in sorted(fits.items())}
                      if isinstance(fits, dict) else
                      {fits.quantity: fits.as_dict()} if fits is not None else {}),
             "errors": [f.as_dict() for f in failures],
-        }
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        }, indent=2, allow_nan=False)
+        head = '{\n  "reports": '
+        text = "".join([head, *_json_reports(_columns(reports, columns), columns),
+                        rest[len(head + "[]"):], "\n"])
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     if path is not None:

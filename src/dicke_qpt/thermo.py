@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IntegrityError, ParameterError, PhaseError
 from .model import ModelParams
@@ -238,15 +239,15 @@ def mixing_parameter(rdmp: GaussianRDMParams) -> float:
     return math.acosh(rhs)
 
 
+def _temperature(omega: float, theta: float) -> float:
+    """T = Omega / theta: infinite at theta = 0, zero for a pure state."""
+    return omega / theta if theta else math.inf
+
+
 def effective_temperature(rdmp: GaussianRDMParams) -> ThermalOscillator:
     """Effective temperature T = Omega / theta; diverges at the critical point."""
-    omega_eff = rdmp.omega
-    theta = mixing_parameter(rdmp)
-    if theta == 0.0:
-        return ThermalOscillator(omega_eff=omega_eff, temperature=math.inf, beta=0.0)
-    if math.isinf(theta):
-        return ThermalOscillator(omega_eff=omega_eff, temperature=0.0, beta=math.inf)
-    return ThermalOscillator(omega_eff=omega_eff, temperature=omega_eff / theta,
+    omega_eff, theta = rdmp.omega, mixing_parameter(rdmp)
+    return ThermalOscillator(omega_eff=omega_eff, temperature=_temperature(omega_eff, theta),
                              beta=theta / omega_eff)
 
 
@@ -259,6 +260,48 @@ def thermal_entropy_bits(theta: float) -> float:
     return (theta / math.expm1(theta) - math.log(-math.expm1(-theta))) / LN2
 
 
+class ClosedForms(NamedTuple):
+    """Every thermodynamic-limit measure at one coupling (fields as in sweeps)."""
+
+    s_vn: float
+    l_lin: float
+    q_avg: float
+    ipr_inv: float
+    t_eff: float
+    kappa: float
+    jz_mean: float
+
+
+def closed_forms(params: ModelParams, two_lobe: bool = True) -> ClosedForms:
+    """All closed-form measures from one phase solution and one reduced state.
+
+    s_vn is entropy_td, l_lin linear_entropy_td, q_avg q_td and ipr_inv
+    ipr_td; t_eff is the effective temperature and kappa the squeezing
+    rescale of the reduced state; jz_mean = <Jz>/N = -mu/2 above lambda_c
+    and -1/2 below it.  The scalar functions read their field from here.
+    """
+    sol = phase_solution(params)
+    rdmp = rdm_params(sol)
+    theta = mixing_parameter(rdmp)
+    em, ep = rdmp.eps_minus, rdmp.eps_plus
+    # Tr rho^2 of one lobe, sqrt(eps- eps+ / (eps- eps+ + D))
+    purity = (math.sqrt(em * ep / (em * ep + rdmp.d_coeff))
+              if (em * ep + rdmp.d_coeff) > 0 else 1.0)
+    if sol.phase == "normal":
+        critical = params.coupling == params.lambda_c
+        s_bits = math.inf if critical else thermal_entropy_bits(theta)
+        l_lin, q_avg, lobes, mu = 1.0 - purity, 0.0, 1.0, 1.0
+    else:
+        s_bits = thermal_entropy_bits(theta)
+        if two_lobe:
+            s_bits += 1.0
+        l_lin, q_avg, lobes, mu = 1.0 - 0.5 * purity, 1.0 - sol.mu**2, 0.5, sol.mu
+    return ClosedForms(
+        s_vn=s_bits, l_lin=l_lin, q_avg=q_avg,
+        ipr_inv=lobes * math.sqrt(em * ep) / (2.0 * math.pi),
+        t_eff=_temperature(rdmp.omega, theta), kappa=rdmp.kappa, jz_mean=-0.5 * mu)
+
+
 def entropy_td(params: ModelParams, two_lobe: bool = True) -> float:
     """Thermodynamic-limit von Neumann entropy in bits.
 
@@ -269,14 +312,7 @@ def entropy_td(params: ModelParams, two_lobe: bool = True) -> float:
     to zero at strong coupling).  Exactly at lambda_c the entropy diverges
     and float('inf') is returned.
     """
-    lam, lc = params.coupling, params.lambda_c
-    if lam == lc:
-        return math.inf
-    sol = normal_solution(params) if lam < lc else sr_solution(params)
-    s_bits = thermal_entropy_bits(mixing_parameter(rdm_params(sol)))
-    if lam > lc and two_lobe:
-        s_bits += 1.0
-    return s_bits
+    return closed_forms(params, two_lobe).s_vn
 
 
 def critical_asymptote(params: ModelParams, coupling: float,
@@ -310,13 +346,6 @@ def critical_asymptote(params: ModelParams, coupling: float,
     return s_bits
 
 
-def _single_lobe_purity(solution) -> float:
-    """Tr rho^2 of the one-lobe Gaussian state: sqrt(eps-eps+/(eps-eps+ + D))."""
-    em, ep = solution.eps_minus, solution.eps_plus
-    d_coeff = (em - ep) ** 2 * solution.c**2 * solution.s**2
-    return math.sqrt(em * ep / (em * ep + d_coeff)) if (em * ep + d_coeff) > 0 else 1.0
-
-
 def linear_entropy_td(params: ModelParams) -> float:
     """Thermodynamic-limit linear entropy (eta -> 1).
 
@@ -325,10 +354,7 @@ def linear_entropy_td(params: ModelParams) -> float:
     1 - Tr rho_1^2 / 2, tending to 1/2 at strong coupling.  Equals 1 at the
     critical point from both sides.
     """
-    lam, lc = params.coupling, params.lambda_c
-    if lam <= lc:
-        return 1.0 - _single_lobe_purity(normal_solution(params))
-    return 1.0 - 0.5 * _single_lobe_purity(sr_solution(params))
+    return closed_forms(params).l_lin
 
 
 def ipr_td(params: ModelParams) -> float:
@@ -340,14 +366,7 @@ def ipr_td(params: ModelParams) -> float:
     normal side P^-1 goes as |1 - lambda/lambda_c|^(1/4).  On resonance
     P^-1 = (delta (2 - delta))^(1/4)/(2 pi) with delta = 1 - lambda/lambda_c.
     """
-    lam, lc = params.coupling, params.lambda_c
-    if lam <= lc:
-        sol = normal_solution(params)
-        factor = 1.0
-    else:
-        sol = sr_solution(params)
-        factor = 0.5
-    return factor * math.sqrt(sol.eps_minus * sol.eps_plus) / (2.0 * math.pi)
+    return closed_forms(params).ipr_inv
 
 
 def q_td(params: ModelParams) -> float:
@@ -356,11 +375,7 @@ def q_td(params: ModelParams) -> float:
     Zero throughout the normal phase; 1 - mu^2 with mu = lambda_c^2/lambda^2
     above it.  Continuous at lambda_c with a derivative jump to 4/lambda_c.
     """
-    lam, lc = params.coupling, params.lambda_c
-    if lam <= lc:
-        return 0.0
-    mu = (lc / lam) ** 2
-    return 1.0 - mu**2
+    return closed_forms(params).q_avg
 
 
 def q_td_derivative(params: ModelParams) -> float:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dicke_qpt import entanglement
 from dicke_qpt import (IntegrityError, ParameterError, average_linear_entropy_Q,
                        build_basis, inverse_participation_ratio, linear_entropy,
                        linear_entropy_td, make_params, meyer_wallach_Q_generic,
@@ -270,6 +271,31 @@ class TestIPR:
                             converged=True, basis=basis)
         value = inverse_participation_ratio(state, basis, params)
         assert abs(value / (math.sqrt(omega * omega0) / (2 * np.pi)) - 1) < 1e-12
+
+    def test_gauss_hermite_rules_cached_read_only(self, resonant_ground, monkeypatch):
+        # the atom-axis rule (2N + 1 nodes) is shared by every point at that
+        # N, so a cached rule must be the same read-only arrays each time
+        # and must leave the IPR bits exactly as a freshly built rule does
+        entanglement._gauss_hermite.cache_clear()
+        t, w = entanglement._gauss_hermite(17)
+        again = entanglement._gauss_hermite(17)
+        assert again[0] is t and again[1] is w
+        assert not t.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        fresh_t, fresh_w = entanglement._gauss_hermite.__wrapped__(17)
+        assert np.array_equal(fresh_t, t) and np.array_equal(fresh_w, w)
+
+        gs = resonant_ground(1.2, 8)
+        params = make_params(1, 1, 0.6, 8)
+        entanglement._gauss_hermite.cache_clear()
+        cold = inverse_participation_ratio(gs, gs.basis, params)
+        warm = inverse_participation_ratio(gs, gs.basis, params)
+        assert entanglement._gauss_hermite.cache_info().hits >= 2
+        monkeypatch.setattr(entanglement, "_gauss_hermite",
+                            entanglement._gauss_hermite.__wrapped__)
+        uncached = inverse_participation_ratio(gs, gs.basis, params)
+        assert cold == warm == uncached
 
     def test_loads_no_scipy_special(self):
         # scipy.special costs about 60 ms per fresh interpreter; the rule is

@@ -1,12 +1,16 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dicke_qpt import (ConfigError, FitError, MeasureReport, SweepConfig,
-                       emit, fit_critical_exponents, fit_entropy_scaling,
-                       run_sweep)
+from dicke_qpt import (ConfigError, FitError, MeasureReport, ScalingFit,
+                       SweepConfig, SweepFailure, emit, fit_critical_exponents,
+                       fit_entropy_scaling, run_sweep)
+from dicke_qpt import sweep
 
 BASE_HEADER = ("lambda,lambda_rel,n_atoms,n_max,s_vn,l_lin,q_avg,ipr_inv,"
                "jz_mean,residual,converged")
@@ -145,7 +149,7 @@ class TestRunSweep:
         def broken(params, two_lobe=True):
             raise TypeError("bug in a measure")
 
-        monkeypatch.setattr("dicke_qpt.thermo.entropy_td", broken)
+        monkeypatch.setattr("dicke_qpt.thermo.closed_forms", broken)
         config = SweepConfig(lambda_min=0.2, lambda_max=0.8, lambda_steps=2,
                              backend="td", measures=("s_vn",))
         with pytest.raises(TypeError, match="bug in a measure"):
@@ -267,6 +271,104 @@ class TestFits:
             fit_critical_exponents(reports)
 
 
+def oracle_cell(value) -> str:
+    """Oracle CSV cell: one isinstance chain per value."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return repr(value)
+    return str(value)
+
+
+def oracle_json_value(value):
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+    return value
+
+
+def oracle_row(rep, extras: bool) -> dict:
+    row = {"lambda": rep.coupling, "lambda_rel": rep.coupling_rel,
+           "n_atoms": rep.n_atoms, "n_max": rep.n_max, "s_vn": rep.s_vn,
+           "l_lin": rep.l_lin, "q_avg": rep.q_avg, "ipr_inv": rep.ipr_inv,
+           "jz_mean": rep.jz_mean, "residual": rep.residual,
+           "converged": rep.converged}
+    if extras:
+        row["t_eff"] = rep.t_eff
+        row["kappa"] = rep.kappa
+    row["backend"] = rep.backend
+    return row
+
+
+def oracle_emit(reports, fits=None, fmt="csv", failures=()) -> str:
+    """Oracle: a CSV join of per-cell strings, and the pure-Python
+    json.dumps(indent=2); both take plain Python scalars only."""
+    reports = sorted(reports, key=MeasureReport.sort_key)
+    extras = any(r.t_eff is not None or r.kappa is not None for r in reports)
+    if fmt == "csv":
+        rows = [oracle_row(rep, extras) for rep in reports]
+        columns = (BASE_HEADER.split(",") + (["t_eff", "kappa"] if extras else [])
+                   + ["backend"])
+        lines = [",".join(columns)]
+        lines += [",".join(oracle_cell(row[c]) for c in columns) for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = {
+        "reports": [{k: oracle_json_value(v) for k, v in oracle_row(r, extras).items()}
+                    for r in reports],
+        "fits": ({name: fit.as_dict() for name, fit in sorted(fits.items())}
+                 if isinstance(fits, dict) else
+                 {fits.quantity: fits.as_dict()} if fits is not None else {}),
+        "errors": [f.as_dict() for f in failures],
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def as_numpy(value):
+    """The numpy scalar equal to a plain bool, int or float."""
+    if isinstance(value, bool):
+        return np.bool_(value)
+    if isinstance(value, int):
+        return np.int64(value)
+    if isinstance(value, float):
+        return np.float64(value)
+    return value
+
+
+NUMBERS = st.one_of(st.booleans(), st.integers(-2**62, 2**62), st.floats())
+SCALARS = st.one_of(st.none(), NUMBERS)
+# coupling is a sort key, so it is never None
+REPORT_VALUES = ("coupling_rel", "n_atoms", "n_max", "s_vn", "l_lin", "q_avg",
+                 "ipr_inv", "jz_mean", "residual", "converged", "t_eff", "kappa")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def report_twins(draw):
+    """A report of plain scalars, and its twin with some values as numpy scalars."""
+    backend = draw(st.sampled_from(("ed", "td", "perturbative")))
+    values = {"coupling": draw(NUMBERS), **{name: draw(SCALARS) for name in REPORT_VALUES}}
+    numpy_names = draw(st.sets(st.sampled_from(("coupling",) + REPORT_VALUES)))
+    twin = {name: as_numpy(v) if name in numpy_names else v for name, v in values.items()}
+    return MeasureReport(backend=backend, **values), MeasureReport(backend=backend, **twin)
+
+
+SCALING_FITS = st.builds(
+    ScalingFit, quantity=st.text(), exponent=FINITE, stderr=FINITE,
+    window=st.tuples(FINITE, FINITE), residual=FINITE,
+    peaks=st.lists(st.tuples(st.integers(1, 512), FINITE, FINITE), max_size=3).map(tuple))
+FAILURES = st.builds(
+    SweepFailure, backend=st.sampled_from(("ed", "td", "perturbative")), coupling=FINITE,
+    n_atoms=st.one_of(st.none(), st.integers(1, 512)), message=st.text())
+
+
 class TestEmit:
     def test_empty_reports_give_header_only_csv(self):
         assert emit([]) == BASE_HEADER + ",backend\n"
@@ -315,6 +417,34 @@ class TestEmit:
         emit(first, path=p1, failures=fails1)
         emit(second, path=p2, failures=fails2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(report_twins(), max_size=12),
+           fits=st.one_of(st.none(), SCALING_FITS,
+                          st.dictionaries(st.text(), SCALING_FITS, max_size=3)),
+           failures=st.lists(FAILURES, max_size=3),
+           block=st.sampled_from((1, 2, 5, 4096)))
+    @example(pairs=[], fits=None, failures=[], block=4096)
+    def test_matches_byte_oracle(self, pairs, fits, failures, block):
+        # the C-encoded emitter writes what the per-cell oracle writes for the
+        # plain reports, also when some values arrive as numpy scalars and
+        # whatever the JSON block size
+        plain = [p for p, _ in pairs]
+        twins = [t for _, t in pairs]
+        with mock.patch.object(sweep, "_JSON_BLOCK", block):
+            for fmt in ("csv", "json"):
+                assert (emit(twins, fits=fits, fmt=fmt, failures=failures)
+                        == oracle_emit(plain, fits=fits, fmt=fmt, failures=failures))
+
+    def test_numpy_scalars_written_as_python_scalars(self):
+        kwargs = dict(backend="ed", coupling=0.25, coupling_rel=0.5, n_atoms=8,
+                      n_max=12, s_vn=0.75, jz_mean=-0.5, residual=math.inf,
+                      converged=True)
+        plain = MeasureReport(**kwargs)
+        numpy = MeasureReport(**{k: as_numpy(v) for k, v in kwargs.items()})
+        for fmt in ("csv", "json"):
+            assert emit([numpy], fmt=fmt) == emit([plain], fmt=fmt)
+        assert emit([numpy]).splitlines()[1] == "0.25,0.5,8,12,0.75,,,,-0.5,inf,true,ed"
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from dicke_qpt import (ParameterError, PhaseError, critical_asymptote,
-                       effective_temperature, entropy_td, ipr_td,
-                       linear_entropy_td, make_params, normal_solution, q_td,
-                       q_td_derivative, rdm_params, sr_solution)
+from dicke_qpt import (ParameterError, PhaseError, closed_forms,
+                       critical_asymptote, effective_temperature, entropy_td,
+                       ipr_td, linear_entropy_td, make_params, normal_solution,
+                       q_td, q_td_derivative, rdm_params, sr_solution)
 from dicke_qpt.thermo import (mixing_parameter, phase_solution,
                               thermal_entropy_bits)
 
@@ -392,3 +392,50 @@ class TestScalingRelation:
     def test_phase_dispatch(self):
         assert phase_solution(resonant(0.5)).phase == "normal"
         assert phase_solution(resonant(1.5)).phase == "superradiant"
+
+
+def per_measure_oracles(params, two_lobe):
+    """Oracle: each closed form solved on its own, from its own phase solve."""
+    lam, lc = params.coupling, params.lambda_c
+    if lam == lc:
+        s_vn = math.inf
+    else:
+        sol = normal_solution(params) if lam < lc else sr_solution(params)
+        s_vn = thermal_entropy_bits(mixing_parameter(rdm_params(sol)))
+        if lam > lc and two_lobe:
+            s_vn += 1.0
+
+    def purity(sol):
+        em, ep = sol.eps_minus, sol.eps_plus
+        d_coeff = (em - ep) ** 2 * sol.c**2 * sol.s**2
+        return math.sqrt(em * ep / (em * ep + d_coeff)) if (em * ep + d_coeff) > 0 else 1.0
+
+    if lam <= lc:
+        sol = normal_solution(params)
+        l_lin, factor, q_avg, mu = 1.0 - purity(sol), 1.0, 0.0, 1.0
+    else:
+        sol = sr_solution(params)
+        mu = (lc / lam) ** 2
+        l_lin, factor, q_avg = 1.0 - 0.5 * purity(sol), 0.5, 1.0 - mu**2
+    ipr_inv = factor * math.sqrt(sol.eps_minus * sol.eps_plus) / (2.0 * math.pi)
+    return {"s_vn": s_vn, "l_lin": l_lin, "q_avg": q_avg, "ipr_inv": ipr_inv,
+            "jz_mean": -0.5 * mu}
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("two_lobe", [True, False])
+    @pytest.mark.parametrize("omega, omega0", [(1.0, 1.0), (1.0, 3.0), (2.5, 0.4)])
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0, 10.0])
+    def test_one_solve_matches_every_scalar_function(self, ratio, omega, omega0, two_lobe):
+        # one phase solve must give bit for bit what each measure gives alone
+        lc = math.sqrt(omega * omega0) / 2.0
+        params = make_params(omega, omega0, ratio * lc, 8)
+        forms = closed_forms(params, two_lobe)
+        rdmp = rdm_params(phase_solution(params))
+        oracle = per_measure_oracles(params, two_lobe)
+        assert forms._asdict() == {**oracle, "t_eff": effective_temperature(rdmp).temperature,
+                                   "kappa": rdmp.kappa}
+        assert forms.s_vn == entropy_td(params, two_lobe=two_lobe)
+        assert forms.l_lin == linear_entropy_td(params)
+        assert forms.q_avg == q_td(params)
+        assert forms.ipr_inv == ipr_td(params)
