@@ -15,15 +15,13 @@ from .errors import (CapacityError, ConfigError, CutoffConvergenceError,
                      PhaseError, SolverError)
 from .model import (BasisIndex, ModelParams, assemble_hamiltonian, build_basis,
                     make_params, parity_operator)
-from .perturbative import (PerturbativeResult, perturbative_entropy,
-                           strong_coupling_state)
+from .perturbative import perturbative_entropy, strong_coupling_state
 from .sweep import (MeasureReport, ScalingFit, SweepConfig, SweepFailure, emit,
                     fit_critical_exponents, fit_entropy_scaling, run_sweep)
-from .thermo import (ClosedForms, GaussianRDMParams, NormalPhaseSolution,
-                     SRPhaseSolution, ThermalOscillator, closed_forms,
-                     critical_asymptote, effective_temperature, entropy_td,
-                     ipr_td, linear_entropy_td, normal_solution, q_td,
-                     q_td_derivative, rdm_params, sr_solution)
+from .thermo import (ClosedForms, GaussianRDMParams, PhaseSolution,
+                     closed_forms, critical_asymptote, effective_temperature,
+                     entropy_td, ipr_td, linear_entropy_td, normal_solution,
+                     q_td, q_td_derivative, rdm_params, sr_solution)
 
 __version__ = "0.1.0"
 

@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CapacityError, CutoffConvergenceError, SolverError
+from .errors import (CapacityError, CutoffConvergenceError, ParameterError,
+                     SolverError)
 from .model import (DEFAULT_MAX_DIMENSION, BasisIndex, ModelParams,
                     assemble_hamiltonian, build_basis)
 
@@ -43,15 +44,14 @@ class GroundState:
     """Ground eigenpair over a BasisIndex.
 
     amplitudes is the full-basis real vector (unit norm, deterministic sign:
-    the largest-magnitude amplitude is positive), supported on the parity
-    sector named by parity.  converged marks cutoff certification by
-    converge_cutoff, not the eigensolve itself; residual is ||Hv - Ev||_2.
+    the largest-magnitude amplitude is positive), supported on the positive-
+    parity sector.  converged marks cutoff certification by converge_cutoff,
+    not the eigensolve itself; residual is ||Hv - Ev||_2.  The cutoff is
+    basis.n_max.
     """
 
     energy: float
     amplitudes: np.ndarray
-    parity: int
-    n_max_used: int
     residual: float
     converged: bool
     basis: BasisIndex
@@ -129,8 +129,7 @@ def ground_state(hamiltonian: sp.spmatrix, basis: BasisIndex,
         raise SolverError(
             f"residual {residual:.3e} above tolerance {threshold:.3e} "
             f"(dim={basis.dim})", residual=residual)
-    return GroundState(energy=energy, amplitudes=amplitudes, parity=+1,
-                       n_max_used=basis.n_max, residual=residual,
+    return GroundState(energy=energy, amplitudes=amplitudes, residual=residual,
                        converged=False, basis=basis)
 
 
@@ -156,12 +155,13 @@ def converge_cutoff(params: ModelParams,
     energy_tol and the weight on the top Fock layer to stay below 1e-8.
     Each solve after the first starts Lanczos from the previous ground
     vector, zero-padded to the new cutoff.
-    Returns the final GroundState with converged=True and n_max_used set.
+    Returns the final GroundState with converged=True; its basis.n_max is the
+    accepted cutoff.
     Raises CutoffConvergenceError (with the observed energy sequence) if the
     dimension ceiling is hit first.
     """
-    if growth <= 1.0:
-        raise ValueError(f"growth must exceed 1, got {growth}")
+    if not 1.0 < growth < math.inf:
+        raise ParameterError(f"growth must be a finite number above 1, got {growth}")
     n_max = n_max_start if n_max_start is not None else suggest_cutoff(params)
     history: list[float] = []
     prev: GroundState | None = None
@@ -179,15 +179,9 @@ def converge_cutoff(params: ModelParams,
         tail_ok = state.top_fock_weight() < TOP_WEIGHT_LIMIT
         if params.coupling == 0.0 and tail_ok:
             # decoupled limit: the ground state is exact at any cutoff
-            return _certified(state)
+            return replace(state, converged=True)
         if prev is not None and tail_ok and abs(state.energy - prev.energy) < energy_tol:
-            return _certified(state)
+            return replace(state, converged=True)
         prev = state
         n_max = max(n_max + 2, math.ceil(n_max * growth))
 
-
-def _certified(state: GroundState) -> GroundState:
-    return GroundState(energy=state.energy, amplitudes=state.amplitudes,
-                       parity=state.parity, n_max_used=state.n_max_used,
-                       residual=state.residual, converged=True,
-                       basis=state.basis)

@@ -103,16 +103,15 @@ def linear_entropy(rdm: ReducedDensityMatrix, subsystem_dim: int | None = None) 
 
 
 def collective_expectations(state: GroundState, basis: BasisIndex) -> dict:
-    """<Jz>, <Jz^2>, <J+>, <J-> in the collective basis (real amplitudes)."""
+    """<Jz> and <J+> in the collective basis; <J-> = <J+> for real amplitudes."""
     A = basis.reshape(state.amplitudes)
     j = basis.j
     m = np.arange(basis.n_atoms + 1) - j
     w = A**2
     jz = float((w * m[None, :]).sum())
-    jz2 = float((w * m[None, :] ** 2).sum())
     raise_m = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
     jp = float((A[:, 1:] * A[:, :-1] * raise_m[None, :]).sum())
-    return {"jz": jz, "jz2": jz2, "jp": jp, "jm": jp}
+    return {"jz": jz, "jp": jp}
 
 
 def single_atom_rdm(state: GroundState, basis: BasisIndex) -> ReducedDensityMatrix:

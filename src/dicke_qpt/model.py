@@ -57,10 +57,12 @@ class ModelParams:
 
 def make_params(omega, omega0, coupling, n_atoms) -> ModelParams:
     """Validate and pack model parameters."""
-    if not (omega > 0 and omega0 > 0):
-        raise ParameterError(f"frequencies must be positive, got omega={omega}, omega0={omega0}")
-    if coupling < 0:
-        raise ParameterError(f"coupling must be non-negative, got {coupling}")
+    # chained comparisons are False for NaN, so these also reject it
+    if not (0 < omega < math.inf and 0 < omega0 < math.inf):
+        raise ParameterError(f"frequencies must be positive and finite, got "
+                             f"omega={omega}, omega0={omega0}")
+    if not 0 <= coupling < math.inf:
+        raise ParameterError(f"coupling must be non-negative and finite, got {coupling}")
     if int(n_atoms) != n_atoms or n_atoms < 1:
         raise ParameterError(f"n_atoms must be a positive integer, got {n_atoms}")
     return ModelParams(float(omega), float(omega0), float(coupling), int(n_atoms))

@@ -3,32 +3,22 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import BasisIndex, ModelParams
 
 
-@dataclass(frozen=True)
-class PerturbativeResult:
-    """Weak-coupling entropy; N-independent by construction.
+def perturbative_entropy(params: ModelParams) -> float:
+    """Second-order entropy in bits: binary entropy of 1/(1 + sigma^2).
 
-    sigma = coupling / (omega + omega0); the weak-coupling form tracks the
-    exact entropy up to about 0.4 times the critical coupling.
+    sigma = coupling / (omega + omega0).  N-independent by construction; it
+    tracks the exact entropy up to about 0.4 times the critical coupling.
     """
-
-    sigma: float
-    entropy_bits: float
-
-
-def perturbative_entropy(params: ModelParams) -> PerturbativeResult:
-    """Second-order entropy: binary entropy of 1/(1 + sigma^2) in bits."""
     sigma = params.coupling / (params.omega + params.omega0)
     p = 1.0 / (1.0 + sigma**2)
     q = 1.0 - p
-    s = 0.0 if q == 0.0 else -p * math.log2(p) - q * math.log2(q)
-    return PerturbativeResult(sigma=sigma, entropy_bits=s)
+    return 0.0 if q == 0.0 else -p * math.log2(p) - q * math.log2(q)
 
 
 def coherent_amplitudes(alpha: float, n_max: int) -> np.ndarray:

@@ -90,30 +90,33 @@ class SweepConfig:
                            "basis dimension ceiling (capacity guard)")
 
     def validate(self) -> None:
-        if self.omega <= 0 or self.omega0 <= 0:
-            raise ConfigError("frequencies must be positive")
+        # every range check is a chained comparison, which NaN fails
+        if not (0 < self.omega < math.inf and 0 < self.omega0 < math.inf):
+            raise ConfigError("frequencies must be positive and finite")
         if self.lambda_steps < 2:
             raise ConfigError("lambda grid needs at least 2 points")
         if self.lambda_scale not in ("linear", "log"):
             raise ConfigError(f"unknown lambda_scale {self.lambda_scale!r}")
         if self.lambda_scale == "linear":
-            if not (0 <= self.lambda_min < self.lambda_max):
-                raise ConfigError("need 0 <= lambda_min < lambda_max")
+            if not (0 <= self.lambda_min < self.lambda_max < math.inf):
+                raise ConfigError("need 0 <= lambda_min < lambda_max < inf")
         else:
-            if not (0 < self.lambda_min < self.lambda_max):
-                raise ConfigError("log scale needs 0 < lambda_min < lambda_max "
+            if not (0 < self.lambda_min < self.lambda_max < math.inf):
+                raise ConfigError("log scale needs 0 < lambda_min < lambda_max < inf "
                                   "(relative offsets from lambda_c)")
         if self.backend not in KNOWN_BACKENDS + ("all",):
             raise ConfigError(f"unknown backend {self.backend!r}")
         for meas in self.measures:
             if meas not in KNOWN_MEASURES:
                 raise ConfigError(f"unknown measure {meas!r}")
-        if self.cutoff_growth <= 1.0:
-            raise ConfigError("cutoff_growth must exceed 1")
+        if not 1.0 < self.cutoff_growth < math.inf:
+            raise ConfigError("cutoff_growth must be finite and exceed 1")
         if self.cutoff_start is not None and self.cutoff_start < 0:
             raise ConfigError("cutoff_start must be >= 0")
-        if self.tol <= 0 or self.solver_tol <= 0 or self.max_dim < 1:
-            raise ConfigError("tol, solver_tol and max_dim must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.solver_tol < math.inf
+                and self.max_dim >= 1):
+            raise ConfigError("tol and solver_tol must be positive and finite, "
+                              "max_dim positive")
         for n in self.n_atoms:
             if n != "inf" and (int(n) != n or n < 1):
                 raise ConfigError(f"bad n_atoms entry {n!r}")
@@ -234,7 +237,7 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float) -> Meas
     jz = entanglement.collective_expectations(state, basis)["jz"]
     return MeasureReport(backend="ed", coupling=coupling,
                          coupling_rel=coupling / params.lambda_c,
-                         n_atoms=n_atoms, n_max=state.n_max_used,
+                         n_atoms=n_atoms, n_max=state.basis.n_max,
                          jz_mean=jz / n_atoms, residual=state.residual,
                          converged=state.converged, **values)
 
@@ -251,10 +254,9 @@ def measure_point_td(config: SweepConfig, coupling: float) -> MeasureReport:
 
 def measure_point_perturbative(config: SweepConfig, coupling: float) -> MeasureReport:
     params = make_params(config.omega, config.omega0, coupling, 2)
-    res = perturbative_entropy(params)
     return MeasureReport(backend="perturbative", coupling=coupling,
                          coupling_rel=coupling / params.lambda_c,
-                         n_atoms=None, s_vn=res.entropy_bits, converged=True)
+                         n_atoms=None, s_vn=perturbative_entropy(params), converged=True)
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailure]]:
@@ -460,8 +462,8 @@ def _json_reports(cells: list[list], columns: tuple) -> list[str]:
     return pieces
 
 
-def emit(reports: list[MeasureReport], fits=None, path=None, fmt: str = "csv",
-         failures: list[SweepFailure] = ()) -> str:
+def emit(reports: list[MeasureReport], fits: dict[str, ScalingFit] | None = None,
+         path=None, fmt: str = "csv", failures: list[SweepFailure] = ()) -> str:
     """Write the dataset to path; returns the serialized text.
 
     Rows are sorted by MeasureReport.sort_key, so output bytes are a pure
@@ -477,7 +479,8 @@ def emit(reports: list[MeasureReport], fits=None, path=None, fmt: str = "csv",
     report field written by this package holds one.  JSON: byte-identical to
     json.dumps(payload, indent=2, allow_nan=False) + "\n", where payload is
     {"reports": [one object per report, keys as the CSV columns], "fits":
-    {quantity: fit.as_dict()}, "errors": [f.as_dict() per failure]} and
+    {name: fit.as_dict() per item of fits, sorted by name}, "errors":
+    [f.as_dict() per failure]} and
     non-finite report values are the strings "inf", "-inf" and "nan".
     """
     reports = sorted(reports, key=MeasureReport.sort_key)
@@ -490,9 +493,7 @@ def emit(reports: list[MeasureReport], fits=None, path=None, fmt: str = "csv",
         # the reports array is spliced in where its empty "[]" was written
         rest = json.dumps({
             "reports": [],
-            "fits": ({name: fit.as_dict() for name, fit in sorted(fits.items())}
-                     if isinstance(fits, dict) else
-                     {fits.quantity: fits.as_dict()} if fits is not None else {}),
+            "fits": {name: fit.as_dict() for name, fit in sorted((fits or {}).items())},
             "errors": [f.as_dict() for f in failures],
         }, indent=2, allow_nan=False)
         head = '{\n  "reports": '

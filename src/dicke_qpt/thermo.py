@@ -27,67 +27,48 @@ LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class NormalPhaseSolution:
-    """Excitation energies and rotation angle for coupling <= lambda_c."""
+class PhaseSolution:
+    """Excitation energies and rotation angle of one coupling phase.
 
-    omega: float
-    omega0: float
-    coupling: float
-    eps_minus: float
-    eps_plus: float
-    gamma1: float
-
-    phase = "normal"
-
-    @property
-    def gamma(self) -> float:
-        return self.gamma1
-
-    @property
-    def c(self) -> float:
-        return math.cos(self.gamma1)
-
-    @property
-    def s(self) -> float:
-        return math.sin(self.gamma1)
-
-
-@dataclass(frozen=True)
-class SRPhaseSolution:
-    """Single displaced-lobe solution for coupling >= lambda_c.
-
-    mu = (lambda_c / lambda)^2; alpha and beta_disp are the mean-field
-    displacements per unit j (alpha = (2 lambda/omega)^2 (1-mu)/2,
-    beta_disp = 1 - mu); omega_tilde = omega0 (1 + mu) / (2 mu).
+    phase is "normal" (coupling <= lambda_c) or "superradiant" (the single
+    displaced-lobe solution, coupling >= lambda_c).  mu = (lambda_c /
+    lambda)^2 above lambda_c and 1 in the normal phase, so the mean-field
+    displacements per unit j, alpha = (2 lambda/omega)^2 (1-mu)/2 and
+    beta_disp = 1 - mu, vanish there and omega_tilde = omega0 (1 + mu) /
+    (2 mu) reads omega0.
     """
 
+    phase: str
     omega: float
     omega0: float
     coupling: float
     eps_minus: float
     eps_plus: float
-    gamma2: float
+    gamma: float
     mu: float
-    alpha: float
-    beta_disp: float
-    omega_tilde: float
-
-    phase = "superradiant"
-
-    @property
-    def gamma(self) -> float:
-        return self.gamma2
 
     @property
     def c(self) -> float:
-        return math.cos(self.gamma2)
+        return math.cos(self.gamma)
 
     @property
     def s(self) -> float:
-        return math.sin(self.gamma2)
+        return math.sin(self.gamma)
+
+    @property
+    def alpha(self) -> float:
+        return (2.0 * self.coupling / self.omega) ** 2 * (1.0 - self.mu) / 2.0
+
+    @property
+    def beta_disp(self) -> float:
+        return 1.0 - self.mu
+
+    @property
+    def omega_tilde(self) -> float:
+        return self.omega0 * (1.0 + self.mu) / (2.0 * self.mu)
 
 
-def normal_solution(params: ModelParams) -> NormalPhaseSolution:
+def normal_solution(params: ModelParams) -> PhaseSolution:
     """Normal-phase energies eps_-+ and rotation angle gamma(1).
 
     eps_+-^2 = (omega0^2 + omega^2 +- sqrt((omega0^2-omega^2)^2
@@ -106,11 +87,10 @@ def normal_solution(params: ModelParams) -> NormalPhaseSolution:
     em2 = 8.0 * w * w0 * (lc - lam) * (lc + lam) / (w0**2 + w**2 + root)
     em = math.sqrt(max(em2, 0.0))
     gamma1 = 0.5 * math.atan2(4.0 * lam * math.sqrt(w * w0), w0**2 - w**2)
-    return NormalPhaseSolution(omega=w, omega0=w0, coupling=lam,
-                               eps_minus=em, eps_plus=ep, gamma1=gamma1)
+    return PhaseSolution("normal", w, w0, lam, em, ep, gamma1, 1.0)
 
 
-def sr_solution(params: ModelParams) -> SRPhaseSolution:
+def sr_solution(params: ModelParams) -> PhaseSolution:
     """Superradiant-phase energies, angle gamma(2), and displacements.
 
     With mu = lambda_c^2/lambda^2:
@@ -131,14 +111,10 @@ def sr_solution(params: ModelParams) -> SRPhaseSolution:
     em2 = 2.0 * w**2 * w0**2 * (1.0 - mu) * (1.0 + mu) / (mu**2 * (w0_eff2 + w**2 + root))
     em = math.sqrt(max(em2, 0.0))
     gamma2 = 0.5 * math.atan2(2.0 * w * w0 * mu**2, w0**2 - mu**2 * w**2)
-    alpha = (2.0 * lam / w) ** 2 * (1.0 - mu) / 2.0
-    return SRPhaseSolution(omega=w, omega0=w0, coupling=lam,
-                           eps_minus=em, eps_plus=ep, gamma2=gamma2,
-                           mu=mu, alpha=alpha, beta_disp=1.0 - mu,
-                           omega_tilde=w0 * (1.0 + mu) / (2.0 * mu))
+    return PhaseSolution("superradiant", w, w0, lam, em, ep, gamma2, mu)
 
 
-def phase_solution(params: ModelParams):
+def phase_solution(params: ModelParams) -> PhaseSolution:
     """Dispatch to the phase containing params.coupling (normal at lambda_c)."""
     if params.coupling <= params.lambda_c:
         return normal_solution(params)
@@ -187,7 +163,7 @@ class GaussianRDMParams:
         return norm, a, b
 
 
-def rdm_params(solution) -> GaussianRDMParams:
+def rdm_params(solution: PhaseSolution) -> GaussianRDMParams:
     """Gaussian reduced-state coefficients for a phase solution.
 
     The superradiant input must be the single-lobe solution; the two-lobe
@@ -205,25 +181,6 @@ def rdm_params(solution) -> GaussianRDMParams:
     kappa = math.sqrt(math.sqrt(em * ep * B / A) / solution.omega)
     return GaussianRDMParams(eps_minus=em, eps_plus=ep, c=c, s=s,
                              d_coeff=d_coeff, kappa=kappa, omega=solution.omega)
-
-
-@dataclass(frozen=True)
-class ThermalOscillator:
-    """Thermal oscillator equivalent to the Gaussian reduced state.
-
-    Convention m = 1 and Omega = omega; temperature in energy units with
-    k_B = 1.  beta is the inverse temperature (distinct from the mean-field
-    displacement, which lives on SRPhaseSolution.beta_disp).
-    """
-
-    omega_eff: float
-    temperature: float
-    beta: float
-
-    @property
-    def theta(self) -> float:
-        """Omega / T, the only combination the entropy depends on."""
-        return self.omega_eff * self.beta
 
 
 def mixing_parameter(rdmp: GaussianRDMParams) -> float:
@@ -244,11 +201,10 @@ def _temperature(omega: float, theta: float) -> float:
     return omega / theta if theta else math.inf
 
 
-def effective_temperature(rdmp: GaussianRDMParams) -> ThermalOscillator:
-    """Effective temperature T = Omega / theta; diverges at the critical point."""
-    omega_eff, theta = rdmp.omega, mixing_parameter(rdmp)
-    return ThermalOscillator(omega_eff=omega_eff, temperature=_temperature(omega_eff, theta),
-                             beta=theta / omega_eff)
+def effective_temperature(rdmp: GaussianRDMParams) -> float:
+    """Effective temperature T = Omega / theta of the equivalent thermal
+    oscillator (m = 1, Omega = omega, k_B = 1); diverges at the critical point."""
+    return _temperature(rdmp.omega, mixing_parameter(rdmp))
 
 
 def thermal_entropy_bits(theta: float) -> float:
@@ -290,16 +246,17 @@ def closed_forms(params: ModelParams, two_lobe: bool = True) -> ClosedForms:
     if sol.phase == "normal":
         critical = params.coupling == params.lambda_c
         s_bits = math.inf if critical else thermal_entropy_bits(theta)
-        l_lin, q_avg, lobes, mu = 1.0 - purity, 0.0, 1.0, 1.0
+        l_lin, lobes = 1.0 - purity, 1.0
     else:
         s_bits = thermal_entropy_bits(theta)
         if two_lobe:
             s_bits += 1.0
-        l_lin, q_avg, lobes, mu = 1.0 - 0.5 * purity, 1.0 - sol.mu**2, 0.5, sol.mu
+        l_lin, lobes = 1.0 - 0.5 * purity, 0.5
+    # mu = 1 in the normal phase, where Q is 0 and <Jz>/N is -1/2
     return ClosedForms(
-        s_vn=s_bits, l_lin=l_lin, q_avg=q_avg,
+        s_vn=s_bits, l_lin=l_lin, q_avg=1.0 - sol.mu**2,
         ipr_inv=lobes * math.sqrt(em * ep) / (2.0 * math.pi),
-        t_eff=_temperature(rdmp.omega, theta), kappa=rdmp.kappa, jz_mean=-0.5 * mu)
+        t_eff=_temperature(rdmp.omega, theta), kappa=rdmp.kappa, jz_mean=-0.5 * sol.mu)
 
 
 def entropy_td(params: ModelParams, two_lobe: bool = True) -> float:

@@ -44,8 +44,13 @@ class TestMain:
         assert code == 0
         assert '"reports"' in out and '"errors"' in out
 
-    @pytest.mark.parametrize("args", [["--lambda-steps", "1"], ["--tol", "0"]],
-                             ids=["lambda_steps", "tol"])
+    @pytest.mark.parametrize("args", [
+        ["--lambda-steps", "1"], ["--tol", "0"],
+        ["--backend", "td", "--lambda-max", "inf", "--lambda-steps", "3"],
+        ["--backend", "td", "--omega", "nan"], ["--backend", "td", "--omega", "inf"],
+        ["--backend", "td", "--solver-tol", "nan"],
+    ], ids=["lambda_steps", "tol", "lambda_max_inf", "omega_nan", "omega_inf",
+            "solver_tol_nan"])
     def test_invalid_arguments_exit_one(self, args, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 1

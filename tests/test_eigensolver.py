@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
-from dicke_qpt import (CutoffConvergenceError, SolverError,
+from dicke_qpt import (CutoffConvergenceError, ParameterError, SolverError,
                        assemble_hamiltonian, build_basis, converge_cutoff,
                        ground_state, make_params, partial_trace,
                        von_neumann_entropy)
@@ -50,7 +50,6 @@ class TestGroundState:
 
     def test_positive_parity(self, resonant_ground):
         gs = resonant_ground(0.9, 8)
-        assert gs.parity == +1
         weight_minus = float(
             (gs.amplitudes[gs.basis.parity_indices(-1)] ** 2).sum())
         assert weight_minus == 0.0
@@ -86,7 +85,6 @@ class TestGroundState:
         gs = ground_state(H, basis)
         oracle = np.linalg.eigvalsh(H.toarray())[0]
         assert gs.energy == pytest.approx(oracle, abs=1e-10)
-        assert gs.parity == +1
 
     def test_variational_monotonicity(self):
         params = make_params(1, 1, 0.4, 4)
@@ -125,20 +123,20 @@ class TestCutoffConvergence:
     def test_zero_coupling_converges_immediately(self):
         gs = converge_cutoff(make_params(1, 1, 0.0, 4), n_max_start=10)
         assert gs.converged
-        assert gs.n_max_used == 10
+        assert gs.basis.n_max == 10
         assert gs.energy == -2.0
 
     def test_stable_under_further_doubling(self, resonant_ground):
         gs = resonant_ground(1.0, 8)
         params = make_params(1, 1, 0.5, 8)
-        basis = build_basis(params, 2 * gs.n_max_used)
+        basis = build_basis(params, 2 * gs.basis.n_max)
         redo = ground_state(assemble_hamiltonian(params, basis), basis)
         assert abs(redo.energy - gs.energy) < 1e-8
 
     def test_cutoff_grows_with_coupling(self, resonant_ground):
         weak = resonant_ground(0.5, 8)
         strong = resonant_ground(3.0, 8)
-        assert strong.n_max_used > weak.n_max_used
+        assert strong.basis.n_max > weak.basis.n_max
 
     def test_top_fock_weight_certified(self, resonant_ground):
         gs = resonant_ground(1.5, 8)
@@ -155,7 +153,7 @@ class TestCutoffConvergence:
         params = make_params(1, 1, 0.5 * ratio, n_atoms)
         warm = converge_cutoff(params)
         cold = cold_escalation(params)
-        assert warm.n_max_used == cold.n_max_used
+        assert warm.basis.n_max == cold.basis.n_max
         assert abs(warm.energy - cold.energy) <= 1e-12 * abs(cold.energy)
         s_warm = von_neumann_entropy(partial_trace(warm, warm.basis, "atoms"))
         s_cold = von_neumann_entropy(partial_trace(cold, cold.basis, "atoms"))
@@ -178,7 +176,7 @@ class TestCutoffConvergence:
         converge_cutoff(params)                 # three Lanczos solves
         assert len(starts) == len(states) == 3
         # the first solve keeps the fixed start of a standalone solve
-        ground_state(*hamiltonian_and_basis(params, states[0].n_max_used))
+        ground_state(*hamiltonian_and_basis(params, states[0].basis.n_max))
         np.testing.assert_array_equal(starts[0], starts[-1])
         for prev, state, v0 in zip(states, states[1:], starts[1:]):
             padded = np.zeros(state.basis.dim)
@@ -186,8 +184,9 @@ class TestCutoffConvergence:
             np.testing.assert_array_equal(v0, padded[state.basis.parity_indices(+1)])
 
     def test_growth_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            converge_cutoff(make_params(1, 1, 0.2, 2), growth=1.0)
+        for growth in (1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                converge_cutoff(make_params(1, 1, 0.2, 2), growth=growth)
 
     def test_energy_per_atom_approaches_mean_field(self, ground):
         # normal phase, large N: E/N -> -omega0/2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import subprocess
@@ -47,8 +48,8 @@ def synthetic_state(basis, entries):
     for (n, nb), val in entries.items():
         amps[basis.index(n, nb)] = val
     amps /= np.linalg.norm(amps)
-    return GroundState(energy=0.0, amplitudes=amps, parity=0, n_max_used=basis.n_max,
-                       residual=0.0, converged=True, basis=basis)
+    return GroundState(energy=0.0, amplitudes=amps, residual=0.0, converged=True,
+                       basis=basis)
 
 
 class TestPartialTrace:
@@ -80,9 +81,7 @@ class TestPartialTrace:
 
     def test_unnormalized_state_rejected(self, resonant_ground):
         gs = resonant_ground(0.5, 2)
-        broken = GroundState(energy=gs.energy, amplitudes=2.0 * gs.amplitudes,
-                             parity=gs.parity, n_max_used=gs.n_max_used,
-                             residual=gs.residual, converged=True, basis=gs.basis)
+        broken = dataclasses.replace(gs, amplitudes=2.0 * gs.amplitudes)
         with pytest.raises(IntegrityError):
             partial_trace(broken, gs.basis, "atoms")
 
@@ -149,7 +148,6 @@ class TestSingleAtom:
         gs = resonant_ground(1.2, 6)
         ex = collective_expectations(gs, gs.basis)
         assert ex["jp"] == 0.0
-        assert ex["jm"] == 0.0
 
     def test_matches_qubit_embedding_oracle(self, resonant_ground):
         gs = resonant_ground(1.2, 6)
@@ -162,7 +160,7 @@ class TestSingleAtom:
     def test_purity_identity(self, resonant_ground):
         gs = resonant_ground(0.7, 8)
         ex = collective_expectations(gs, gs.basis)
-        expected = 0.5 + 2 * ex["jz"] ** 2 / 64 + 2 * ex["jp"] * ex["jm"] / 64
+        expected = 0.5 + 2 * ex["jz"] ** 2 / 64 + 2 * ex["jp"] ** 2 / 64
         assert single_atom_rdm(gs, gs.basis).purity() == pytest.approx(
             expected, abs=1e-12)
 
@@ -267,8 +265,7 @@ class TestIPR:
         amps = np.zeros((n_max + 1, n_atoms + 1))
         amps[:, 0] = coherent_amplitudes(alpha, n_max)
         state = GroundState(energy=0.0, amplitudes=amps.ravel() / np.linalg.norm(amps),
-                            parity=0, n_max_used=n_max, residual=0.0,
-                            converged=True, basis=basis)
+                            residual=0.0, converged=True, basis=basis)
         value = inverse_participation_ratio(state, basis, params)
         assert abs(value / (math.sqrt(omega * omega0) / (2 * np.pi)) - 1) < 1e-12
 

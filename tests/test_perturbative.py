@@ -10,33 +10,30 @@ from dicke_qpt.perturbative import coherent_amplitudes, jx_extremal_amplitudes
 
 class TestWeakCoupling:
     def test_zero_coupling(self):
-        res = perturbative_entropy(make_params(1, 1, 0.0, 8))
-        assert res.sigma == 0.0
-        assert res.entropy_bits == 0.0
+        assert perturbative_entropy(make_params(1, 1, 0.0, 8)) == 0.0
 
     def test_frozen_value(self):
         # resonance, coupling at 0.4 lambda_c: sigma = 0.1
-        res = perturbative_entropy(make_params(1, 1, 0.2, 8))
-        assert res.sigma == pytest.approx(0.1, abs=1e-15)
-        assert res.entropy_bits == pytest.approx(0.0801360473312753, abs=1e-13)
+        s_bits = perturbative_entropy(make_params(1, 1, 0.2, 8))
+        assert s_bits == pytest.approx(0.0801360473312753, abs=1e-13)
 
     def test_independent_of_system_size(self):
         a = perturbative_entropy(make_params(1, 1, 0.15, 8))
         b = perturbative_entropy(make_params(1, 1, 0.15, 32))
-        assert a.entropy_bits == b.entropy_bits
+        assert a == b
 
     def test_binary_entropy_form(self):
-        res = perturbative_entropy(make_params(1, 2, 0.3, 4))
+        s_bits = perturbative_entropy(make_params(1, 2, 0.3, 4))
         sigma = 0.3 / 3.0
         p = 1 / (1 + sigma**2)
         expected = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
-        assert res.entropy_bits == pytest.approx(expected, rel=1e-14)
+        assert s_bits == pytest.approx(expected, rel=1e-14)
 
     def test_tracks_exact_entropy_in_window(self, resonant_ground):
         for ratio in (0.1, 0.2, 0.3, 0.4):
             gs = resonant_ground(ratio, 8)
             s_ed = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
-            s_pert = perturbative_entropy(make_params(1, 1, 0.5 * ratio, 8)).entropy_bits
+            s_pert = perturbative_entropy(make_params(1, 1, 0.5 * ratio, 8))
             assert abs(s_ed - s_pert) <= 0.01
 
 

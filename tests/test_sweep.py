@@ -57,6 +57,12 @@ class TestConfig:
         dict(omega=-1.0), dict(omega0=0.0),
         dict(tol=0.0), dict(solver_tol=-1e-10), dict(max_dim=0),
         dict(cutoff_start=-1),
+        dict(omega=math.nan), dict(omega=math.inf), dict(omega0=math.nan),
+        dict(omega0=math.inf), dict(lambda_max=math.inf),
+        dict(lambda_scale="log", lambda_min=0.1, lambda_max=math.inf),
+        dict(tol=math.nan), dict(tol=math.inf), dict(solver_tol=math.nan),
+        dict(solver_tol=math.inf), dict(cutoff_growth=math.nan),
+        dict(cutoff_growth=math.inf),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -323,9 +329,7 @@ def oracle_emit(reports, fits=None, fmt="csv", failures=()) -> str:
     payload = {
         "reports": [{k: oracle_json_value(v) for k, v in oracle_row(r, extras).items()}
                     for r in reports],
-        "fits": ({name: fit.as_dict() for name, fit in sorted(fits.items())}
-                 if isinstance(fits, dict) else
-                 {fits.quantity: fits.as_dict()} if fits is not None else {}),
+        "fits": {name: fit.as_dict() for name, fit in sorted((fits or {}).items())},
         "errors": [f.as_dict() for f in failures],
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -420,8 +424,7 @@ class TestEmit:
 
     @settings(max_examples=60, deadline=None)
     @given(pairs=st.lists(report_twins(), max_size=12),
-           fits=st.one_of(st.none(), SCALING_FITS,
-                          st.dictionaries(st.text(), SCALING_FITS, max_size=3)),
+           fits=st.one_of(st.none(), st.dictionaries(st.text(), SCALING_FITS, max_size=3)),
            failures=st.lists(FAILURES, max_size=3),
            block=st.sampled_from((1, 2, 5, 4096)))
     @example(pairs=[], fits=None, failures=[], block=4096)

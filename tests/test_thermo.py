@@ -75,17 +75,23 @@ class TestNormalSolution:
         assert sol.eps_plus == pytest.approx(ep, rel=1e-12)
 
     def test_resonant_angle(self):
-        assert normal_solution(resonant(0.5)).gamma1 == pytest.approx(np.pi / 4)
+        assert normal_solution(resonant(0.5)).gamma == pytest.approx(np.pi / 4)
 
     def test_angle_identity(self):
         sol = normal_solution(make_params(1, 2, 0.3, 2))
-        lhs = math.tan(2 * sol.gamma1)
+        lhs = math.tan(2 * sol.gamma)
         rhs = 4 * 0.3 * math.sqrt(2.0) / (4.0 - 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_wrong_phase_raises(self):
         with pytest.raises(PhaseError):
             normal_solution(resonant(1.2))
+
+    def test_no_displacement(self):
+        # mu = 1 below lambda_c: no mean-field displacement, omega_tilde = omega0
+        sol = normal_solution(make_params(1, 4, 0.4, 2))
+        assert (sol.phase, sol.mu, sol.alpha, sol.beta_disp, sol.omega_tilde) == (
+            "normal", 1.0, 0.0, 0.0, 4.0)
 
     @settings(max_examples=40, deadline=None)
     @given(omega=st.floats(0.3, 3.0), omega0=st.floats(0.3, 3.0),
@@ -184,17 +190,14 @@ class TestGaussianRDM:
 
 class TestEffectiveTemperature:
     def test_zero_coupling_is_zero_temperature(self):
-        osc = effective_temperature(rdm_params(normal_solution(resonant(0.0))))
-        assert osc.temperature == 0.0
-        assert osc.beta == math.inf
+        assert effective_temperature(rdm_params(normal_solution(resonant(0.0)))) == 0.0
 
     def test_divergence_at_critical_point(self):
-        osc = effective_temperature(rdm_params(normal_solution(resonant(1.0))))
-        assert osc.temperature == math.inf
+        assert effective_temperature(rdm_params(normal_solution(resonant(1.0)))) == math.inf
 
     def test_frozen_value(self):
-        osc = effective_temperature(rdm_params(normal_solution(resonant(0.9))))
-        assert osc.temperature == pytest.approx(0.4792471756390506, abs=1e-12)
+        temperature = effective_temperature(rdm_params(normal_solution(resonant(0.9))))
+        assert temperature == pytest.approx(0.4792471756390506, abs=1e-12)
 
     def test_matches_root_finding_oracle(self):
         sol = normal_solution(resonant(0.9))
@@ -203,11 +206,10 @@ class TestEffectiveTemperature:
         rhs = 1.0 + 2 * em * ep / D
         t_oracle = brentq(lambda t: math.cosh(1.0 / t) - rhs, 0.05, 1e3,
                           xtol=1e-14)
-        osc = effective_temperature(rdm_params(sol))
-        assert osc.temperature == pytest.approx(t_oracle, abs=1e-10)
+        assert effective_temperature(rdm_params(sol)) == pytest.approx(t_oracle, abs=1e-10)
 
     def test_monotone_increase_toward_transition(self):
-        temps = [effective_temperature(rdm_params(normal_solution(resonant(r)))).temperature
+        temps = [effective_temperature(rdm_params(normal_solution(resonant(r))))
                  for r in (0.2, 0.5, 0.8, 0.95)]
         assert all(b > a for a, b in zip(temps, temps[1:]))
 
@@ -433,7 +435,7 @@ class TestClosedForms:
         forms = closed_forms(params, two_lobe)
         rdmp = rdm_params(phase_solution(params))
         oracle = per_measure_oracles(params, two_lobe)
-        assert forms._asdict() == {**oracle, "t_eff": effective_temperature(rdmp).temperature,
+        assert forms._asdict() == {**oracle, "t_eff": effective_temperature(rdmp),
                                    "kappa": rdmp.kappa}
         assert forms.s_vn == entropy_td(params, two_lobe=two_lobe)
         assert forms.l_lin == linear_entropy_td(params)
