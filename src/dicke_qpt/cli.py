@@ -6,8 +6,10 @@ min/max values are relative offsets |lambda - lambda_c| / lambda_c and the
 grid straddles the critical point.  A flat key=value config file can seed
 any flag; explicit flags win.
 
-Every SweepConfig field that carries help metadata is a --flag of the same
-name (underscores as dashes); every field is a config-file key.
+Every SweepConfig field is a config-file key, and every field that carries
+help metadata is also a --flag of the same name (underscores as dashes).
+Each field's text parser lives in its metadata, so a config-file value is
+read exactly as the flag's would be.
 
 Exit status: 0 on full success, 1 on bad arguments or configuration, 2 when
 some sweep points failed (the failures are listed under "errors" in JSON
@@ -28,20 +30,6 @@ _OUTPUT_KEYS = ("out", "format")
 _FORMATS = ("csv", "json")
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"bad boolean {raw!r}")
-
-
-# text parser per field annotation; tuple fields stay comma strings until
-# build_config splits them
-_PARSERS = {"float": float, "int": int, "int | None": int, "bool": _parse_bool,
-            "str": str, "tuple": str}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dicke-sweep",
@@ -51,10 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flat key = value file seeding any flag below "
                         "(plus two_lobe = true|false)")
     for f in _FIELDS.values():
-        if "help" in f.metadata:
+        if f.metadata["help"]:
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           type=_PARSERS[f.type], help=f.metadata["help"])
-    p.add_argument("--single-lobe", action="store_true",
+                           type=f.metadata["parse"], help=f.metadata["help"])
+    p.add_argument("--single-lobe", dest="two_lobe", action="store_false", default=None,
                    help="report the broken-symmetry single-lobe entropy above lambda_c")
     p.add_argument("--out", help="output file path (default: stdout)")
     p.add_argument("--format", choices=_FORMATS, help="output format")
@@ -68,7 +56,7 @@ def _parse_scalar(key: str, raw: str):
     if key not in _FIELDS:
         raise ValueError(f"unknown config key {key!r}")
     try:
-        return _PARSERS[_FIELDS[key].type](raw)
+        return _FIELDS[key].metadata["parse"](raw)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from exc
 
@@ -89,33 +77,15 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _parse_n_atoms(raw: str) -> tuple:
-    out = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append("inf" if tok.lower() in ("inf", "infinity") else int(tok))
-    return tuple(out)
-
-
 def build_config(args: argparse.Namespace) -> tuple[SweepConfig, str | None, str]:
     """Merge defaults, config file, and flags (flags win)."""
     merged: dict = read_config_file(args.config) if args.config else {}
     merged.update((key, val) for key, val in vars(args).items()
-                  if val is not None and key not in ("config", "single_lobe"))
-    if args.single_lobe:
-        merged["two_lobe"] = False
-
+                  if val is not None and key != "config")
     out_path = merged.pop("out", None)
     fmt = merged.pop("format", "csv")
     if fmt not in _FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
-    if "n_atoms" in merged and isinstance(merged["n_atoms"], str):
-        merged["n_atoms"] = _parse_n_atoms(merged["n_atoms"])
-    if "measures" in merged and isinstance(merged["measures"], str):
-        merged["measures"] = tuple(
-            tok.strip() for tok in merged["measures"].split(",") if tok.strip())
     config = SweepConfig(**merged)
     config.validate()
     return config, out_path, fmt

@@ -36,6 +36,7 @@ from .model import (DEFAULT_MAX_DIMENSION, BasisIndex, ModelParams,
 DENSE_LIMIT = 140
 DEFAULT_TOL = 1e-10
 DEFAULT_ENERGY_TOL = 1e-9
+DEFAULT_GROWTH = 1.5
 TOP_WEIGHT_LIMIT = 1e-8
 
 
@@ -145,7 +146,7 @@ def suggest_cutoff(params: ModelParams, floor: int = 8) -> int:
 
 def converge_cutoff(params: ModelParams,
                     n_max_start: int | None = None,
-                    growth: float = 1.5,
+                    growth: float = DEFAULT_GROWTH,
                     energy_tol: float = DEFAULT_ENERGY_TOL,
                     tol: float = DEFAULT_TOL,
                     max_dim: int = DEFAULT_MAX_DIMENSION) -> GroundState:

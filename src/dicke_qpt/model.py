@@ -63,7 +63,7 @@ def make_params(omega, omega0, coupling, n_atoms) -> ModelParams:
                              f"omega={omega}, omega0={omega0}")
     if not 0 <= coupling < math.inf:
         raise ParameterError(f"coupling must be non-negative and finite, got {coupling}")
-    if int(n_atoms) != n_atoms or n_atoms < 1:
+    if not 1 <= n_atoms < math.inf or int(n_atoms) != n_atoms:
         raise ParameterError(f"n_atoms must be a positive integer, got {n_atoms}")
     return ModelParams(float(omega), float(omega0), float(coupling), int(n_atoms))
 

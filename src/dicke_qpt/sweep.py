@@ -15,13 +15,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral, Real
 from operator import attrgetter
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import entanglement, thermo
-from .eigensolver import converge_cutoff
+from .eigensolver import (DEFAULT_ENERGY_TOL, DEFAULT_GROWTH, DEFAULT_TOL,
+                          converge_cutoff)
 from .errors import ConfigError, DickeError, FitError
 from .model import DEFAULT_MAX_DIMENSION, make_params
 from .perturbative import perturbative_entropy
@@ -43,9 +45,28 @@ CRITICAL_EXCLUSION = 1e-12
 POINT_ERRORS = (DickeError, np.linalg.LinAlgError, ArpackNoConvergence)
 
 
-def _option(default, help: str):
-    """A SweepConfig field with a CLI flag documented by help."""
-    return field(default=default, metadata={"help": help})
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"bad boolean {raw!r}")
+
+
+def _parse_list(raw: str) -> tuple:
+    """Comma-separated tokens, stripped; empty tokens are dropped."""
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def _parse_n_atoms(raw: str) -> tuple:
+    """Comma list of atom numbers; inf or infinity (any case) becomes "inf"."""
+    return tuple("inf" if tok.lower() in ("inf", "infinity") else int(tok)
+                 for tok in _parse_list(raw))
+
+
+def _option(default, parse, help: str | None = None):
+    """A SweepConfig field read from text by parse; with help it is also a --flag."""
+    return field(default=default, metadata={"parse": parse, "help": help})
 
 
 @dataclass(frozen=True)
@@ -60,41 +81,47 @@ class SweepConfig:
     thermodynamic-limit rows.  tol is the cutoff-convergence energy
     tolerance; solver_tol bounds each eigenpair residual relative to |E|.
     two_lobe=False reports the broken-symmetry single-lobe entropy above
-    lambda_c.  Every field is a config-file key; each field with help
-    metadata is also a --flag of the same name (two_lobe has --single-lobe).
+    lambda_c.  Every field is a config-file key, and its metadata holds the
+    "parse" function that reads it from text, for the key and the flag
+    alike; each field with "help" metadata is also a --flag of the same name
+    (two_lobe has none, only --single-lobe).
     """
 
-    omega: float = _option(1.0, "field frequency (default 1)")
-    omega0: float = _option(1.0, "atomic splitting (default 1)")
+    omega: float = _option(1.0, float, "field frequency (default 1)")
+    omega0: float = _option(1.0, float, "atomic splitting (default 1)")
     lambda_min: float = _option(
-        0.0, "grid start in units of lambda_c (log scale: relative offset)")
+        0.0, float, "grid start in units of lambda_c (log scale: relative offset)")
     lambda_max: float = _option(
-        3.0, "grid end in units of lambda_c (log scale: relative offset)")
-    lambda_steps: int = _option(16, "number of grid points (>= 2)")
+        3.0, float, "grid end in units of lambda_c (log scale: relative offset)")
+    lambda_steps: int = _option(16, int, "number of grid points (>= 2)")
     lambda_scale: str = _option(
-        "linear", "linear grid, or log for log-spaced offsets straddling lambda_c")
+        "linear", str, "linear grid, or log for log-spaced offsets straddling lambda_c")
     n_atoms: tuple = _option(
-        (8,), "comma list of atom numbers; 'inf' adds thermodynamic-limit rows")
-    measures: tuple = _option(("s_vn", "l_lin", "q_avg", "ipr_inv"),
+        (8,), _parse_n_atoms,
+        "comma list of atom numbers; 'inf' adds thermodynamic-limit rows")
+    measures: tuple = _option(("s_vn", "l_lin", "q_avg", "ipr_inv"), _parse_list,
                               "comma subset of " + ",".join(KNOWN_MEASURES))
     backend: str = _option(
-        "ed", "ed (finite-N), td (closed forms), perturbative, or all")
+        "ed", str, "ed (finite-N), td (closed forms), perturbative, or all")
     cutoff_start: int | None = _option(
-        None, "initial boson cutoff (default: displacement estimate)")
-    cutoff_growth: float = _option(1.5, "cutoff escalation factor (> 1, default 1.5)")
-    tol: float = _option(1e-9, "cutoff-convergence energy tolerance")
+        None, int, "initial boson cutoff (default: displacement estimate)")
+    cutoff_growth: float = _option(
+        DEFAULT_GROWTH, float,
+        f"cutoff escalation factor (> 1, default {DEFAULT_GROWTH:g})")
+    tol: float = _option(DEFAULT_ENERGY_TOL, float, "cutoff-convergence energy tolerance")
     solver_tol: float = _option(
-        1e-10, "eigenpair residual tolerance, relative to |E| (default 1e-10)")
-    two_lobe: bool = True
-    max_dim: int = _option(DEFAULT_MAX_DIMENSION,
+        DEFAULT_TOL, float,
+        f"eigenpair residual tolerance, relative to |E| (default {DEFAULT_TOL:g})")
+    two_lobe: bool = _option(True, _parse_bool)
+    max_dim: int = _option(DEFAULT_MAX_DIMENSION, int,
                            "basis dimension ceiling (capacity guard)")
 
     def validate(self) -> None:
         # every range check is a chained comparison, which NaN fails
         if not (0 < self.omega < math.inf and 0 < self.omega0 < math.inf):
             raise ConfigError("frequencies must be positive and finite")
-        if self.lambda_steps < 2:
-            raise ConfigError("lambda grid needs at least 2 points")
+        if not (isinstance(self.lambda_steps, Integral) and 2 <= self.lambda_steps):
+            raise ConfigError("lambda_steps must be an integer >= 2")
         if self.lambda_scale not in ("linear", "log"):
             raise ConfigError(f"unknown lambda_scale {self.lambda_scale!r}")
         if self.lambda_scale == "linear":
@@ -111,14 +138,16 @@ class SweepConfig:
                 raise ConfigError(f"unknown measure {meas!r}")
         if not 1.0 < self.cutoff_growth < math.inf:
             raise ConfigError("cutoff_growth must be finite and exceed 1")
-        if self.cutoff_start is not None and self.cutoff_start < 0:
-            raise ConfigError("cutoff_start must be >= 0")
+        if self.cutoff_start is not None and not (
+                isinstance(self.cutoff_start, Integral) and 0 <= self.cutoff_start):
+            raise ConfigError("cutoff_start must be None or an integer >= 0")
         if not (0 < self.tol < math.inf and 0 < self.solver_tol < math.inf
                 and self.max_dim >= 1):
             raise ConfigError("tol and solver_tol must be positive and finite, "
                               "max_dim positive")
         for n in self.n_atoms:
-            if n != "inf" and (int(n) != n or n < 1):
+            if n != "inf" and not (isinstance(n, Real) and 1 <= n < math.inf
+                                   and int(n) == n):
                 raise ConfigError(f"bad n_atoms entry {n!r}")
 
     @property
@@ -142,13 +171,9 @@ class SweepConfig:
         return grid[np.abs(grid - lc) > CRITICAL_EXCLUSION * lc]
 
     def backends(self) -> tuple:
-        if self.backend == "all":
-            chosen = list(KNOWN_BACKENDS)
-        else:
-            chosen = [self.backend]
-        if "inf" in self.n_atoms and "td" not in chosen:
-            chosen.append("td")
-        return tuple(b for b in KNOWN_BACKENDS if b in chosen)
+        """The backends to run, in KNOWN_BACKENDS order; an "inf" entry adds td."""
+        return tuple(b for b in KNOWN_BACKENDS if self.backend in (b, "all")
+                     or (b == "td" and "inf" in self.n_atoms))
 
     def integer_n_atoms(self) -> tuple:
         return tuple(int(n) for n in self.n_atoms if n != "inf")
@@ -179,8 +204,7 @@ class MeasureReport:
 
     def sort_key(self):
         backend_rank = KNOWN_BACKENDS.index(self.backend)
-        n_key = (-1.0 if self.n_atoms is None
-                 else float(self.n_atoms) if self.n_atoms != math.inf else 1e300)
+        n_key = -1.0 if self.n_atoms is None else float(self.n_atoms)
         return (backend_rank, n_key, self.coupling)
 
 
@@ -242,8 +266,9 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float) -> Meas
                          converged=state.converged, **values)
 
 
-def measure_point_td(config: SweepConfig, coupling: float) -> MeasureReport:
-    # n_atoms is irrelevant to the closed forms; any valid value works
+def measure_point_td(config: SweepConfig, n_atoms: None, coupling: float) -> MeasureReport:
+    # the closed forms do not depend on N: n_atoms is unused, and make_params
+    # gets any valid value
     params = make_params(config.omega, config.omega0, coupling, 2)
     forms = thermo.closed_forms(params, two_lobe=config.two_lobe)
     return MeasureReport(backend="td", coupling=coupling,
@@ -252,7 +277,8 @@ def measure_point_td(config: SweepConfig, coupling: float) -> MeasureReport:
                          **{m: getattr(forms, m) for m in config.measures})
 
 
-def measure_point_perturbative(config: SweepConfig, coupling: float) -> MeasureReport:
+def measure_point_perturbative(config: SweepConfig, n_atoms: None,
+                               coupling: float) -> MeasureReport:
     params = make_params(config.omega, config.omega0, coupling, 2)
     return MeasureReport(backend="perturbative", coupling=coupling,
                          coupling_rel=coupling / params.lambda_c,
@@ -267,32 +293,23 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
     propagate.
     """
     config.validate()
-    tasks = []
-    for backend in config.backends():
-        if backend == "ed":
-            for n in config.integer_n_atoms():
-                for lam in config.lambda_grid():
-                    tasks.append(("ed", n, float(lam)))
-        elif backend == "td":
-            for lam in config.td_lambda_grid():
-                tasks.append(("td", None, float(lam)))
-        else:
-            for lam in config.lambda_grid():
-                tasks.append(("perturbative", None, float(lam)))
-
+    # backend -> (point function, atom numbers, coupling grid).  Built per
+    # call, so the point functions are the module attributes of the moment.
+    # The N-independent backends take n_atoms=None, which failure rows keep.
+    plan = {"ed": (measure_point_ed, config.integer_n_atoms(), config.lambda_grid()),
+            "td": (measure_point_td, (None,), config.td_lambda_grid()),
+            "perturbative": (measure_point_perturbative, (None,), config.lambda_grid())}
     reports: list[MeasureReport] = []
     failures: list[SweepFailure] = []
-    for backend, n, lam in tasks:
-        try:
-            if backend == "ed":
-                reports.append(measure_point_ed(config, n, lam))
-            elif backend == "td":
-                reports.append(measure_point_td(config, lam))
-            else:
-                reports.append(measure_point_perturbative(config, lam))
-        except POINT_ERRORS as exc:
-            failures.append(SweepFailure(backend=backend, coupling=lam, n_atoms=n,
-                                         message=f"{type(exc).__name__}: {exc}"))
+    for backend in config.backends():
+        measure, atom_numbers, grid = plan[backend]
+        for n in atom_numbers:
+            for lam in grid.tolist():
+                try:
+                    reports.append(measure(config, n, lam))
+                except POINT_ERRORS as exc:
+                    failures.append(SweepFailure(backend=backend, coupling=lam, n_atoms=n,
+                                                 message=f"{type(exc).__name__}: {exc}"))
     reports.sort(key=MeasureReport.sort_key)
     failures.sort(key=lambda f: (f.backend, f.coupling))
     return reports, failures
@@ -353,29 +370,25 @@ def fit_entropy_scaling(reports: list[MeasureReport]) -> ScalingFit:
                       residual=rms, peaks=tuple(peaks))
 
 
-def fit_critical_exponents(reports: list[MeasureReport],
-                           omega: float | None = None,
-                           omega0: float | None = None) -> dict[str, ScalingFit]:
+def fit_critical_exponents(reports: list[MeasureReport], omega: float,
+                           omega0: float) -> dict[str, ScalingFit]:
     """Log-log slopes of the gap, length scale, and entropy below lambda_c.
 
     Input: TD reports on a log-spaced window approaching lambda_c from
-    below.  The gap eps- and length l- = eps-^-1/2 are recomputed from the
+    below, and the frequencies of the sweep that made them, which fix
+    lambda_c and the exact gap values.  Every TD report must lie on that
+    lambda_c (coupling = coupling_rel * lambda_c within 1e-9 lambda_c);
+    invalid frequencies raise ParameterError.
+    The gap eps- and length l- = eps-^-1/2 are recomputed from the
     coupling; the entropy slope is taken against log2|lambda_c - lambda|.
-    Expected exponents: +1/2, -1/4, and -1/4.  Pass the sweep frequencies
-    for exact gap values; without them an equivalent resonant model with
-    the same lambda_c is used (identical exponents).
+    Expected exponents: +1/2, -1/4, and -1/4.
     """
     pts = [r for r in reports if r.backend == "td" and r.s_vn is not None]
     if not pts:
         raise FitError("no thermodynamic-limit entropy reports to fit")
-    lcs = np.array([r.coupling / r.coupling_rel for r in pts if r.coupling_rel])
-    if lcs.size == 0 or np.ptp(lcs) > 1e-12 * lcs.mean():
-        raise FitError("reports mix different critical couplings")
-    lc = float(lcs.mean())
-    if omega is None or omega0 is None:
-        omega = omega0 = 2.0 * lc
-    elif abs(math.sqrt(omega * omega0) / 2.0 - lc) > 1e-9 * lc:
-        raise FitError("given frequencies do not match the reports' lambda_c")
+    lc = make_params(omega, omega0, 0.0, 2).lambda_c
+    if not all(abs(r.coupling - r.coupling_rel * lc) <= 1e-9 * lc for r in pts):
+        raise FitError("reports do not lie on the given frequencies' lambda_c")
     below = sorted((r for r in pts if r.coupling < lc), key=lambda r: r.coupling)
     if len(below) < 3:
         raise FitError("need >= 3 points below lambda_c")

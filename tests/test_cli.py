@@ -131,7 +131,7 @@ class TestConfigFile:
                        "n_atoms = 4,inf\n")
         parsed = read_config_file(cfg)
         assert parsed == {"omega": 2.0, "lambda_steps": 7, "two_lobe": False,
-                          "n_atoms": "4,inf"}
+                          "n_atoms": (4, "inf")}
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

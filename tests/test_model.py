@@ -50,7 +50,8 @@ class TestMakeParams:
         dict(omega=0), dict(omega=-1), dict(omega0=0), dict(omega0=-0.5),
         dict(coupling=-0.1), dict(n_atoms=0), dict(n_atoms=2.5),
         dict(omega=math.inf), dict(omega0=math.inf), dict(coupling=math.nan),
-        dict(coupling=math.inf),
+        dict(coupling=math.inf), dict(n_atoms=math.nan), dict(n_atoms=math.inf),
+        dict(n_atoms=-math.inf),
     ])
     def test_domain_errors(self, bad):
         kw = dict(omega=1.0, omega0=1.0, coupling=0.3, n_atoms=4)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dicke_qpt import (ConfigError, FitError, MeasureReport, ScalingFit,
-                       SweepConfig, SweepFailure, emit, fit_critical_exponents,
-                       fit_entropy_scaling, run_sweep)
+from dicke_qpt import (ConfigError, FitError, MeasureReport, ParameterError,
+                       ScalingFit, SweepConfig, SweepFailure, emit,
+                       fit_critical_exponents, fit_entropy_scaling, run_sweep)
 from dicke_qpt import sweep
 
 BASE_HEADER = ("lambda,lambda_rel,n_atoms,n_max,s_vn,l_lin,q_avg,ipr_inv,"
@@ -63,6 +63,11 @@ class TestConfig:
         dict(tol=math.nan), dict(tol=math.inf), dict(solver_tol=math.nan),
         dict(solver_tol=math.inf), dict(cutoff_growth=math.nan),
         dict(cutoff_growth=math.inf),
+        dict(lambda_steps=3.0), dict(lambda_steps=2.5), dict(lambda_steps=math.nan),
+        dict(lambda_steps=math.inf), dict(cutoff_start=12.0),
+        dict(cutoff_start=math.nan), dict(cutoff_start=math.inf),
+        dict(n_atoms=(math.nan,)), dict(n_atoms=(math.inf,)),
+        dict(n_atoms=(4, -math.inf)),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -149,6 +154,30 @@ class TestRunSweep:
         ed = [r for r in reports if r.backend == "ed"]
         assert [(r.n_atoms, round(r.coupling_rel, 6)) for r in ed] == [
             (2, 0.1), (2, 0.5), (4, 0.1), (4, 0.5)]
+
+    def test_point_functions_looked_up_per_call(self, monkeypatch):
+        # run_sweep must call whatever the module attribute is when it runs,
+        # so a wrapper installed after import sees every point
+        calls = {"ed": [], "td": []}
+
+        def counting(backend, inner):
+            def wrapper(config, n_atoms, coupling):
+                calls[backend].append((n_atoms, coupling))
+                return inner(config, n_atoms, coupling)
+            return wrapper
+
+        monkeypatch.setattr(sweep, "measure_point_ed",
+                            counting("ed", sweep.measure_point_ed))
+        monkeypatch.setattr(sweep, "measure_point_td",
+                            counting("td", sweep.measure_point_td))
+        config = SweepConfig(lambda_min=0.2, lambda_max=1.6, lambda_steps=3,
+                             n_atoms=(2, 3, "inf"), backend="ed", measures=("s_vn",))
+        reports, failures = run_sweep(config)
+        assert not failures
+        grid = config.lambda_grid().tolist()
+        assert calls["ed"] == [(n, lam) for n in (2, 3) for lam in grid]
+        assert calls["td"] == [(None, lam) for lam in config.td_lambda_grid().tolist()]
+        assert len(reports) == len(calls["ed"]) + len(calls["td"])
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only domain failures become rows under "errors"; a bug must crash
@@ -270,11 +299,30 @@ class TestFits:
             fit_critical_exponents(self.synthetic_critical_reports(),
                                    omega=1.0, omega0=3.0)
 
+    @pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_invalid_frequencies(self, omega):
+        with pytest.raises(ParameterError):
+            fit_critical_exponents(self.synthetic_critical_reports(),
+                                   omega=omega, omega0=1.0)
+
     def test_needs_points_below_transition(self):
         reports = [MeasureReport(backend="td", coupling=0.6, coupling_rel=1.2,
                                  n_atoms=math.inf, s_vn=1.0)]
         with pytest.raises(FitError):
-            fit_critical_exponents(reports)
+            fit_critical_exponents(reports, omega=1.0, omega0=1.0)
+
+    def test_rejects_reports_from_two_frequency_pairs(self):
+        # lambda_c is 0.5 at (1, 1) and 1.0 at (4, 1); either pair leaves the
+        # other sweep's reports off its lambda_c
+        reports = []
+        for omega in (1.0, 4.0):
+            config = SweepConfig(omega=omega, lambda_scale="log", lambda_min=1e-6,
+                                 lambda_max=1e-3, lambda_steps=8, backend="td",
+                                 measures=("s_vn",))
+            reports += run_sweep(config)[0]
+        for omega in (1.0, 4.0):
+            with pytest.raises(FitError):
+                fit_critical_exponents(reports, omega=omega, omega0=1.0)
 
 
 def oracle_cell(value) -> str:
