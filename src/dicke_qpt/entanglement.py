@@ -134,13 +134,16 @@ def average_linear_entropy_Q(state: GroundState, basis: BasisIndex) -> float:
     """Subsystem-averaged linear entropy Q = N/(N+1) L_k + 1/(N+1) L_b.
 
     L_k uses eta_2 = 2 on the single-atom purity; L_b uses eta = 1 + 1/N on
-    the field purity (Schmidt bound N + 1).
+    the field purity (Schmidt bound N + 1).  The state is pure, so A A^T
+    (the field RDM) and A^T A (the atoms RDM) share their trace and nonzero
+    spectrum, hence the purity: the smaller of the two is built and checked.
     """
     N = basis.n_atoms
     rho_k = single_atom_rdm(state, basis)
     l_k = linear_entropy(rho_k, 2)
-    rho_b = partial_trace(state, basis, keep="field")
-    l_b = linear_entropy(rho_b, N + 1)
+    A = basis.reshape(state.amplitudes)
+    gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    l_b = linear_entropy(_make_rdm("field", gram), N + 1)
     return float((N * l_k + l_b) / (N + 1.0))
 
 

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from numbers import Integral, Real
 from operator import attrgetter
@@ -23,7 +23,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import entanglement, thermo
 from .eigensolver import (DEFAULT_ENERGY_TOL, DEFAULT_GROWTH, DEFAULT_TOL,
-                          converge_cutoff)
+                          continuation, converge_cutoff)
 from .errors import ConfigError, DickeError, FitError
 from .model import DEFAULT_MAX_DIMENSION, make_params
 from .perturbative import perturbative_entropy
@@ -117,6 +117,12 @@ class SweepConfig:
                            "basis dimension ceiling (capacity guard)")
 
     def validate(self) -> None:
+        # a non-number in a float field would escape the comparisons below
+        # as a bare TypeError
+        for option in fields(self):
+            value = getattr(self, option.name)
+            if option.metadata["parse"] is float and not isinstance(value, Real):
+                raise ConfigError(f"{option.name} must be a real number, got {value!r}")
         # every range check is a chained comparison, which NaN fails
         if not (0 < self.omega < math.inf and 0 < self.omega0 < math.inf):
             raise ConfigError("frequencies must be positive and finite")
@@ -141,10 +147,10 @@ class SweepConfig:
         if self.cutoff_start is not None and not (
                 isinstance(self.cutoff_start, Integral) and 0 <= self.cutoff_start):
             raise ConfigError("cutoff_start must be None or an integer >= 0")
-        if not (0 < self.tol < math.inf and 0 < self.solver_tol < math.inf
-                and self.max_dim >= 1):
-            raise ConfigError("tol and solver_tol must be positive and finite, "
-                              "max_dim positive")
+        if not (0 < self.tol < math.inf and 0 < self.solver_tol < math.inf):
+            raise ConfigError("tol and solver_tol must be positive and finite")
+        if not (isinstance(self.max_dim, Integral) and 1 <= self.max_dim):
+            raise ConfigError("max_dim must be an integer >= 1")
         for n in self.n_atoms:
             if n != "inf" and not (isinstance(n, Real) and 1 <= n < math.inf
                                    and int(n) == n):
@@ -290,7 +296,10 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
 
     Returns (reports, failures), reports sorted canonically so downstream
     output is independent of evaluation order.  Errors outside POINT_ERRORS
-    propagate.
+    propagate.  The ED points of one N run in ascending coupling inside one
+    eigensolver.continuation() block, so each starts its first Lanczos solve
+    from the previous point's ground state; the first point of each N, and
+    a point after a failed one, start from the fixed vector.
     """
     config.validate()
     # backend -> (point function, atom numbers, coupling grid).  Built per
@@ -304,12 +313,15 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
     for backend in config.backends():
         measure, atom_numbers, grid = plan[backend]
         for n in atom_numbers:
-            for lam in grid.tolist():
-                try:
-                    reports.append(measure(config, n, lam))
-                except POINT_ERRORS as exc:
-                    failures.append(SweepFailure(backend=backend, coupling=lam, n_atoms=n,
-                                                 message=f"{type(exc).__name__}: {exc}"))
+            with continuation() as carried:
+                for lam in grid.tolist():
+                    try:
+                        reports.append(measure(config, n, lam))
+                    except POINT_ERRORS as exc:
+                        carried.reset()
+                        failures.append(SweepFailure(
+                            backend=backend, coupling=lam, n_atoms=n,
+                            message=f"{type(exc).__name__}: {exc}"))
     reports.sort(key=MeasureReport.sort_key)
     failures.sort(key=lambda f: (f.backend, f.coupling))
     return reports, failures

@@ -179,6 +179,19 @@ class TestAverageQ:
         assert average_linear_entropy_Q(gs, gs.basis) == pytest.approx(
             expected, abs=1e-12)
 
+    @pytest.mark.parametrize("ratio, n_atoms, field_smaller", [
+        (0.5, 32, True), (1.0, 64, True), (1.0, 4, False), (1.5, 8, False)])
+    def test_matches_field_rdm_oracle(self, resonant_ground, ratio, n_atoms,
+                                      field_smaller):
+        # Q takes the field purity from the smaller Gram matrix of the state;
+        # the oracle always builds the field RDM itself
+        gs = resonant_ground(ratio, n_atoms)
+        assert (gs.basis.n_max < n_atoms) == field_smaller
+        l_k = linear_entropy(single_atom_rdm(gs, gs.basis), 2)
+        l_b = linear_entropy(partial_trace(gs, gs.basis, "field"), n_atoms + 1)
+        expected = (n_atoms * l_k + l_b) / (n_atoms + 1)
+        assert abs(average_linear_entropy_Q(gs, gs.basis) - expected) <= 1e-14
+
     def test_atom_part_approaches_closed_form(self, resonant_ground):
         mu = 0.25  # coupling at twice the critical value
         target = 1.0 - mu**2

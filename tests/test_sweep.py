@@ -7,10 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dicke_qpt import (ConfigError, FitError, MeasureReport, ParameterError,
-                       ScalingFit, SweepConfig, SweepFailure, emit,
-                       fit_critical_exponents, fit_entropy_scaling, run_sweep)
-from dicke_qpt import sweep
+from scipy.sparse.linalg import eigsh
+
+from dicke_qpt import (ConfigError, FitError, IntegrityError, MeasureReport,
+                       ParameterError, ScalingFit, SweepConfig, SweepFailure,
+                       build_basis, converge_cutoff, emit, fit_critical_exponents,
+                       fit_entropy_scaling, make_params, partial_trace, run_sweep,
+                       von_neumann_entropy)
+from dicke_qpt import eigensolver, sweep
+from dicke_qpt.eigensolver import suggest_cutoff
 
 BASE_HEADER = ("lambda,lambda_rel,n_atoms,n_max,s_vn,l_lin,q_avg,ipr_inv,"
                "jz_mean,residual,converged")
@@ -68,6 +73,11 @@ class TestConfig:
         dict(cutoff_start=math.nan), dict(cutoff_start=math.inf),
         dict(n_atoms=(math.nan,)), dict(n_atoms=(math.inf,)),
         dict(n_atoms=(4, -math.inf)),
+        dict(max_dim=2.5), dict(max_dim=math.inf), dict(max_dim=9.0),
+        dict(max_dim="9"), dict(lambda_min="0"), dict(omega="1"),
+        dict(omega0="1"), dict(lambda_max="3"), dict(tol="1e-9"),
+        dict(solver_tol="1e-10"), dict(cutoff_growth="1.5"),
+        dict(lambda_scale="log", lambda_min="0.1", lambda_max=1.0),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -241,6 +251,85 @@ class TestRunSweep:
         assert all("CutoffConvergence" in f.message or "Capacity" in f.message
                    for f in failures)
         assert any(r.coupling == 0.0 for r in reports)
+
+
+def cold_point(n_atoms, coupling):
+    """Oracle: a standalone certified point, started from the fixed vector."""
+    state = converge_cutoff(make_params(1.0, 1.0, coupling, n_atoms))
+    return state.basis.n_max, von_neumann_entropy(partial_trace(state, state.basis))
+
+
+class TestContinuation:
+    # N = 32 and 40 from 0.5 to 2 lambda_c: every first solve is a Lanczos
+    # solve (parity blocks of 198 states and more), and the continued starts
+    # are padded (1 -> 1.5 lambda_c) as well as truncated (1.5 -> 2 lambda_c)
+    CONFIG = SweepConfig(lambda_min=0.5, lambda_max=2.0, lambda_steps=4,
+                         n_atoms=(32, 40), measures=("s_vn",))
+
+    def test_rows_match_cold_points(self):
+        reports, failures = run_sweep(self.CONFIG)
+        assert not failures and len(reports) == 8
+        for rep in reports:
+            n_max, s_vn = cold_point(rep.n_atoms, rep.coupling)
+            assert rep.n_max == n_max
+            assert abs(rep.s_vn - s_vn) <= 1e-10
+
+    def test_first_solve_starts_from_previous_point(self, monkeypatch):
+        starts, firsts, accepted = [], [], []
+
+        def recording_eigsh(H, **kwargs):
+            starts.append(kwargs["v0"])
+            return eigsh(H, **kwargs)
+
+        def recording_converge_cutoff(params, **kwargs):
+            firsts.append(len(starts))
+            accepted.append(converge_cutoff(params, **kwargs))
+            if len(accepted) == 2:
+                raise IntegrityError("fails after its cutoff was accepted")
+            return accepted[-1]
+
+        monkeypatch.setattr(eigensolver.spla, "eigsh", recording_eigsh)
+        monkeypatch.setattr(sweep, "converge_cutoff", recording_converge_cutoff)
+        reports, failures = run_sweep(self.CONFIG)
+        assert len(reports) == 7 and len(failures) == 1
+        first_starts = [starts[k] for k in firsts]
+        points = [(n, lam) for n in (32, 40) for lam in self.CONFIG.lambda_grid()]
+        # point -> the point whose accepted state it starts from; the others
+        # are the first point of each N and the point after the failure
+        continued = {1: 0, 3: 2, 5: 4, 6: 5, 7: 6}
+        resized = set()
+        for k, (n_atoms, coupling) in enumerate(points):
+            params = make_params(1.0, 1.0, coupling, n_atoms)
+            if k in continued:
+                prev = accepted[continued[k]]
+                basis = build_basis(params, suggest_cutoff(params))
+                expected = np.zeros(basis.dim)
+                size = min(basis.dim, prev.basis.dim)
+                expected[:size] = prev.amplitudes[:size]
+                np.testing.assert_array_equal(first_starts[k],
+                                              expected[basis.parity_indices(+1)])
+                resized.add("padded" if size < basis.dim else "truncated")
+            else:
+                # the fixed start of a standalone call
+                mark = len(starts)
+                converge_cutoff(params)
+                np.testing.assert_array_equal(first_starts[k], starts[mark])
+        assert resized == {"padded", "truncated"}
+
+    def test_standalone_call_unchanged_by_a_sweep(self):
+        params = make_params(1.0, 1.0, 0.75, 32)
+        before = converge_cutoff(params)
+        run_sweep(self.CONFIG)
+        after = converge_cutoff(params)
+        assert after.energy == before.energy and after.residual == before.residual
+        np.testing.assert_array_equal(after.amplitudes, before.amplitudes)
+
+    def test_repeated_sweeps_emit_identical_bytes(self):
+        texts = []
+        for _ in range(2):
+            reports, failures = run_sweep(self.CONFIG)
+            texts.append(emit(reports, fmt="json", failures=failures))
+        assert texts[0] == texts[1]
 
 
 class TestFits:
