@@ -2,13 +2,36 @@
 
 The ground eigenpair is taken from the positive-parity sector (the finite-N
 ground state has positive parity).  Blocks of up to DENSE_LIMIT states are
-diagonalized densely; larger ones by implicitly restarted Lanczos (ARPACK
-eigsh, Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), which
-computes only the lowest eigenpair.  DENSE_LIMIT is the measured crossover:
-median timings of dense eigh against eigsh on parity blocks of the Dicke
-Hamiltonian (N = 4..16, lambda/lambda_c = 0.5..2; 2-core Intel Xeon VM, 2
-BLAS threads) were 1.0 vs 2.1 ms at 95 states, 2.1 vs 2.2 ms at 140, 2.2
-vs 1.9 ms at 145, 3.9 vs 2.2 ms at 196 and 15 vs 3.3 ms at 349.
+diagonalized densely; larger ones by two-pass Lanczos.  The first pass runs
+the three-term recurrence without reorthogonalization and watches the
+lowest Ritz pair of the tridiagonal matrix; the second pass regenerates the
+same Lanczos vectors and sums the Ritz vector, so a large solve holds three
+vectors, not one per step.  Where all the vectors fit in 8 MB the first pass
+keeps them instead and the second pass needs no matvec.  For an extremal
+eigenvalue plain Lanczos needs neither reorthogonalization nor restarts: in
+floating point the Lanczos vectors lose orthogonality only as a Ritz pair
+converges, and the residual estimate of that pair stays valid (C. C. Paige,
+Linear Algebra Appl. 34, 235 (1980)).  ground_state's
+residual check certifies the result either way.
+
+This replaced ARPACK's implicitly restarted Lanczos (scipy eigsh), whose
+steps cost several times their matvec: one cold solve at N = 256,
+lambda = 2 lambda_c, n_max 352 (45,361 states) took 0.74 s for 441 matvecs
+of 0.31 ms, 18 % of its time, the rest going to reorthogonalization against
+its 20 stored vectors and to restarts.  Two-pass Lanczos solves it in
+0.37 s with 2 x 340 matvecs.
+
+DENSE_LIMIT is the measured crossover.  Median timings on parity blocks of
+the Dicke Hamiltonian (N = 4..16, lambda/lambda_c = 0.5..2; 2-core Intel
+Xeon VM, 2 BLAS threads) of dense eigh, Lanczos from the fixed start, and
+Lanczos from the padded ground vector of a 1.5x smaller cutoff (as in
+escalation) were 1.2 / 1.9 / 1.2 ms at 95 states, 1.7 / 2.1 / 1.1 ms at
+120, 2.7 / 2.5 / 0.41 ms at 140, 3.1 / 2.3 / 0.55 ms at 160, 4.7 / 2.5 /
+0.32 ms at 202 and 18.6 / 4.1 / 0.41 ms at 349.  Cold solves cross over
+near 130 states, warm ones below 95; the ground_state time of the
+benchmark's paper_datasets pass, whose solves are mostly warm, was flat
+within noise (1.14, 1.05, 1.12 and 1.22 s) for limits of 80, 110, 140 and
+170, so 140 stays.
 
 A standalone solve starts Lanczos from a fixed vector, so repeated runs are
 bit-identical.  During cutoff escalation each solve instead starts from the
@@ -20,9 +43,9 @@ Inside a continuation() block (run_sweep opens one per N), the first solve
 of each converge_cutoff call starts from the ground state that the previous
 call in the block accepted, truncated or zero-padded to the first cutoff's
 basis (lambda-continuation).  On the benchmark's large_n sweep (N = 128 and
-256, lambda/lambda_c = 0.5..2 in 7 steps) this cut the first Lanczos solve of
-a continued point from 131-441 to 81-331 matvecs, and all Lanczos matvecs by
-24 %.  A point's digits then depend on the point before it, within the
+256, lambda/lambda_c = 0.5..2 in 7 steps) this cuts the first Lanczos solve
+of a continued point from 120-350 to 80-260 steps, and all Lanczos matvecs
+by 27 %.  A point's digits then depend on the point before it, within the
 solver tolerance; the acceptance rule is unchanged, and the same sweep still
 gives the same bytes.
 """
@@ -30,13 +53,14 @@ gives the same bytes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (CapacityError, CutoffConvergenceError, ParameterError,
                      SolverError)
@@ -48,6 +72,14 @@ DEFAULT_TOL = 1e-10
 DEFAULT_ENERGY_TOL = 1e-9
 DEFAULT_GROWTH = 1.5
 TOP_WEIGHT_LIMIT = 1e-8
+# Lanczos steps between two solves of the tridiagonal eigenproblem, and the
+# most steps one solve may take before it raises SolverError (benchmark and
+# validation solves took at most 350)
+_RITZ_EVERY = 10
+LANCZOS_MAX_STEPS = 2000
+# the first pass keeps its Lanczos vectors while steps x dim stays within
+# this many floats (8 MB); past it the second pass regenerates them
+_KEEP_FLOATS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -136,6 +168,71 @@ def continuation():
         _CARRY.reset(token)
 
 
+def _lanczos_vectors(H: sp.spmatrix,
+                     q: np.ndarray) -> Iterator[tuple[np.ndarray, float, float]]:
+    """Yield (q_k, alpha_k, beta_k) of the Lanczos recurrence from unit q.
+
+    beta_k q_{k+1} = H q_k - alpha_k q_k - beta_{k-1} q_{k-1}, without
+    reorthogonalization; stops after beta_k = 0 (an invariant subspace).
+    Only q_{k-1}, q_k and w are held, and a second run from the same q
+    yields the same vectors bit for bit.  The dot products go through
+    einsum, not BLAS: a threaded BLAS ddot on a 45k-entry vector took 0.3 to
+    1.1 ms (waking its threads) against 0.04 ms for einsum.
+    """
+    q_prev, beta = np.zeros_like(q), 0.0
+    while True:
+        w = H @ q
+        w -= beta * q_prev
+        alpha = float(np.einsum("i,i", q, w))
+        w -= alpha * q
+        beta = math.sqrt(np.einsum("i,i", w, w))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        w /= beta
+        q_prev, q = q, w
+
+
+def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of H by two-pass Lanczos.
+
+    The first pass runs the recurrence and every _RITZ_EVERY steps takes the
+    lowest Ritz pair (theta, y) of the tridiagonal T_k; it stops when
+    beta_k |y_k| <= tol |theta|, ARPACK's test.  The Ritz vector is
+    x = sum_i y_i q_i.  While the Lanczos vectors fit in _KEEP_FLOATS the
+    first pass keeps them (each is a fresh array, so keeping copies
+    nothing); otherwise a second pass regenerates them.  The vectors are the
+    same bits either way, so x is too.
+    """
+    q = v0 / np.linalg.norm(v0)
+    alphas, betas, kept = [], [], []
+    for k, (q_k, alpha, beta) in enumerate(_lanczos_vectors(H, q), 1):
+        alphas.append(alpha)
+        betas.append(beta)
+        if kept is not None and k * q.size <= _KEEP_FLOATS:
+            kept.append(q_k)
+        else:
+            kept = None
+        if beta != 0.0 and k % _RITZ_EVERY and k < LANCZOS_MAX_STEPS:
+            continue
+        theta, y = eigh_tridiagonal(alphas, betas[:-1], select="i",
+                                    select_range=(0, 0))
+        bound = beta * abs(y[-1, 0])
+        if bound <= tol * abs(theta[0]):
+            break
+        if k >= LANCZOS_MAX_STEPS:
+            raise SolverError(f"Lanczos not converged in {k} steps, residual "
+                              f"estimate {bound:.3e} (dim={H.shape[0]})",
+                              residual=bound)
+    if kept is None:
+        kept = (q_i for q_i, _, _ in _lanczos_vectors(H, q))
+    x = np.zeros_like(q)
+    # y first: zip then stops before the generator takes another step
+    for y_i, q_i in zip(y[:, 0], kept):
+        x += y_i * q_i
+    return float(theta[0]), x
+
+
 def _lowest_eigenpair(H: sp.spmatrix, tol: float,
                       v0: np.ndarray | None) -> tuple[float, np.ndarray]:
     dim = H.shape[0]
@@ -146,9 +243,7 @@ def _lowest_eigenpair(H: sp.spmatrix, tol: float,
         # deterministic start vector keeps repeated runs bit-identical
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         v0[0] += 0.5
-    w, v = spla.eigsh(H, k=1, which="SA", v0=v0, tol=tol * 1e-2,
-                      maxiter=max(5000, 40 * dim))
-    return float(w[0]), v[:, 0]
+    return _lanczos(H, v0, tol * 1e-2)
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -162,7 +257,8 @@ def ground_state(hamiltonian: sp.spmatrix, basis: BasisIndex,
     """Certified lowest eigenpair of the positive-parity block of the Hamiltonian.
 
     Raises SolverError (carrying the best residual) if the residual check
-    ||Hv - Ev|| <= tol * |E| cannot be met.
+    ||Hv - Ev|| <= tol * |E| cannot be met, or if Lanczos does not converge
+    within LANCZOS_MAX_STEPS steps.
     """
     idx = basis.parity_indices(+1)
     start = _START.get()

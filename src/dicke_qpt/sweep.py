@@ -19,7 +19,6 @@ from numbers import Integral, Real
 from operator import attrgetter
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import entanglement, thermo
 from .eigensolver import (DEFAULT_ENERGY_TOL, DEFAULT_GROWTH, DEFAULT_TOL,
@@ -42,7 +41,7 @@ _JSON_BLOCK = 4096
 # relative half-width of the lambda_c hole punched into TD grids
 CRITICAL_EXCLUSION = 1e-12
 # domain failures that become per-point rows; anything else is a bug and raises
-POINT_ERRORS = (DickeError, np.linalg.LinAlgError, ArpackNoConvergence)
+POINT_ERRORS = (DickeError, np.linalg.LinAlgError)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -261,7 +260,8 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float) -> Meas
     if "l_lin" in config.measures:
         values["l_lin"] = entanglement.linear_entropy(atoms_rdm, n_atoms + 1)
     if "q_avg" in config.measures:
-        values["q_avg"] = entanglement.average_linear_entropy_Q(state, basis)
+        values["q_avg"] = entanglement.average_linear_entropy_Q(state, basis,
+                                                                _atoms_rdm=atoms_rdm)
     if "ipr_inv" in config.measures:
         values["ipr_inv"] = entanglement.inverse_participation_ratio(state, basis, params)
     jz = entanglement.collective_expectations(state, basis)["jz"]

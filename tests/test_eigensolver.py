@@ -1,13 +1,15 @@
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
 
 from dicke_qpt import (CutoffConvergenceError, ParameterError, SolverError,
-                       assemble_hamiltonian, build_basis, converge_cutoff,
-                       ground_state, make_params, partial_trace,
-                       von_neumann_entropy)
+                       SweepConfig, assemble_hamiltonian, build_basis,
+                       converge_cutoff, ground_state, make_params, partial_trace,
+                       run_sweep, von_neumann_entropy)
 from dicke_qpt import eigensolver
 from dicke_qpt.eigensolver import (DEFAULT_ENERGY_TOL, TOP_WEIGHT_LIMIT,
                                    suggest_cutoff)
@@ -119,6 +121,110 @@ class TestGroundState:
         np.testing.assert_allclose(lanczos.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
 
 
+def parity_block(params, n_max):
+    H, basis = hamiltonian_and_basis(params, n_max)
+    idx = basis.parity_indices(+1)
+    return H[idx][:, idx]
+
+
+@pytest.fixture
+def lanczos_steps(monkeypatch):
+    """The beta_k of every Lanczos step taken, second passes included."""
+    steps = []
+    vectors = eigensolver._lanczos_vectors
+
+    def counting_vectors(H, q):
+        for item in vectors(H, q):
+            steps.append(item[2])
+            yield item
+
+    monkeypatch.setattr(eigensolver, "_lanczos_vectors", counting_vectors)
+    return steps
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("omega, omega0", [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_matches_dense_eigh(self, monkeypatch, omega, omega0, ratio, keep):
+        # normal phase, lambda_c and superradiant phase, on and off
+        # resonance; N = 16 blocks of 400-1046 states, above DENSE_LIMIT.
+        # Without room to keep the Lanczos vectors, the second pass
+        # regenerates them
+        if not keep:
+            monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
+        params = make_params(omega, omega0, ratio * math.sqrt(omega * omega0) / 2, 16)
+        H = parity_block(params, max(46, suggest_cutoff(params) + 10))
+        assert H.shape[0] > eigensolver.DENSE_LIMIT
+        energy, vec = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        w, v = np.linalg.eigh(H.toarray())
+        assert abs(energy - w[0]) <= 1e-12 * abs(w[0])
+        assert abs(vec @ v[:, 0]) / np.linalg.norm(vec) >= 1 - 1e-12
+
+    def test_repeated_calls_are_bit_identical(self):
+        params = make_params(1, 1, 0.6, 16)
+        H, basis = hamiltonian_and_basis(params, 60)
+        first, second = ground_state(H, basis), ground_state(H, basis)
+        assert first.energy == second.energy and first.residual == second.residual
+        np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
+
+    def test_kept_and_regenerated_vectors_give_the_same_bits(self, monkeypatch,
+                                                             lanczos_steps):
+        H = parity_block(make_params(1, 1, 0.5, 16), 45)
+        kept = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        n_kept = len(lanczos_steps)
+        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
+        regenerated = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        assert len(lanczos_steps) == 3 * n_kept
+        assert kept[0] == regenerated[0]
+        np.testing.assert_array_equal(kept[1], regenerated[1])
+
+    def test_exact_eigenvector_start_is_returned(self, lanczos_steps):
+        # decoupled, H is diagonal: from the ground basis vector beta_1 = 0,
+        # so Lanczos takes one step and the start comes back unchanged
+        params = make_params(1, 1, 0.0, 16)
+        H, basis = hamiltonian_and_basis(params, 30)
+        assert basis.parity_indices(+1).size > eigensolver.DENSE_LIMIT
+        start = np.zeros(basis.dim)
+        start[basis.index(0, 0)] = 1.0
+        with eigensolver._started_from(start, basis):
+            gs = ground_state(H, basis)
+        assert lanczos_steps == [0.0]
+        assert gs.energy == -8.0 and gs.residual == 0.0
+        np.testing.assert_array_equal(gs.amplitudes, start)
+
+    def test_step_cap_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "LANCZOS_MAX_STEPS", 5)
+        params = make_params(1, 1, 0.5, 16)
+        with pytest.raises(SolverError) as err:
+            ground_state(*hamiltonian_and_basis(params, 45))
+        assert "5 steps" in str(err.value) and err.value.residual > 0
+
+    def test_step_cap_becomes_failure_row(self, monkeypatch):
+        # lambda = 0 stays on the dense path (77 states); lambda_c and 2 lambda_c
+        # start from Lanczos blocks of 145 states and more
+        monkeypatch.setattr(eigensolver, "LANCZOS_MAX_STEPS", 5)
+        config = SweepConfig(lambda_min=0.0, lambda_max=2.0, lambda_steps=3,
+                             n_atoms=(16,), measures=("s_vn",))
+        reports, failures = run_sweep(config)
+        assert [r.coupling for r in reports] == [0.0]
+        assert len(failures) == 2
+        assert all(f.message.startswith("SolverError: Lanczos") for f in failures)
+
+    def test_loads_no_sparse_linalg(self):
+        # the Lanczos solver needs only a sparse matvec and scipy.linalg;
+        # N = 16 at lambda_c solves parity blocks above DENSE_LIMIT
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import dicke_qpt as dq; "
+                "from dicke_qpt import eigensolver as es; "
+                "s = dq.converge_cutoff(dq.make_params(1.0, 1.0, 0.5, 16)); "
+                "print(s.basis.parity_indices(1).size > es.DENSE_LIMIT, "
+                "'scipy.sparse.linalg' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
+
+
 class TestCutoffConvergence:
     def test_zero_coupling_converges_immediately(self):
         gs = converge_cutoff(make_params(1, 1, 0.0, 4), n_max_start=10)
@@ -161,16 +267,17 @@ class TestCutoffConvergence:
 
     def test_escalation_starts_from_padded_previous_vector(self, monkeypatch):
         starts, states = [], []
+        lanczos = eigensolver._lanczos
 
-        def recording_eigsh(H, **kwargs):
-            starts.append(kwargs["v0"])
-            return eigsh(H, **kwargs)
+        def recording_lanczos(H, v0, tol):
+            starts.append(v0)
+            return lanczos(H, v0, tol)
 
         def recording_ground_state(H, basis, tol):
             states.append(ground_state(H, basis, tol))
             return states[-1]
 
-        monkeypatch.setattr(eigensolver.spla, "eigsh", recording_eigsh)
+        monkeypatch.setattr(eigensolver, "_lanczos", recording_lanczos)
         monkeypatch.setattr(eigensolver, "ground_state", recording_ground_state)
         params = make_params(1, 1, 0.75, 16)
         converge_cutoff(params)                 # three Lanczos solves

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scipy.sparse.linalg import eigsh
-
 from dicke_qpt import (ConfigError, FitError, IntegrityError, MeasureReport,
                        ParameterError, ScalingFit, SweepConfig, SweepFailure,
-                       build_basis, converge_cutoff, emit, fit_critical_exponents,
-                       fit_entropy_scaling, make_params, partial_trace, run_sweep,
-                       von_neumann_entropy)
-from dicke_qpt import eigensolver, sweep
+                       average_linear_entropy_Q, build_basis, converge_cutoff,
+                       emit, fit_critical_exponents, fit_entropy_scaling,
+                       make_params, partial_trace, run_sweep, von_neumann_entropy)
+from dicke_qpt import eigensolver, entanglement, sweep
 from dicke_qpt.eigensolver import suggest_cutoff
 
 BASE_HEADER = ("lambda,lambda_rel,n_atoms,n_max,s_vn,l_lin,q_avg,ipr_inv,"
@@ -135,6 +133,24 @@ class TestRunSweep:
         assert zero.l_lin == 0.0
         assert zero.q_avg == 0.0
         assert zero.jz_mean == -0.5
+
+    def test_ed_point_builds_the_atoms_rdm_once(self, monkeypatch):
+        # n_max > N at N = 4, 1.5 lambda_c: Q's smaller Gram matrix is the
+        # atoms RDM that s_vn and l_lin already use
+        built = []
+        make_rdm = entanglement._make_rdm
+
+        def recording_make_rdm(subsystem, matrix):
+            built.append(subsystem)
+            return make_rdm(subsystem, matrix)
+
+        monkeypatch.setattr(entanglement, "_make_rdm", recording_make_rdm)
+        config = SweepConfig(n_atoms=(4,), backend="ed")
+        report = sweep.measure_point_ed(config, 4, 0.75)
+        assert report.n_max > 4
+        assert built.count("atoms") == 1 and "field" not in built
+        state = converge_cutoff(make_params(1.0, 1.0, 0.75, 4))
+        assert report.q_avg == average_linear_entropy_Q(state, state.basis)
 
     def test_td_rows_tagged_infinite_size(self):
         config = SweepConfig(lambda_min=0.2, lambda_max=1.6, lambda_steps=4,
@@ -276,10 +292,11 @@ class TestContinuation:
 
     def test_first_solve_starts_from_previous_point(self, monkeypatch):
         starts, firsts, accepted = [], [], []
+        lanczos = eigensolver._lanczos
 
-        def recording_eigsh(H, **kwargs):
-            starts.append(kwargs["v0"])
-            return eigsh(H, **kwargs)
+        def recording_lanczos(H, v0, tol):
+            starts.append(v0)
+            return lanczos(H, v0, tol)
 
         def recording_converge_cutoff(params, **kwargs):
             firsts.append(len(starts))
@@ -288,7 +305,7 @@ class TestContinuation:
                 raise IntegrityError("fails after its cutoff was accepted")
             return accepted[-1]
 
-        monkeypatch.setattr(eigensolver.spla, "eigsh", recording_eigsh)
+        monkeypatch.setattr(eigensolver, "_lanczos", recording_lanczos)
         monkeypatch.setattr(sweep, "converge_cutoff", recording_converge_cutoff)
         reports, failures = run_sweep(self.CONFIG)
         assert len(reports) == 7 and len(failures) == 1
