@@ -14,7 +14,7 @@ from .errors import (CapacityError, ConfigError, CutoffConvergenceError,
                      DickeError, FitError, IntegrityError, ParameterError,
                      PhaseError, SolverError)
 from .model import (BasisIndex, ModelParams, assemble_hamiltonian, build_basis,
-                    make_params, parity_operator)
+                    make_params)
 from .perturbative import perturbative_entropy, strong_coupling_state
 from .sweep import (MeasureReport, ScalingFit, SweepConfig, SweepFailure, emit,
                     fit_critical_exponents, fit_entropy_scaling, run_sweep)

@@ -1,37 +1,56 @@
 """Ground-state extraction and boson-cutoff convergence certification.
 
 The ground eigenpair is taken from the positive-parity sector (the finite-N
-ground state has positive parity).  Blocks of up to DENSE_LIMIT states are
-diagonalized densely; larger ones by two-pass Lanczos.  The first pass runs
-the three-term recurrence without reorthogonalization and watches the
-lowest Ritz pair of the tridiagonal matrix; the second pass regenerates the
-same Lanczos vectors and sums the Ritz vector, so a large solve holds three
-vectors, not one per step.  Where all the vectors fit in 8 MB the first pass
-keeps them instead and the second pass needs no matvec.  For an extremal
+ground state has positive parity).  model.assemble_hamiltonian assembles
+that block alone, stored by its diagonals: 5 for even N and 7 for odd N.
+Blocks of up to DENSE_LIMIT states are diagonalized by LAPACK's banded
+solver for the lowest eigenpair only (eig_banded, dsbevx); larger ones by
+two-pass Lanczos.  The first pass runs the three-term recurrence without
+reorthogonalization and watches the lowest Ritz pair of the tridiagonal
+matrix; the second pass regenerates the same Lanczos vectors and sums the
+Ritz vector, so a large solve holds three vectors and one scratch vector,
+not one per step.  Where all the vectors fit in 8 MB the first pass keeps
+them instead and the second pass needs no matvec.  For an extremal
 eigenvalue plain Lanczos needs neither reorthogonalization nor restarts: in
 floating point the Lanczos vectors lose orthogonality only as a Ritz pair
 converges, and the residual estimate of that pair stays valid (C. C. Paige,
-Linear Algebra Appl. 34, 235 (1980)).  ground_state's
-residual check certifies the result either way.
+Linear Algebra Appl. 34, 235 (1980)).  ground_state's residual check,
+taken on the block, certifies the result either way.
 
 This replaced ARPACK's implicitly restarted Lanczos (scipy eigsh), whose
 steps cost several times their matvec: one cold solve at N = 256,
 lambda = 2 lambda_c, n_max 352 (45,361 states) took 0.74 s for 441 matvecs
-of 0.31 ms, 18 % of its time, the rest going to reorthogonalization against
-its 20 stored vectors and to restarts.  Two-pass Lanczos solves it in
-0.37 s with 2 x 340 matvecs.
+of 0.31 ms, the rest going to reorthogonalization against its 20 stored
+vectors and to restarts.  Two-pass Lanczos takes 2 x 340 steps there.  On
+the CSR block sliced out of the whole Hamiltonian that cost 0.40-0.44 s, or
+0.59-0.65 ms a step against a 0.29 ms matvec, after 30 ms of assembly and
+slicing.  On the diagonal block it costs 0.29 s, or 0.43 ms a step against a
+0.17-0.18 ms matvec, after 3.8 ms of assembly (2-core Intel Xeon VM).  The
+rest of a step is vector work on a preallocated scratch vector, 13-25 us
+per pass over the 45k entries, and the LAPACK bisection and inverse
+iteration of the Ritz check (dstebz and dstein, about 50 us at k = 100)
+every _RITZ_EVERY steps.
 
 DENSE_LIMIT is the measured crossover.  Median timings on parity blocks of
 the Dicke Hamiltonian (N = 4..16, lambda/lambda_c = 0.5..2; 2-core Intel
-Xeon VM, 2 BLAS threads) of dense eigh, Lanczos from the fixed start, and
-Lanczos from the padded ground vector of a 1.5x smaller cutoff (as in
-escalation) were 1.2 / 1.9 / 1.2 ms at 95 states, 1.7 / 2.1 / 1.1 ms at
-120, 2.7 / 2.5 / 0.41 ms at 140, 3.1 / 2.3 / 0.55 ms at 160, 4.7 / 2.5 /
-0.32 ms at 202 and 18.6 / 4.1 / 0.41 ms at 349.  Cold solves cross over
-near 130 states, warm ones below 95; the ground_state time of the
-benchmark's paper_datasets pass, whose solves are mostly warm, was flat
-within noise (1.14, 1.05, 1.12 and 1.22 s) for limits of 80, 110, 140 and
-170, so 140 stays.
+Xeon VM, 2 BLAS threads) of the banded solve, Lanczos from the fixed start,
+and Lanczos from the padded ground vector of a 1.5x smaller cutoff (as in
+escalation), with dense eigh of the same block for comparison:
+
+    states     banded   cold Lanczos   warm Lanczos   dense eigh
+    81-109     0.32     1.33           0.59           1.41 ms
+    118-128    0.53     1.57           0.45           1.96 ms
+    137-149    0.80     1.87           0.27           2.59 ms
+    150-179    1.12     1.87           0.32           3.45 ms
+    188-215    1.72     2.03           0.27           4.83 ms
+    221-277    2.94     2.12           0.26           7.12 ms
+    280-358    5.87     2.35           0.27           14.47 ms
+
+Cold solves cross over near 220 states and warm ones near 110.  Most
+solves of the benchmark's paper_datasets pass are warm, and its
+ground_state time per pass was flat within noise for limits of 80, 110,
+140, 180 and 220 (medians of 8 passes: 0.77, 0.75, 0.71, 0.71 and 0.73 s),
+so 140 stays.
 
 A standalone solve starts Lanczos from a fixed vector, so repeated runs are
 bit-identical.  During cutoff escalation each solve instead starts from the
@@ -60,7 +79,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eig_banded
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (CapacityError, CutoffConvergenceError, ParameterError,
                      SolverError)
@@ -168,6 +188,11 @@ def continuation():
         _CARRY.reset(token)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm through einsum (see _lanczos_vectors on BLAS)."""
+    return math.sqrt(np.einsum("i,i", x, x))
+
+
 def _lanczos_vectors(H: sp.spmatrix,
                      q: np.ndarray) -> Iterator[tuple[np.ndarray, float, float]]:
     """Yield (q_k, alpha_k, beta_k) of the Lanczos recurrence from unit q.
@@ -175,22 +200,49 @@ def _lanczos_vectors(H: sp.spmatrix,
     beta_k q_{k+1} = H q_k - alpha_k q_k - beta_{k-1} q_{k-1}, without
     reorthogonalization; stops after beta_k = 0 (an invariant subspace).
     Only q_{k-1}, q_k and w are held, and a second run from the same q
-    yields the same vectors bit for bit.  The dot products go through
-    einsum, not BLAS: a threaded BLAS ddot on a 45k-entry vector took 0.3 to
-    1.1 ms (waking its threads) against 0.04 ms for einsum.
+    yields the same vectors bit for bit.  Each matvec returns a fresh array,
+    which becomes q_{k+1}; the updates of w go through one preallocated
+    scratch vector, so a step makes no other temporary.  The dot products go
+    through einsum, not BLAS: a threaded BLAS ddot on a 45k-entry vector
+    took 0.3 to 1.1 ms (waking its threads) against 0.04 ms for einsum.
     """
     q_prev, beta = np.zeros_like(q), 0.0
+    scratch = np.empty_like(q)
     while True:
         w = H @ q
-        w -= beta * q_prev
+        w -= np.multiply(beta, q_prev, out=scratch)
         alpha = float(np.einsum("i,i", q, w))
-        w -= alpha * q
+        w -= np.multiply(alpha, q, out=scratch)
         beta = math.sqrt(np.einsum("i,i", w, w))
         yield q, alpha, beta
         if beta == 0.0:
             return
-        w /= beta
+        # a product by 1 / beta takes a third of the time of a division
+        w *= 1.0 / beta
         q_prev, q = q, w
+
+
+def _lowest_ritz_pair(alphas: list[float],
+                      betas: list[float]) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (theta, y) of the k x k Lanczos tridiagonal T_k.
+
+    Bisection (dstebz) for the eigenvalue and inverse iteration (dstein) for
+    its vector: the LAPACK calls eigh_tridiagonal(select="i") makes, with
+    the same bits, without its argument checks (51 against 83 us at
+    k = 100).  A nonzero LAPACK info raises SolverError.
+    """
+    d = np.array(alphas)
+    if d.size == 1:
+        # dstebz rejects k = 1
+        return float(d[0]), np.ones(1)
+    e = np.array(betas[:-1])
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B")
+    if info == 0:
+        z, info = dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise SolverError(f"LAPACK tridiagonal eigensolver failed at k={d.size} "
+                          f"(info {info})")
+    return float(w[0]), z[:, 0]
 
 
 def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
@@ -204,7 +256,7 @@ def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndar
     nothing); otherwise a second pass regenerates them.  The vectors are the
     same bits either way, so x is too.
     """
-    q = v0 / np.linalg.norm(v0)
+    q = v0 / _norm(v0)
     alphas, betas, kept = [], [], []
     for k, (q_k, alpha, beta) in enumerate(_lanczos_vectors(H, q), 1):
         alphas.append(alpha)
@@ -215,10 +267,9 @@ def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndar
             kept = None
         if beta != 0.0 and k % _RITZ_EVERY and k < LANCZOS_MAX_STEPS:
             continue
-        theta, y = eigh_tridiagonal(alphas, betas[:-1], select="i",
-                                    select_range=(0, 0))
-        bound = beta * abs(y[-1, 0])
-        if bound <= tol * abs(theta[0]):
+        theta, y = _lowest_ritz_pair(alphas, betas)
+        bound = beta * abs(float(y[-1]))
+        if bound <= tol * abs(theta):
             break
         if k >= LANCZOS_MAX_STEPS:
             raise SolverError(f"Lanczos not converged in {k} steps, residual "
@@ -227,18 +278,37 @@ def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndar
     if kept is None:
         kept = (q_i for q_i, _, _ in _lanczos_vectors(H, q))
     x = np.zeros_like(q)
+    scratch = np.empty_like(q)
     # y first: zip then stops before the generator takes another step
-    for y_i, q_i in zip(y[:, 0], kept):
-        x += y_i * q_i
-    return float(theta[0]), x
+    for y_i, q_i in zip(y.tolist(), kept):
+        x += np.multiply(y_i, q_i, out=scratch)
+    return theta, x
 
 
-def _lowest_eigenpair(H: sp.spmatrix, tol: float,
+def _banded_lowest(H: sp.dia_matrix) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a DIA block, from its upper diagonals (LAPACK dsbevx).
+
+    In DIA storage data[k, c] holds H[c - offsets[k], c], which is where
+    LAPACK's upper band storage keeps that entry, in row width - offsets[k].
+    A nonzero LAPACK info raises SolverError.
+    """
+    upper = H.offsets >= 0
+    width = int(H.offsets.max())
+    band = np.zeros((width + 1, H.shape[1]))
+    band[width - H.offsets[upper]] = H.data[upper]
+    try:
+        w, v = eig_banded(band, select="i", select_range=(0, 0))
+    except LinAlgError as exc:
+        raise SolverError(f"banded eigensolver failed: {exc} "
+                          f"(dim={H.shape[0]})") from exc
+    return float(w[0]), v[:, 0]
+
+
+def _lowest_eigenpair(H: sp.dia_matrix, tol: float,
                       v0: np.ndarray | None) -> tuple[float, np.ndarray]:
     dim = H.shape[0]
     if dim <= DENSE_LIMIT:
-        w, v = np.linalg.eigh(H.toarray())
-        return float(w[0]), v[:, 0]
+        return _banded_lowest(H)
     if v0 is None:
         # deterministic start vector keeps repeated runs bit-identical
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
@@ -252,27 +322,31 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def ground_state(hamiltonian: sp.spmatrix, basis: BasisIndex,
+def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
                  tol: float = DEFAULT_TOL) -> GroundState:
     """Certified lowest eigenpair of the positive-parity block of the Hamiltonian.
 
+    hamiltonian is the block on basis, as assemble_hamiltonian returns it.
+    The residual ||Hv - Ev|| is taken on the block.  It equals the residual
+    over the whole basis: the amplitudes vanish on the -1 sector, and H
+    never mixes the two sectors.
     Raises SolverError (carrying the best residual) if the residual check
     ||Hv - Ev|| <= tol * |E| cannot be met, or if Lanczos does not converge
     within LANCZOS_MAX_STEPS steps.
     """
     idx = basis.parity_indices(+1)
     start = _START.get()
-    energy, vec = _lowest_eigenpair(hamiltonian[idx][:, idx], tol,
+    energy, vec = _lowest_eigenpair(hamiltonian, tol,
                                     None if start is None else start[idx])
-    amplitudes = np.zeros(basis.dim)
-    amplitudes[idx] = vec
-    amplitudes = _fix_sign(amplitudes / np.linalg.norm(amplitudes))
-    residual = float(np.linalg.norm(hamiltonian @ amplitudes - energy * amplitudes))
+    vec = _fix_sign(vec / _norm(vec))
+    residual = _norm(hamiltonian @ vec - energy * vec)
     threshold = tol * (abs(energy) if energy != 0 else 1.0)
     if residual > threshold:
         raise SolverError(
             f"residual {residual:.3e} above tolerance {threshold:.3e} "
             f"(dim={basis.dim})", residual=residual)
+    amplitudes = np.zeros(basis.dim)
+    amplitudes[idx] = vec
     return GroundState(energy=energy, amplitudes=amplitudes, residual=residual,
                        converged=False, basis=basis)
 

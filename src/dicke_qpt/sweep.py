@@ -215,16 +215,35 @@ class MeasureReport:
 
 @dataclass(frozen=True)
 class SweepFailure:
-    """A per-point failure recorded without aborting the sweep."""
+    """A per-point failure recorded without aborting the sweep.
+
+    error is the exception class name and message the "Class: text" line.
+    residual is a SolverError's best residual and energy_history a
+    CutoffConvergenceError's ground energies; other errors leave them None
+    and empty.
+    """
 
     backend: str
     coupling: float
     n_atoms: object
     message: str
+    error: str = ""
+    residual: float | None = None
+    energy_history: tuple = ()
+
+    @classmethod
+    def from_exception(cls, backend: str, coupling: float, n_atoms,
+                       exc: Exception) -> "SweepFailure":
+        return cls(backend=backend, coupling=coupling, n_atoms=n_atoms,
+                   message=f"{type(exc).__name__}: {exc}", error=type(exc).__name__,
+                   residual=getattr(exc, "residual", None),
+                   energy_history=tuple(getattr(exc, "energy_history", ())))
 
     def as_dict(self) -> dict:
         return {"backend": self.backend, "lambda": self.coupling,
-                "n_atoms": self.n_atoms, "message": self.message}
+                "n_atoms": self.n_atoms, "message": self.message,
+                "error": self.error, "residual": self.residual,
+                "energy_history": list(self.energy_history)}
 
 
 @dataclass(frozen=True)
@@ -319,9 +338,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
                         reports.append(measure(config, n, lam))
                     except POINT_ERRORS as exc:
                         carried.reset()
-                        failures.append(SweepFailure(
-                            backend=backend, coupling=lam, n_atoms=n,
-                            message=f"{type(exc).__name__}: {exc}"))
+                        failures.append(SweepFailure.from_exception(backend, lam, n, exc))
     reports.sort(key=MeasureReport.sort_key)
     failures.sort(key=lambda f: (f.backend, f.coupling))
     return reports, failures

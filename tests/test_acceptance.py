@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from dicke_qpt import (SweepConfig, assemble_hamiltonian, critical_asymptote,
+from dicke_qpt import (SweepConfig, critical_asymptote,
                        entropy_td, fit_critical_exponents, fit_entropy_scaling,
                        inverse_participation_ratio, ipr_td, linear_entropy,
                        linear_entropy_td, make_params, meyer_wallach_Q_generic,
@@ -32,6 +32,7 @@ from dicke_qpt import (SweepConfig, assemble_hamiltonian, critical_asymptote,
                        sr_solution, von_neumann_entropy)
 from dicke_qpt.entanglement import average_linear_entropy_Q
 from dicke_qpt.thermo import mixing_parameter
+from oracles import full_hamiltonian
 
 LC = 0.5  # resonance critical coupling
 
@@ -202,7 +203,7 @@ def test_criterion_9_property_suite(resonant_ground):
         s_a = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
         s_f = von_neumann_entropy(partial_trace(gs, gs.basis, "field"))
         worst_schmidt = max(worst_schmidt, abs(s_a - s_f))
-        H = assemble_hamiltonian(make_params(1, 1, ratio * LC, 6), gs.basis)
+        H = full_hamiltonian(make_params(1, 1, ratio * LC, 6), gs.basis)
         worst_parity = max(worst_parity,
                            abs(gs.energy - np.linalg.eigvalsh(H.toarray())[0]))
 

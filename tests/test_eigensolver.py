@@ -1,10 +1,8 @@
 import math
-import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from dicke_qpt import (CutoffConvergenceError, ParameterError, SolverError,
                        SweepConfig, assemble_hamiltonian, build_basis,
@@ -13,6 +11,7 @@ from dicke_qpt import (CutoffConvergenceError, ParameterError, SolverError,
 from dicke_qpt import eigensolver
 from dicke_qpt.eigensolver import (DEFAULT_ENERGY_TOL, TOP_WEIGHT_LIMIT,
                                    suggest_cutoff)
+from oracles import full_hamiltonian, parity_block
 
 
 def hamiltonian_and_basis(params, n_max):
@@ -47,7 +46,7 @@ class TestGroundState:
         basis = build_basis(params, 6)
         H = assemble_hamiltonian(params, basis)
         gs = ground_state(H, basis)
-        oracle = np.linalg.eigvalsh(H.toarray())[0]
+        oracle = np.linalg.eigvalsh(full_hamiltonian(params, basis).toarray())[0]
         assert gs.energy == pytest.approx(oracle, abs=1e-10)
 
     def test_positive_parity(self, resonant_ground):
@@ -85,8 +84,21 @@ class TestGroundState:
         basis = build_basis(params, 24)
         H = assemble_hamiltonian(params, basis)
         gs = ground_state(H, basis)
-        oracle = np.linalg.eigvalsh(H.toarray())[0]
+        oracle = np.linalg.eigvalsh(full_hamiltonian(params, basis).toarray())[0]
         assert gs.energy == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("n_atoms, ratio, n_max", [
+        (4, 0.8, 10), (5, 1.5, 12), (16, 1.0, 45), (33, 2.0, 40)])
+    def test_residual_is_the_full_hamiltonian_residual(self, n_atoms, ratio, n_max):
+        # dense and Lanczos blocks, even and odd N: the block residual equals
+        # ||Hv - Ev|| of the full Hamiltonian, whose -1 amplitudes are zero
+        params = make_params(1.3, 0.7, ratio * math.sqrt(1.3 * 0.7) / 2, n_atoms)
+        H, basis = hamiltonian_and_basis(params, n_max)
+        gs = ground_state(H, basis)
+        assert np.all(gs.amplitudes[basis.parity_indices(-1)] == 0.0)
+        full = full_hamiltonian(params, basis)
+        oracle = np.linalg.norm(full @ gs.amplitudes - gs.energy * gs.amplitudes)
+        assert gs.residual == pytest.approx(oracle, rel=1e-14)
 
     def test_variational_monotonicity(self):
         params = make_params(1, 1, 0.4, 4)
@@ -103,8 +115,7 @@ class TestGroundState:
         basis = build_basis(params, 260)
         H = assemble_hamiltonian(params, basis)
         gs = ground_state(H, basis)
-        idx = basis.parity_indices(+1)
-        dense = np.linalg.eigvalsh(H[idx][:, idx].toarray())[0]
+        dense = np.linalg.eigvalsh(parity_block(params, basis).toarray())[0]
         assert gs.energy == pytest.approx(dense, abs=1e-9)
 
     def test_dense_and_lanczos_paths_agree(self, monkeypatch):
@@ -119,12 +130,6 @@ class TestGroundState:
         assert basis.parity_indices(+1).size == 391
         assert abs(lanczos.energy - dense.energy) <= 1e-12 * abs(dense.energy)
         np.testing.assert_allclose(lanczos.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
-
-
-def parity_block(params, n_max):
-    H, basis = hamiltonian_and_basis(params, n_max)
-    idx = basis.parity_indices(+1)
-    return H[idx][:, idx]
 
 
 @pytest.fixture
@@ -154,7 +159,7 @@ class TestLanczos:
         if not keep:
             monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
         params = make_params(omega, omega0, ratio * math.sqrt(omega * omega0) / 2, 16)
-        H = parity_block(params, max(46, suggest_cutoff(params) + 10))
+        H, _ = hamiltonian_and_basis(params, max(46, suggest_cutoff(params) + 10))
         assert H.shape[0] > eigensolver.DENSE_LIMIT
         energy, vec = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
         w, v = np.linalg.eigh(H.toarray())
@@ -170,7 +175,7 @@ class TestLanczos:
 
     def test_kept_and_regenerated_vectors_give_the_same_bits(self, monkeypatch,
                                                              lanczos_steps):
-        H = parity_block(make_params(1, 1, 0.5, 16), 45)
+        H, _ = hamiltonian_and_basis(make_params(1, 1, 0.5, 16), 45)
         kept = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
         n_kept = len(lanczos_steps)
         monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
@@ -211,18 +216,51 @@ class TestLanczos:
         assert len(failures) == 2
         assert all(f.message.startswith("SolverError: Lanczos") for f in failures)
 
-    def test_loads_no_sparse_linalg(self):
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    def test_ritz_pair_matches_eigh_tridiagonal(self, k):
+        # the direct dstebz/dstein calls give eigh_tridiagonal's bits
+        rng = np.random.default_rng(k)
+        alphas, betas = rng.standard_normal(k).tolist(), rng.random(k).tolist()
+        theta, y = eigensolver._lowest_ritz_pair(alphas, betas)
+        w, v = eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(0, 0))
+        assert theta == w[0]
+        np.testing.assert_array_equal(y, v[:, 0])
+
+    def test_tridiagonal_lapack_failure_raises_solver_error(self, monkeypatch):
+        H, _ = hamiltonian_and_basis(make_params(1, 1, 0.5, 16), 45)
+        stebz, stein = eigensolver.dstebz, eigensolver.dstein
+
+        def failing_stebz(*args):
+            m, w, iblock, isplit, info = stebz(*args)
+            return m, w, iblock, isplit, 1
+
+        def failing_stein(*args):
+            return stein(*args)[0], 2
+
+        for name, failing in (("dstebz", failing_stebz), ("dstein", failing_stein)):
+            with monkeypatch.context() as patch:
+                patch.setattr(eigensolver, name, failing)
+                with pytest.raises(SolverError, match="info"):
+                    eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+
+    def test_banded_lapack_failure_raises_solver_error(self, monkeypatch):
+        # eig_banded raises LinAlgError on a positive LAPACK info
+        def failing_eig_banded(*args, **kwargs):
+            raise np.linalg.LinAlgError("sbevx did not converge (LAPACK info=3)")
+
+        monkeypatch.setattr(eigensolver, "eig_banded", failing_eig_banded)
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 0.3, 2), 6)
+        assert H.shape[0] <= eigensolver.DENSE_LIMIT
+        with pytest.raises(SolverError, match="info=3"):
+            ground_state(H, basis)
+
+    def test_loads_no_sparse_linalg(self, fresh_interpreter):
         # the Lanczos solver needs only a sparse matvec and scipy.linalg;
-        # N = 16 at lambda_c solves parity blocks above DENSE_LIMIT
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import dicke_qpt as dq; "
-                "from dicke_qpt import eigensolver as es; "
-                "s = dq.converge_cutoff(dq.make_params(1.0, 1.0, 0.5, 16)); "
-                "print(s.basis.parity_indices(1).size > es.DENSE_LIMIT, "
-                "'scipy.sparse.linalg' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        # the interpreter ran converge_cutoff at N = 16, lambda_c, which
+        # solves parity blocks above DENSE_LIMIT
+        proc = fresh_interpreter
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "False"]
+        assert proc.stdout.splitlines()[1].split() == ["True", "False"]
 
 
 class TestCutoffConvergence:

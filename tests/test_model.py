@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicke_qpt import (CapacityError, ParameterError, assemble_hamiltonian,
-                       build_basis, make_params, parity_operator)
+                       build_basis, make_params)
+from oracles import full_hamiltonian, parity_block, parity_operator
 
 
 def dense_reference_hamiltonian(params, n_max):
@@ -90,7 +91,7 @@ class TestHamiltonian:
     def test_zero_coupling_is_diagonal(self):
         params = make_params(1, 1, 0.0, 4)
         basis = build_basis(params, 6)
-        H = assemble_hamiltonian(params, basis)
+        H = full_hamiltonian(params, basis)
         off = H - np.diag(H.diagonal()).astype(float)
         assert abs(off).max() == 0.0
         assert H.diagonal().min() == -params.j * params.omega0
@@ -99,7 +100,7 @@ class TestHamiltonian:
         # (0, +1/2) <-> (1, -1/2): boson and spin factors are both unity
         params = make_params(1, 1, 0.3, 1)
         basis = build_basis(params, 1)
-        H = assemble_hamiltonian(params, basis).toarray()
+        H = full_hamiltonian(params, basis).toarray()
         i = basis.index(0, 1)
         k = basis.index(1, 0)
         assert H[i, k] == pytest.approx(0.3, abs=1e-15)
@@ -109,20 +110,20 @@ class TestHamiltonian:
         for params, n_max in ((make_params(1, 1, 0.5, 2), 2),
                               (make_params(1.3, 0.7, 0.9, 5), 7)):
             basis = build_basis(params, n_max)
-            H = assemble_hamiltonian(params, basis).toarray()
+            H = full_hamiltonian(params, basis).toarray()
             np.testing.assert_allclose(H, dense_reference_hamiltonian(params, n_max),
                                        atol=1e-14)
 
     def test_exactly_symmetric(self):
         params = make_params(1.3, 0.7, 0.9, 5)
         basis = build_basis(params, 8)
-        H = assemble_hamiltonian(params, basis)
+        H = full_hamiltonian(params, basis)
         assert abs(H - H.T).max() == 0.0
 
     def test_parity_commutes_exactly(self):
         params = make_params(1, 1, 0.7, 4)
         basis = build_basis(params, 10)
-        H = assemble_hamiltonian(params, basis)
+        H = full_hamiltonian(params, basis)
         P = parity_operator(basis)
         assert abs(P @ H - H @ P).max() == 0.0
 
@@ -134,7 +135,7 @@ class TestHamiltonian:
     def test_parity_block_structure(self):
         params = make_params(1, 1, 0.8, 3)
         basis = build_basis(params, 5)
-        H = assemble_hamiltonian(params, basis).toarray()
+        H = full_hamiltonian(params, basis).toarray()
         plus = basis.parity_indices(+1)
         minus = basis.parity_indices(-1)
         assert len(plus) + len(minus) == basis.dim
@@ -148,10 +149,47 @@ class TestHamiltonian:
         params = make_params(omega, omega0, ratio * np.sqrt(omega * omega0) / 2,
                              n_atoms)
         basis = build_basis(params, n_max)
-        H = assemble_hamiltonian(params, basis)
+        H = full_hamiltonian(params, basis)
         assert H.shape == (basis.dim, basis.dim)
         assert abs(H - H.T).max() == 0.0
         P = parity_operator(basis)
         assert abs(P @ H - H @ P).max() == 0.0
         assert set(np.unique(basis.parity)) <= {-1, 1}
+        block = assemble_hamiltonian(params, basis).toarray()
+        np.testing.assert_array_equal(block, block.T)
+        np.testing.assert_array_equal(block, parity_block(params, basis).toarray())
+
+
+def bits(array):
+    return np.asarray(array, dtype=np.float64).view(np.int64)
+
+
+class TestParityBlock:
+    # (omega, omega0, coupling): decoupled, and coupled on and off resonance
+    @pytest.mark.parametrize("omega, omega0, coupling",
+                             [(1.0, 1.0, 0.0), (1.3, 0.7, 0.0), (1.0, 1.0, 0.37),
+                              (1.3, 0.7, 0.9)])
+    @pytest.mark.parametrize("n_max", [0, 1, 30])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 7, 8, 33])
+    def test_matches_oracle_block_bit_for_bit(self, n_atoms, n_max, omega, omega0,
+                                              coupling):
+        params = make_params(omega, omega0, coupling, n_atoms)
+        basis = build_basis(params, n_max)
+        block = assemble_hamiltonian(params, basis)
+        oracle = parity_block(params, basis)
+        assert block.shape == oracle.shape == (basis.parity_indices(+1).size,) * 2
+        np.testing.assert_array_equal(bits(block.toarray()), bits(oracle.toarray()))
+        x = np.random.default_rng(n_atoms * 100 + n_max).standard_normal(block.shape[0])
+        np.testing.assert_array_equal(bits(block @ x), bits(oracle @ x))
+
+    @pytest.mark.parametrize("n_atoms, offsets", [
+        (1, [-1, 0, 1]), (2, [-2, -1, 0, 1, 2]), (8, [-5, -4, 0, 4, 5]),
+        (7, [-5, -4, -3, 0, 3, 4, 5]), (33, [-18, -17, -16, 0, 16, 17, 18])])
+    def test_stored_by_its_diagonals(self, n_atoms, offsets):
+        # 0, +-N/2 and +-(N/2 + 1) for even N; 0, +-(L - 1), +-L, +-(L + 1)
+        # with L = (N + 1)/2 for odd N, ascending
+        params = make_params(1, 1, 0.4, n_atoms)
+        block = assemble_hamiltonian(params, build_basis(params, 30))
+        assert block.format == "dia"
+        assert block.offsets.tolist() == offsets
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dicke_qpt import (ConfigError, FitError, IntegrityError, MeasureReport,
-                       ParameterError, ScalingFit, SweepConfig, SweepFailure,
+from dicke_qpt import (ConfigError, CutoffConvergenceError, FitError,
+                       IntegrityError, MeasureReport, ParameterError, ScalingFit,
+                       SolverError, SweepConfig, SweepFailure,
                        average_linear_entropy_Q, build_basis, converge_cutoff,
                        emit, fit_critical_exponents, fit_entropy_scaling,
                        make_params, partial_trace, run_sweep, von_neumann_entropy)
@@ -268,6 +269,41 @@ class TestRunSweep:
                    for f in failures)
         assert any(r.coupling == 0.0 for r in reports)
 
+    def test_failures_keep_structured_fields(self, monkeypatch):
+        # a SolverError keeps its residual and a CutoffConvergenceError its
+        # energy history, as fields and under JSON "errors"; CSV is unchanged
+        real = sweep.converge_cutoff
+        injected = {0.5: SolverError("residual 1.500e-03 above tolerance",
+                                     residual=1.5e-3),
+                    1.0: CutoffConvergenceError("hit capacity",
+                                                energy_history=[-2.0, -2.25])}
+
+        def failing(params, **kwargs):
+            if params.coupling in injected:
+                raise injected[params.coupling]
+            return real(params, **kwargs)
+
+        config = SweepConfig(lambda_min=0.0, lambda_max=2.0, lambda_steps=3,
+                             n_atoms=(2,), measures=("s_vn",))
+        reports, clean = run_sweep(config)
+        monkeypatch.setattr(sweep, "converge_cutoff", failing)
+        survivors, failures = run_sweep(config)
+        assert not clean and [r.coupling for r in survivors] == [0.0]
+        solver, cutoff = failures
+        assert (solver.error, solver.residual, solver.energy_history) == (
+            "SolverError", 1.5e-3, ())
+        assert solver.message == "SolverError: residual 1.500e-03 above tolerance"
+        assert (cutoff.error, cutoff.residual, cutoff.energy_history) == (
+            "CutoffConvergenceError", None, (-2.0, -2.25))
+        errors = json.loads(emit(survivors, fmt="json", failures=failures))["errors"]
+        assert errors == [
+            {"backend": "ed", "lambda": 0.5, "n_atoms": 2, "message": solver.message,
+             "error": "SolverError", "residual": 1.5e-3, "energy_history": []},
+            {"backend": "ed", "lambda": 1.0, "n_atoms": 2, "message": cutoff.message,
+             "error": "CutoffConvergenceError", "residual": None,
+             "energy_history": [-2.0, -2.25]}]
+        assert emit(survivors, failures=failures) == emit(survivors)
+
 
 def cold_point(n_atoms, coupling):
     """Oracle: a standalone certified point, started from the fixed vector."""
@@ -524,7 +560,9 @@ SCALING_FITS = st.builds(
     peaks=st.lists(st.tuples(st.integers(1, 512), FINITE, FINITE), max_size=3).map(tuple))
 FAILURES = st.builds(
     SweepFailure, backend=st.sampled_from(("ed", "td", "perturbative")), coupling=FINITE,
-    n_atoms=st.one_of(st.none(), st.integers(1, 512)), message=st.text())
+    n_atoms=st.one_of(st.none(), st.integers(1, 512)), message=st.text(),
+    error=st.text(), residual=st.one_of(st.none(), FINITE),
+    energy_history=st.lists(FINITE, max_size=3).map(tuple))
 
 
 class TestEmit:
