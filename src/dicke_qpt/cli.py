@@ -2,8 +2,8 @@
 
 Couplings on the command line are expressed in units of the critical
 coupling lambda_c = sqrt(omega * omega0) / 2.  With --lambda-scale log the
-min/max values are relative offsets |lambda - lambda_c| / lambda_c and the
-grid straddles the critical point.  A flat key=value config file can seed
+min/max values are relative offsets |lambda - lambda_c| / lambda_c, at
+most 1, and the grid straddles the critical point.  A flat key=value config file can seed
 any flag; explicit flags win.
 
 Every SweepConfig field is a config-file key, and every field that carries

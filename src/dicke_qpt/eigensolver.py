@@ -17,19 +17,13 @@ converges, and the residual estimate of that pair stays valid (C. C. Paige,
 Linear Algebra Appl. 34, 235 (1980)).  ground_state's residual check,
 taken on the block, certifies the result either way.
 
-This replaced ARPACK's implicitly restarted Lanczos (scipy eigsh), whose
-steps cost several times their matvec: one cold solve at N = 256,
-lambda = 2 lambda_c, n_max 352 (45,361 states) took 0.74 s for 441 matvecs
-of 0.31 ms, the rest going to reorthogonalization against its 20 stored
-vectors and to restarts.  Two-pass Lanczos takes 2 x 340 steps there.  On
-the CSR block sliced out of the whole Hamiltonian that cost 0.40-0.44 s, or
-0.59-0.65 ms a step against a 0.29 ms matvec, after 30 ms of assembly and
-slicing.  On the diagonal block it costs 0.29 s, or 0.43 ms a step against a
-0.17-0.18 ms matvec, after 3.8 ms of assembly (2-core Intel Xeon VM).  The
-rest of a step is vector work on a preallocated scratch vector, 13-25 us
-per pass over the 45k entries, and the LAPACK bisection and inverse
-iteration of the Ritz check (dstebz and dstein, about 50 us at k = 100)
-every _RITZ_EVERY steps.
+One cold solve at N = 256, lambda = 2 lambda_c, n_max 352 (45,361 states)
+takes 2 x 340 Lanczos steps: 0.29 s, or 0.43 ms a step against a
+0.17-0.18 ms matvec on the diagonal block, after 3.8 ms of assembly (2-core
+Intel Xeon VM).  The rest of a step is vector work on a preallocated
+scratch vector, 13-25 us per pass over the 45k entries, and the LAPACK
+bisection and inverse iteration of the Ritz check (dstebz and dstein, about
+50 us at k = 100) every _RITZ_EVERY steps.
 
 DENSE_LIMIT is the measured crossover.  Median timings on parity blocks of
 the Dicke Hamiltonian (N = 4..16, lambda/lambda_c = 0.5..2; 2-core Intel
@@ -52,29 +46,28 @@ ground_state time per pass was flat within noise for limits of 80, 110,
 140, 180 and 220 (medians of 8 passes: 0.77, 0.75, 0.71, 0.71 and 0.73 s),
 so 140 stays.
 
-A standalone solve starts Lanczos from a fixed vector, so repeated runs are
-bit-identical.  During cutoff escalation each solve instead starts from the
-previous cutoff's ground vector, zero-padded: the basis is n-major, so the
-smaller basis is a prefix of the larger one and the padded vector is already
-close to the new ground state.
+A solve without a start vector starts Lanczos from a fixed vector, so
+repeated runs are bit-identical.  ground_state's keyword start replaces it by
+a ground vector at the same N and any cutoff, truncated or zero-padded at
+the end: the basis is n-major, so a smaller basis is a prefix of a larger
+one, and the resized vector is already close to the new ground state.
+During cutoff escalation each solve after the first starts from the
+previous cutoff's ground vector, and converge_cutoff's start, if given,
+starts the first.
 
-Inside a continuation() block (run_sweep opens one per N), the first solve
-of each converge_cutoff call starts from the ground state that the previous
-call in the block accepted, truncated or zero-padded to the first cutoff's
-basis (lambda-continuation).  On the benchmark's large_n sweep (N = 128 and
-256, lambda/lambda_c = 0.5..2 in 7 steps) this cuts the first Lanczos solve
-of a continued point from 120-350 to 80-260 steps, and all Lanczos matvecs
-by 27 %.  A point's digits then depend on the point before it, within the
-solver tolerance; the acceptance rule is unchanged, and the same sweep still
-gives the same bytes.
+run_sweep passes each ED point the ground state that the previous point at
+the same N accepted (lambda-continuation).  On the benchmark's large_n
+sweep (N = 128 and 256, lambda/lambda_c = 0.5..2 in 7 steps) this cuts the
+first Lanczos solve of a continued point from 120-350 to 80-260 steps, and
+all Lanczos matvecs by 27 %.  A point's digits then depend on the point
+before it, within the solver tolerance; the acceptance rule is unchanged,
+and the same sweep still gives the same bytes.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,68 +117,6 @@ class GroundState:
 
     def top_fock_weight(self) -> float:
         return float((self.reshape()[-1] ** 2).sum())
-
-
-# Full-basis Lanczos start vector for the ground_state call that
-# converge_cutoff makes inside _started_from; unset everywhere else.
-_START: ContextVar[np.ndarray | None] = ContextVar("dicke_qpt_lanczos_start",
-                                                   default=None)
-
-
-@contextmanager
-def _started_from(amplitudes: np.ndarray | None, basis: BasisIndex):
-    """Start the ground_state solve made inside the block from amplitudes.
-
-    amplitudes is a ground vector at the same N and another cutoff.  The
-    basis is n-major, so the smaller basis is a prefix of the larger one:
-    truncating or zero-padding at the end gives the state in basis.  With
-    amplitudes None the solve keeps the fixed start vector.
-    """
-    start = None
-    if amplitudes is not None:
-        start = np.zeros(basis.dim)
-        size = min(basis.dim, amplitudes.size)
-        start[:size] = amplitudes[:size]
-    token = _START.set(start)
-    try:
-        yield
-    finally:
-        _START.reset(token)
-
-
-class Continuation:
-    """The ground amplitudes last accepted inside a continuation() block."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self) -> None:
-        self.amplitudes: np.ndarray | None = None
-
-    def reset(self) -> None:
-        """Start the next converge_cutoff call of the block from the fixed vector."""
-        self.amplitudes = None
-
-
-# The Continuation of the innermost continuation() block; None outside one.
-_CARRY: ContextVar[Continuation | None] = ContextVar("dicke_qpt_continuation",
-                                                     default=None)
-
-
-@contextmanager
-def continuation():
-    """Chain the converge_cutoff calls made inside the block.
-
-    Each call's first solve starts from the ground state that the previous
-    call accepted (see _started_from), so every call in one block must be at
-    the same N.  Yields the Continuation; its reset() makes the next call
-    start cold.  Outside a block converge_cutoff keeps the fixed start.
-    """
-    carry = Continuation()
-    token = _CARRY.set(carry)
-    try:
-        yield carry
-    finally:
-        _CARRY.reset(token)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -323,10 +254,16 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
-                 tol: float = DEFAULT_TOL) -> GroundState:
+                 tol: float = DEFAULT_TOL, *,
+                 start: np.ndarray | None = None) -> GroundState:
     """Certified lowest eigenpair of the positive-parity block of the Hamiltonian.
 
     hamiltonian is the block on basis, as assemble_hamiltonian returns it.
+    start, if given, is a ground vector at the same N and any cutoff
+    (GroundState.amplitudes); Lanczos starts from it, truncated or
+    zero-padded to basis, instead of the fixed vector.  The banded path
+    ignores it.  A start that is not finite, or has no weight on the +1
+    sector, raises ParameterError.
     The residual ||Hv - Ev|| is taken on the block.  It equals the residual
     over the whole basis: the amplitudes vanish on the -1 sector, and H
     never mixes the two sectors.
@@ -335,9 +272,16 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
     within LANCZOS_MAX_STEPS steps.
     """
     idx = basis.parity_indices(+1)
-    start = _START.get()
-    energy, vec = _lowest_eigenpair(hamiltonian, tol,
-                                    None if start is None else start[idx])
+    v0 = None
+    if start is not None:
+        padded = np.zeros(basis.dim)
+        size = min(basis.dim, start.size)
+        padded[:size] = start[:size]
+        v0 = padded[idx]
+        if not (np.isfinite(start).all() and 0.0 < _norm(v0) < math.inf):
+            raise ParameterError("start must be finite and have weight on the "
+                                 "positive-parity block")
+    energy, vec = _lowest_eigenpair(hamiltonian, tol, v0)
     vec = _fix_sign(vec / _norm(vec))
     residual = _norm(hamiltonian @ vec - energy * vec)
     threshold = tol * (abs(energy) if energy != 0 else 1.0)
@@ -366,14 +310,16 @@ def converge_cutoff(params: ModelParams,
                     growth: float = DEFAULT_GROWTH,
                     energy_tol: float = DEFAULT_ENERGY_TOL,
                     tol: float = DEFAULT_TOL,
-                    max_dim: int = DEFAULT_MAX_DIMENSION) -> GroundState:
+                    max_dim: int = DEFAULT_MAX_DIMENSION, *,
+                    start: np.ndarray | None = None) -> GroundState:
     """Escalate n_max until the ground energy and Fock tail are certified.
 
     Convergence requires successive ground energies to agree within
     energy_tol and the weight on the top Fock layer to stay below 1e-8.
-    Each solve after the first starts Lanczos from the previous ground
-    vector, zero-padded to the new cutoff.  The first solve keeps the fixed
-    start vector, except inside a continuation() block.
+    The first solve starts from start (see ground_state), or from the fixed
+    vector if it is None; run_sweep passes the previous point's ground
+    amplitudes at the same N.  Each later solve starts Lanczos from the
+    previous cutoff's ground vector, zero-padded to the new cutoff.
     Returns the final GroundState with converged=True; its basis.n_max is the
     accepted cutoff.
     Raises CutoffConvergenceError (with the observed energy sequence) if the
@@ -382,8 +328,6 @@ def converge_cutoff(params: ModelParams,
     if not 1.0 < growth < math.inf:
         raise ParameterError(f"growth must be a finite number above 1, got {growth}")
     n_max = n_max_start if n_max_start is not None else suggest_cutoff(params)
-    carry = _CARRY.get()
-    start = None if carry is None else carry.amplitudes
     history: list[float] = []
     while True:
         try:
@@ -393,15 +337,12 @@ def converge_cutoff(params: ModelParams,
                 f"cutoff escalation hit capacity before convergence: {exc}",
                 energy_history=history) from exc
         H = assemble_hamiltonian(params, basis)
-        with _started_from(start, basis):
-            state = ground_state(H, basis, tol=tol)
+        state = ground_state(H, basis, tol=tol, start=start)
         history.append(state.energy)
         # decoupled limit: the ground state is exact at any cutoff
         settled = params.coupling == 0.0 or (
             len(history) > 1 and abs(history[-1] - history[-2]) < energy_tol)
         if settled and state.top_fock_weight() < TOP_WEIGHT_LIMIT:
-            if carry is not None:
-                carry.amplitudes = state.amplitudes
             return replace(state, converged=True)
         start = state.amplitudes
         n_max = max(n_max + 2, math.ceil(n_max * growth))

@@ -9,11 +9,9 @@ represented in the product basis |n> x |j, m> with a boson cutoff n <= n_max.
 H commutes with the parity exp[i pi (a^dag a + Jz + j)], and the finite-N
 ground state has parity +1, so only the +1 block is ever assembled.  In the
 n-major basis order that block is banded with a fixed set of diagonals, and
-assemble_hamiltonian builds it straight from them as a scipy DIA matrix: no
-Hamiltonian over both sectors, no COO to CSR conversion and no slicing.  At
-N = 256, n_max 352 (45,361 of 90,721 states) that takes 2-4 ms, against
-30 ms to assemble the whole CSR Hamiltonian and slice out its +1 block
-(2-core Intel Xeon VM).
+assemble_hamiltonian builds it straight from them as a scipy DIA matrix.
+At N = 256, n_max 352 (45,361 of 90,721 states) that takes 2-4 ms (2-core
+Intel Xeon VM).
 All matrix elements are real, so the block is real symmetric.
 """
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import entanglement, thermo
 from .eigensolver import (DEFAULT_ENERGY_TOL, DEFAULT_GROWTH, DEFAULT_TOL,
-                          continuation, converge_cutoff)
+                          converge_cutoff)
 from .errors import ConfigError, DickeError, FitError
 from .model import DEFAULT_MAX_DIMENSION, make_params
 from .perturbative import perturbative_entropy
@@ -75,7 +75,8 @@ class SweepConfig:
     lambda_scale "linear" spaces couplings uniformly on
     [lambda_min, lambda_max] * lambda_c; "log" spaces the relative offset
     |lambda - lambda_c| / lambda_c logarithmically on
-    [lambda_min, lambda_max] and places points on both sides of lambda_c.
+    [lambda_min, lambda_max], at most 1, and places points on both sides
+    of lambda_c.
     n_atoms entries are positive ints; the string "inf" requests
     thermodynamic-limit rows.  tol is the cutoff-convergence energy
     tolerance; solver_tol bounds each eigenpair residual relative to |E|.
@@ -117,11 +118,14 @@ class SweepConfig:
 
     def validate(self) -> None:
         # a non-number in a float field would escape the comparisons below
-        # as a bare TypeError
+        # as a bare TypeError, and a truthy non-bool (the string "false")
+        # would pass for True
         for option in fields(self):
             value = getattr(self, option.name)
             if option.metadata["parse"] is float and not isinstance(value, Real):
                 raise ConfigError(f"{option.name} must be a real number, got {value!r}")
+            if option.metadata["parse"] is _parse_bool and not isinstance(value, bool):
+                raise ConfigError(f"{option.name} must be a bool, got {value!r}")
         # every range check is a chained comparison, which NaN fails
         if not (0 < self.omega < math.inf and 0 < self.omega0 < math.inf):
             raise ConfigError("frequencies must be positive and finite")
@@ -133,8 +137,9 @@ class SweepConfig:
             if not (0 <= self.lambda_min < self.lambda_max < math.inf):
                 raise ConfigError("need 0 <= lambda_min < lambda_max < inf")
         else:
-            if not (0 < self.lambda_min < self.lambda_max < math.inf):
-                raise ConfigError("log scale needs 0 < lambda_min < lambda_max < inf "
+            # an offset above 1 would put grid points at negative couplings
+            if not (0 < self.lambda_min < self.lambda_max <= 1):
+                raise ConfigError("log scale needs 0 < lambda_min < lambda_max <= 1 "
                                   "(relative offsets from lambda_c)")
         if self.backend not in KNOWN_BACKENDS + ("all",):
             raise ConfigError(f"unknown backend {self.backend!r}")
@@ -264,11 +269,14 @@ class ScalingFit:
                 "peaks": [list(p) for p in self.peaks]}
 
 
-def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float) -> MeasureReport:
+def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float,
+                     start: np.ndarray | None = None) -> tuple[MeasureReport, np.ndarray]:
+    """The point's report and ground amplitudes; start as in converge_cutoff."""
     params = make_params(config.omega, config.omega0, coupling, n_atoms)
     state = converge_cutoff(params, n_max_start=config.cutoff_start,
                             growth=config.cutoff_growth, energy_tol=config.tol,
-                            tol=config.solver_tol, max_dim=config.max_dim)
+                            tol=config.solver_tol, max_dim=config.max_dim,
+                            start=start)
     basis = state.basis
     values: dict = {}
     atoms_rdm = None
@@ -284,30 +292,32 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float) -> Meas
     if "ipr_inv" in config.measures:
         values["ipr_inv"] = entanglement.inverse_participation_ratio(state, basis, params)
     jz = entanglement.collective_expectations(state, basis)["jz"]
-    return MeasureReport(backend="ed", coupling=coupling,
-                         coupling_rel=coupling / params.lambda_c,
-                         n_atoms=n_atoms, n_max=state.basis.n_max,
-                         jz_mean=jz / n_atoms, residual=state.residual,
-                         converged=state.converged, **values)
+    report = MeasureReport(backend="ed", coupling=coupling,
+                           coupling_rel=coupling / params.lambda_c,
+                           n_atoms=n_atoms, n_max=state.basis.n_max,
+                           jz_mean=jz / n_atoms, residual=state.residual,
+                           converged=state.converged, **values)
+    return report, state.amplitudes
 
 
-def measure_point_td(config: SweepConfig, n_atoms: None, coupling: float) -> MeasureReport:
-    # the closed forms do not depend on N: n_atoms is unused, and make_params
-    # gets any valid value
+def measure_point_td(config: SweepConfig, n_atoms: None, coupling: float,
+                     start: None = None) -> tuple[MeasureReport, None]:
+    # the closed forms do not depend on N: n_atoms and start are unused, and
+    # make_params gets any valid value
     params = make_params(config.omega, config.omega0, coupling, 2)
     forms = thermo.closed_forms(params, two_lobe=config.two_lobe)
     return MeasureReport(backend="td", coupling=coupling,
                          coupling_rel=coupling / params.lambda_c, n_atoms=math.inf,
                          jz_mean=forms.jz_mean, converged=True,
-                         **{m: getattr(forms, m) for m in config.measures})
+                         **{m: getattr(forms, m) for m in config.measures}), None
 
 
-def measure_point_perturbative(config: SweepConfig, n_atoms: None,
-                               coupling: float) -> MeasureReport:
+def measure_point_perturbative(config: SweepConfig, n_atoms: None, coupling: float,
+                               start: None = None) -> tuple[MeasureReport, None]:
     params = make_params(config.omega, config.omega0, coupling, 2)
     return MeasureReport(backend="perturbative", coupling=coupling,
-                         coupling_rel=coupling / params.lambda_c,
-                         n_atoms=None, s_vn=perturbative_entropy(params), converged=True)
+                         coupling_rel=coupling / params.lambda_c, n_atoms=None,
+                         s_vn=perturbative_entropy(params), converged=True), None
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailure]]:
@@ -315,10 +325,11 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
 
     Returns (reports, failures), reports sorted canonically so downstream
     output is independent of evaluation order.  Errors outside POINT_ERRORS
-    propagate.  The ED points of one N run in ascending coupling inside one
-    eigensolver.continuation() block, so each starts its first Lanczos solve
-    from the previous point's ground state; the first point of each N, and
-    a point after a failed one, start from the fixed vector.
+    propagate.  The points of one N run in ascending coupling, and each gets
+    the amplitudes that the point before it returned as its start, so an ED
+    point starts its first Lanczos solve from the previous point's ground
+    state; the first point of each N, and a point after a failed one, start
+    from the fixed vector.
     """
     config.validate()
     # backend -> (point function, atom numbers, coupling grid).  Built per
@@ -332,13 +343,14 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
     for backend in config.backends():
         measure, atom_numbers, grid = plan[backend]
         for n in atom_numbers:
-            with continuation() as carried:
-                for lam in grid.tolist():
-                    try:
-                        reports.append(measure(config, n, lam))
-                    except POINT_ERRORS as exc:
-                        carried.reset()
-                        failures.append(SweepFailure.from_exception(backend, lam, n, exc))
+            start = None
+            for lam in grid.tolist():
+                try:
+                    report, start = measure(config, n, lam, start)
+                    reports.append(report)
+                except POINT_ERRORS as exc:
+                    start = None
+                    failures.append(SweepFailure.from_exception(backend, lam, n, exc))
     reports.sort(key=MeasureReport.sort_key)
     failures.sort(key=lambda f: (f.backend, f.coupling))
     return reports, failures

@@ -49,8 +49,10 @@ class TestMain:
         ["--backend", "td", "--lambda-max", "inf", "--lambda-steps", "3"],
         ["--backend", "td", "--omega", "nan"], ["--backend", "td", "--omega", "inf"],
         ["--backend", "td", "--solver-tol", "nan"],
+        ["--backend", "td", "--lambda-scale", "log", "--lambda-min", "0.5",
+         "--lambda-max", "2", "--lambda-steps", "3"],
     ], ids=["lambda_steps", "tol", "lambda_max_inf", "omega_nan", "omega_inf",
-            "solver_tol_nan"])
+            "solver_tol_nan", "log_offset_above_one"])
     def test_invalid_arguments_exit_one(self, args, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 1
@@ -184,7 +186,7 @@ FIELD_SAMPLES = {
     "max_dim": ("5000", 5000),
 }
 # lets every sample validate, log scale included; samples override it
-BASE_SETTINGS = {"lambda_min": "0.1"}
+BASE_SETTINGS = {"lambda_min": "0.1", "lambda_max": "0.5"}
 
 
 def as_flags(settings):

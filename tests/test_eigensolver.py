@@ -192,11 +192,42 @@ class TestLanczos:
         assert basis.parity_indices(+1).size > eigensolver.DENSE_LIMIT
         start = np.zeros(basis.dim)
         start[basis.index(0, 0)] = 1.0
-        with eigensolver._started_from(start, basis):
-            gs = ground_state(H, basis)
+        gs = ground_state(H, basis, start=start)
         assert lanczos_steps == [0.0]
         assert gs.energy == -8.0 and gs.residual == 0.0
         np.testing.assert_array_equal(gs.amplitudes, start)
+
+    @pytest.mark.parametrize("kind", ["zero", "minus_one", "nan", "nan_minus_one"])
+    def test_unusable_start_rejected(self, kind, lanczos_steps):
+        # rejected before any Lanczos step: normalizing a start without +1
+        # weight divides 0 by 0, and the tridiagonal eigensolver then fails
+        params = make_params(1, 1, 0.5, 16)
+        H, basis = hamiltonian_and_basis(params, 30)
+        assert basis.parity_indices(+1).size > eigensolver.DENSE_LIMIT
+        plus, minus = basis.parity_indices(+1), basis.parity_indices(-1)
+        start = np.zeros(basis.dim)
+        if kind == "minus_one":
+            start[minus] = 1.0
+        elif kind == "nan":
+            start[plus] = 1.0
+            start[plus[-1]] = math.nan
+        elif kind == "nan_minus_one":
+            start[plus] = 1.0
+            start[minus[-1]] = math.nan
+        with pytest.raises(ParameterError):
+            ground_state(H, basis, start=start)
+        with pytest.raises(ParameterError):
+            converge_cutoff(params, n_max_start=30, start=start)
+        assert lanczos_steps == []
+
+    def test_start_is_keyword_only(self):
+        params = make_params(1, 1, 0.5, 16)
+        H, basis = hamiltonian_and_basis(params, 30)
+        start = ground_state(H, basis).amplitudes
+        with pytest.raises(TypeError):
+            ground_state(H, basis, eigensolver.DEFAULT_TOL, start)
+        with pytest.raises(TypeError):
+            converge_cutoff(params, None, 1.5, 1e-9, 1e-10, 10**6, start)
 
     def test_step_cap_raises_solver_error(self, monkeypatch):
         monkeypatch.setattr(eigensolver, "LANCZOS_MAX_STEPS", 5)
@@ -311,8 +342,8 @@ class TestCutoffConvergence:
             starts.append(v0)
             return lanczos(H, v0, tol)
 
-        def recording_ground_state(H, basis, tol):
-            states.append(ground_state(H, basis, tol))
+        def recording_ground_state(H, basis, tol, *, start=None):
+            states.append(ground_state(H, basis, tol, start=start))
             return states[-1]
 
         monkeypatch.setattr(eigensolver, "_lanczos", recording_lanczos)

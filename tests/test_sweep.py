@@ -77,6 +77,9 @@ class TestConfig:
         dict(omega0="1"), dict(lambda_max="3"), dict(tol="1e-9"),
         dict(solver_tol="1e-10"), dict(cutoff_growth="1.5"),
         dict(lambda_scale="log", lambda_min="0.1", lambda_max=1.0),
+        dict(lambda_scale="log", lambda_min=0.5, lambda_max=2.0),
+        dict(lambda_scale="log", lambda_min=0.1, lambda_max=1.0 + 1e-12),
+        dict(two_lobe="false"), dict(two_lobe=0),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -147,7 +150,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(entanglement, "_make_rdm", recording_make_rdm)
         config = SweepConfig(n_atoms=(4,), backend="ed")
-        report = sweep.measure_point_ed(config, 4, 0.75)
+        report, _ = sweep.measure_point_ed(config, 4, 0.75)
         assert report.n_max > 4
         assert built.count("atoms") == 1 and "field" not in built
         state = converge_cutoff(make_params(1.0, 1.0, 0.75, 4))
@@ -188,9 +191,9 @@ class TestRunSweep:
         calls = {"ed": [], "td": []}
 
         def counting(backend, inner):
-            def wrapper(config, n_atoms, coupling):
+            def wrapper(config, n_atoms, coupling, start=None):
                 calls[backend].append((n_atoms, coupling))
-                return inner(config, n_atoms, coupling)
+                return inner(config, n_atoms, coupling, start)
             return wrapper
 
         monkeypatch.setattr(sweep, "measure_point_ed",
