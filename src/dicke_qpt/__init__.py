@@ -15,7 +15,7 @@ from .errors import (CapacityError, ConfigError, CutoffConvergenceError,
                      PhaseError, SolverError)
 from .model import (BasisIndex, ModelParams, assemble_hamiltonian, build_basis,
                     make_params)
-from .perturbative import perturbative_entropy, strong_coupling_state
+from .perturbative import perturbative_entropy
 from .sweep import (MeasureReport, ScalingFit, SweepConfig, SweepFailure, emit,
                     fit_critical_exponents, fit_entropy_scaling, run_sweep)
 from .thermo import (ClosedForms, GaussianRDMParams, PhaseSolution,

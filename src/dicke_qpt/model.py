@@ -35,7 +35,7 @@ class ModelParams:
 
     omega    : field frequency (> 0)
     omega0   : atomic level splitting (> 0)
-    coupling : atom-field coupling strength lambda (>= 0)
+    coupling : atom-field coupling strength lambda (>= 0); closed forms take a 1-d grid
     n_atoms  : number of two-level atoms N (>= 1); pseudo-spin j = N/2
     """
 
@@ -62,16 +62,18 @@ class ModelParams:
 
 
 def make_params(omega, omega0, coupling, n_atoms) -> ModelParams:
-    """Validate and pack model parameters."""
+    """Validate and pack model parameters; coupling may be a 1-d array."""
     # chained comparisons are False for NaN, so these also reject it
     if not (0 < omega < math.inf and 0 < omega0 < math.inf):
         raise ParameterError(f"frequencies must be positive and finite, got "
                              f"omega={omega}, omega0={omega0}")
-    if not 0 <= coupling < math.inf:
+    couplings = np.asarray(coupling, dtype=float)
+    if not np.all((couplings >= 0) & (couplings < math.inf)):
         raise ParameterError(f"coupling must be non-negative and finite, got {coupling}")
     if not 1 <= n_atoms < math.inf or int(n_atoms) != n_atoms:
         raise ParameterError(f"n_atoms must be a positive integer, got {n_atoms}")
-    return ModelParams(float(omega), float(omega0), float(coupling), int(n_atoms))
+    return ModelParams(float(omega), float(omega0),
+                       couplings if couplings.ndim else float(couplings), int(n_atoms))
 
 
 @dataclass(frozen=True)

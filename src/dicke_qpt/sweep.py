@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Integral, Real
 from operator import attrgetter
 
@@ -300,24 +300,31 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float,
     return report, state.amplitudes
 
 
-def measure_point_td(config: SweepConfig, n_atoms: None, coupling: float,
-                     start: None = None) -> tuple[MeasureReport, None]:
-    # the closed forms do not depend on N: n_atoms and start are unused, and
-    # make_params gets any valid value
-    params = make_params(config.omega, config.omega0, coupling, 2)
+def _grid_reports(backend: str, params, n_atoms, columns: dict) -> list[MeasureReport]:
+    """One converged report per coupling of the grid params.coupling, built
+    positionally; columns holds the values of fields after n_atoms, else None."""
+    columns = {"converged": repeat(True), **columns}
+    rest = (columns.get(f.name, repeat(None)) for f in fields(MeasureReport)[4:])
+    return list(map(MeasureReport, repeat(backend), params.coupling.tolist(),
+                    (params.coupling / params.lambda_c).tolist(), repeat(n_atoms), *rest))
+
+
+def measure_point_td(config: SweepConfig, couplings: np.ndarray) -> list[MeasureReport]:
+    """The report of every coupling of the grid couplings from one closed_forms
+    call, bit for bit one call per coupling (see thermo); n_atoms is inf."""
+    params = make_params(config.omega, config.omega0, couplings, 2)
     forms = thermo.closed_forms(params, two_lobe=config.two_lobe)
-    return MeasureReport(backend="td", coupling=coupling,
-                         coupling_rel=coupling / params.lambda_c, n_atoms=math.inf,
-                         jz_mean=forms.jz_mean, converged=True,
-                         **{m: getattr(forms, m) for m in config.measures}), None
+    return _grid_reports("td", params, math.inf, {
+        m: getattr(forms, m).tolist() for m in ("jz_mean",) + config.measures})
 
 
-def measure_point_perturbative(config: SweepConfig, n_atoms: None, coupling: float,
-                               start: None = None) -> tuple[MeasureReport, None]:
-    params = make_params(config.omega, config.omega0, coupling, 2)
-    return MeasureReport(backend="perturbative", coupling=coupling,
-                         coupling_rel=coupling / params.lambda_c, n_atoms=None,
-                         s_vn=perturbative_entropy(params), converged=True), None
+def measure_point_perturbative(config: SweepConfig,
+                               couplings: np.ndarray) -> list[MeasureReport]:
+    """The s_vn report of every coupling of the grid couplings from one
+    perturbative_entropy call, bit for bit one per coupling; n_atoms is None."""
+    params = make_params(config.omega, config.omega0, couplings, 2)
+    return _grid_reports("perturbative", params, None,
+                         {"s_vn": perturbative_entropy(params).tolist()})
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailure]]:
@@ -325,32 +332,36 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
 
     Returns (reports, failures), reports sorted canonically so downstream
     output is independent of evaluation order.  Errors outside POINT_ERRORS
-    propagate.  The points of one N run in ascending coupling, and each gets
-    the amplitudes that the point before it returned as its start, so an ED
-    point starts its first Lanczos solve from the previous point's ground
-    state; the first point of each N, and a point after a failed one, start
-    from the fixed vector.
+    propagate.  ED points of one N run in ascending coupling, and each gets
+    the amplitudes that the point before it returned as its start (the first
+    point of each N, and a point after a failed one, start from the fixed
+    vector).  td and perturbative make one call each over their whole grid
+    (td_lambda_grid, lambda_grid); a domain error from it becomes one
+    failure row per coupling.  Point functions are looked up at every call.
     """
     config.validate()
-    # backend -> (point function, atom numbers, coupling grid).  Built per
-    # call, so the point functions are the module attributes of the moment.
-    # The N-independent backends take n_atoms=None, which failure rows keep.
-    plan = {"ed": (measure_point_ed, config.integer_n_atoms(), config.lambda_grid()),
-            "td": (measure_point_td, (None,), config.td_lambda_grid()),
-            "perturbative": (measure_point_perturbative, (None,), config.lambda_grid())}
     reports: list[MeasureReport] = []
     failures: list[SweepFailure] = []
     for backend in config.backends():
-        measure, atom_numbers, grid = plan[backend]
-        for n in atom_numbers:
-            start = None
-            for lam in grid.tolist():
-                try:
-                    report, start = measure(config, n, lam, start)
-                    reports.append(report)
-                except POINT_ERRORS as exc:
-                    start = None
-                    failures.append(SweepFailure.from_exception(backend, lam, n, exc))
+        if backend == "ed":
+            grid = config.lambda_grid().tolist()
+            for n in config.integer_n_atoms():
+                start = None
+                for lam in grid:
+                    try:
+                        report, start = measure_point_ed(config, n, lam, start)
+                        reports.append(report)
+                    except POINT_ERRORS as exc:
+                        start = None
+                        failures.append(SweepFailure.from_exception(backend, lam, n, exc))
+            continue
+        measure, grid = ((measure_point_td, config.td_lambda_grid()) if backend == "td"
+                         else (measure_point_perturbative, config.lambda_grid()))
+        try:
+            reports += measure(config, grid)
+        except POINT_ERRORS as exc:
+            failures += (SweepFailure.from_exception(backend, lam, None, exc)
+                         for lam in grid.tolist())
     reports.sort(key=MeasureReport.sort_key)
     failures.sort(key=lambda f: (f.backend, f.coupling))
     return reports, failures
@@ -433,13 +444,12 @@ def fit_critical_exponents(reports: list[MeasureReport], omega: float,
     below = sorted((r for r in pts if r.coupling < lc), key=lambda r: r.coupling)
     if len(below) < 3:
         raise FitError("need >= 3 points below lambda_c")
-    delta = np.array([lc - r.coupling for r in below])
+    couplings = np.array([r.coupling for r in below])
+    delta = lc - couplings
     if delta.min() / lc < 1e-12:
         raise FitError("window reaches too close to lambda_c for stable floats")
     s_vn = np.array([r.s_vn for r in below])
-    eps_minus = np.array([
-        thermo.normal_solution(make_params(omega, omega0, rep.coupling, 2)).eps_minus
-        for rep in below])
+    eps_minus = thermo.normal_solution(make_params(omega, omega0, couplings, 2)).eps_minus
     window = (float(delta.min() / lc), float(delta.max() / lc))
     out = {}
     slope, err, rms = _line_fit(np.log(delta), np.log(eps_minus))

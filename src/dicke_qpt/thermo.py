@@ -12,18 +12,49 @@ two orthogonal lobes, adding exactly one bit of entropy.
 
 Critical-point divergences are returned as explicit float infinities,
 never as overflow.
+
+A coupling grid (params.coupling a 1-d array, see make_params) is evaluated
+in one call, giving arrays (or records of arrays), one entry per coupling; a
+float coupling runs the same code on one entry and gives Python floats.  A
+mask picks each coupling's phase, and each branch (normal, superradiant,
+pure, critical, theta > 45) runs on its own entries only.  Grid values are
+bit for bit those of one coupling at a time: + - * / and sqrt run in NumPy
+in the formulas' order, correctly rounded like Python floats, and every
+power and transcendental function is the math module's, mapped over the
+entries (_libm), since NumPy's own differ from libm in the last bit for up
+to a fifth of inputs; at 1e-9 from lambda_c one ulp of mu^2 moves Q by 3e-8.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
-from .errors import IntegrityError, ParameterError, PhaseError
+import numpy as np
+
+from .errors import ParameterError, PhaseError
 from .model import ModelParams
 
 LN2 = math.log(2.0)
+
+
+def _libm(fn, *args) -> np.ndarray:
+    """fn entry by entry over 1-d arrays by the math library; floats repeat."""
+    size = next(a.size for a in args if isinstance(a, np.ndarray))
+    values = (a.tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args)
+    return np.fromiter(map(fn, *values), float, size)
+
+
+def _entries(*values) -> tuple[list[np.ndarray], bool]:
+    """values as 1-d float arrays, and whether they are single floats."""
+    return [np.asarray(v, dtype=float).reshape(-1) for v in values], np.ndim(values[0]) == 0
+
+
+def _result(values: np.ndarray, scalar: bool):
+    """A Python float for a single coupling, else the array itself."""
+    return float(values[0]) if scalar else values
 
 
 @dataclass(frozen=True)
@@ -35,7 +66,9 @@ class PhaseSolution:
     lambda)^2 above lambda_c and 1 in the normal phase, so the mean-field
     displacements per unit j, alpha = (2 lambda/omega)^2 (1-mu)/2 and
     beta_disp = 1 - mu, vanish there and omega_tilde = omega0 (1 + mu) /
-    (2 mu) reads omega0.
+    (2 mu) reads omega0.  c and s are cos(gamma) and sin(gamma).  Over a
+    coupling grid every field but omega and omega0 is an array, phase
+    holding each coupling's phase.
     """
 
     phase: str
@@ -46,18 +79,13 @@ class PhaseSolution:
     eps_plus: float
     gamma: float
     mu: float
-
-    @property
-    def c(self) -> float:
-        return math.cos(self.gamma)
-
-    @property
-    def s(self) -> float:
-        return math.sin(self.gamma)
+    c: float
+    s: float
 
     @property
     def alpha(self) -> float:
-        return (2.0 * self.coupling / self.omega) ** 2 * (1.0 - self.mu) / 2.0
+        (x, mu), scalar = _entries(2.0 * self.coupling / self.omega, self.mu)
+        return _result(_libm(pow, x, 2) * (1.0 - mu) / 2.0, scalar)
 
     @property
     def beta_disp(self) -> float:
@@ -66,6 +94,48 @@ class PhaseSolution:
     @property
     def omega_tilde(self) -> float:
         return self.omega0 * (1.0 + self.mu) / (2.0 * self.mu)
+
+
+def _normal(w, w0, lc, lam):
+    """(eps-, eps+, gamma(1), mu) at the normal-phase couplings lam."""
+    root = np.sqrt((w0**2 - w**2) ** 2 + 16.0 * _libm(pow, lam, 2) * w * w0)
+    ep = np.sqrt(0.5 * (w0**2 + w**2 + root))
+    em2 = 8.0 * w * w0 * (lc - lam) * (lc + lam) / (w0**2 + w**2 + root)
+    em = np.sqrt(np.maximum(em2, 0.0))
+    gamma1 = 0.5 * _libm(math.atan2, 4.0 * lam * math.sqrt(w * w0), w0**2 - w**2)
+    return em, ep, gamma1, np.ones(lam.shape)
+
+
+def _superradiant(w, w0, lc, lam):
+    """(eps-, eps+, gamma(2), mu) at the superradiant couplings lam."""
+    mu = _libm(pow, lc / lam, 2)
+    mu2 = _libm(pow, mu, 2)
+    if not mu2.all():
+        raise ParameterError(f"(lambda_c/lambda)^4 underflows at coupling {lam.max()}")
+    w0_eff2 = w0**2 / mu2
+    root = np.sqrt(_libm(pow, w0_eff2 - w**2, 2) + 4.0 * w**2 * w0**2)
+    ep = np.sqrt(0.5 * (w0_eff2 + w**2 + root))
+    em2 = 2.0 * w**2 * w0**2 * (1.0 - mu) * (1.0 + mu) / (mu2 * (w0_eff2 + w**2 + root))
+    em = np.sqrt(np.maximum(em2, 0.0))
+    gamma2 = 0.5 * _libm(math.atan2, 2.0 * w * w0 * mu2, w0**2 - mu2 * w**2)
+    return em, ep, gamma2, mu
+
+
+def _solve(params: ModelParams, phase: str | None) -> PhaseSolution:
+    """Each coupling's solution in phase, or (None) in the phase containing it."""
+    (lam,), scalar = _entries(params.coupling)
+    w, w0, lc = params.omega, params.omega0, params.lambda_c
+    outside = {"normal": lam > lc, "superradiant": lam < lc}.get(phase)
+    if outside is not None and outside.any():
+        raise PhaseError(f"{phase} phase excludes coupling {lam[outside][0]} (lambda_c {lc})")
+    normal = lam <= lc if phase is None else np.full(lam.shape, phase == "normal")
+    columns = np.empty((4, lam.size))
+    for mask, kernel in ((normal, _normal), (~normal, _superradiant)):
+        columns[:, mask] = kernel(w, w0, lc, lam[mask])
+    names = np.where(normal, "normal", "superradiant")
+    columns = (*columns, _libm(math.cos, columns[2]), _libm(math.sin, columns[2]))
+    return PhaseSolution(names.item() if scalar else names, w, w0, params.coupling,
+                         *(_result(column, scalar) for column in columns))
 
 
 def normal_solution(params: ModelParams) -> PhaseSolution:
@@ -77,17 +147,7 @@ def normal_solution(params: ModelParams) -> PhaseSolution:
     The eps_-^2 branch is evaluated cancellation-free so that it vanishes
     exactly at lambda = lambda_c and stays non-negative below it.
     """
-    w, w0, lam = params.omega, params.omega0, params.coupling
-    lc = params.lambda_c
-    if lam > lc:
-        raise PhaseError(
-            f"normal phase requires coupling <= lambda_c, got {lam} > {lc}")
-    root = math.sqrt((w0**2 - w**2) ** 2 + 16.0 * lam**2 * w * w0)
-    ep = math.sqrt(0.5 * (w0**2 + w**2 + root))
-    em2 = 8.0 * w * w0 * (lc - lam) * (lc + lam) / (w0**2 + w**2 + root)
-    em = math.sqrt(max(em2, 0.0))
-    gamma1 = 0.5 * math.atan2(4.0 * lam * math.sqrt(w * w0), w0**2 - w**2)
-    return PhaseSolution("normal", w, w0, lam, em, ep, gamma1, 1.0)
+    return _solve(params, "normal")
 
 
 def sr_solution(params: ModelParams) -> PhaseSolution:
@@ -99,26 +159,12 @@ def sr_solution(params: ModelParams) -> PhaseSolution:
     tan(2 gamma(2)) = 2 omega omega0 mu^2 / (omega0^2 - mu^2 omega^2).
     At lambda = lambda_c everything reduces to the normal-phase values.
     """
-    w, w0, lam = params.omega, params.omega0, params.coupling
-    lc = params.lambda_c
-    if lam < lc:
-        raise PhaseError(
-            f"superradiant phase requires coupling >= lambda_c, got {lam} < {lc}")
-    mu = (lc / lam) ** 2
-    w0_eff2 = w0**2 / mu**2
-    root = math.sqrt((w0_eff2 - w**2) ** 2 + 4.0 * w**2 * w0**2)
-    ep = math.sqrt(0.5 * (w0_eff2 + w**2 + root))
-    em2 = 2.0 * w**2 * w0**2 * (1.0 - mu) * (1.0 + mu) / (mu**2 * (w0_eff2 + w**2 + root))
-    em = math.sqrt(max(em2, 0.0))
-    gamma2 = 0.5 * math.atan2(2.0 * w * w0 * mu**2, w0**2 - mu**2 * w**2)
-    return PhaseSolution("superradiant", w, w0, lam, em, ep, gamma2, mu)
+    return _solve(params, "superradiant")
 
 
 def phase_solution(params: ModelParams) -> PhaseSolution:
-    """Dispatch to the phase containing params.coupling (normal at lambda_c)."""
-    if params.coupling <= params.lambda_c:
-        return normal_solution(params)
-    return sr_solution(params)
+    """The solution of the phase containing each coupling (normal at lambda_c)."""
+    return _solve(params, None)
 
 
 @dataclass(frozen=True)
@@ -131,6 +177,7 @@ class GaussianRDMParams:
     A = eps- c^2 + eps+ s^2 and D = (eps- - eps+)^2 c^2 s^2.  kappa is the
     squeezing rescale fixed by the thermal correspondence m = 1,
     Omega = omega; it vanishes at the critical point (divergent state).
+    Over a coupling grid every field but omega is an array.
     """
 
     eps_minus: float
@@ -142,25 +189,8 @@ class GaussianRDMParams:
     omega: float
 
     @property
-    def critical(self) -> bool:
-        return self.eps_minus == 0.0
-
-    @property
     def pure(self) -> bool:
         return self.d_coeff == 0.0
-
-    def kernel_coefficients(self) -> tuple[float, float, float]:
-        """(norm, a, b) of the position-space kernel; undefined at lambda_c."""
-        if self.critical:
-            raise PhaseError("Gaussian RDM diverges at the critical point")
-        A = self.eps_minus * self.c**2 + self.eps_plus * self.s**2
-        k2 = self.kappa**2
-        norm = math.sqrt(self.eps_minus * self.eps_plus / (math.pi * A)) / self.kappa
-        a = (2.0 * self.eps_minus * self.eps_plus + self.d_coeff) / (4.0 * k2 * A)
-        b = self.d_coeff / (2.0 * k2 * A)
-        if 2.0 * a <= b:
-            raise IntegrityError("Gaussian kernel is not normalizable")
-        return norm, a, b
 
 
 def rdm_params(solution: PhaseSolution) -> GaussianRDMParams:
@@ -173,14 +203,15 @@ def rdm_params(solution: PhaseSolution) -> GaussianRDMParams:
     form kappa^2 = sqrt(eps- eps+ B / A) / omega (B = eps- s^2 + eps+ c^2)
     and remains finite in the pure limit D -> 0.
     """
-    em, ep = solution.eps_minus, solution.eps_plus
-    c, s = solution.c, solution.s
-    d_coeff = (em - ep) ** 2 * c**2 * s**2
-    A = em * c**2 + ep * s**2
-    B = em * s**2 + ep * c**2
-    kappa = math.sqrt(math.sqrt(em * ep * B / A) / solution.omega)
-    return GaussianRDMParams(eps_minus=em, eps_plus=ep, c=c, s=s,
-                             d_coeff=d_coeff, kappa=kappa, omega=solution.omega)
+    (em, ep, c, s), scalar = _entries(solution.eps_minus, solution.eps_plus,
+                                      solution.c, solution.s)
+    c2, s2 = _libm(pow, c, 2), _libm(pow, s, 2)
+    d_coeff = _libm(pow, em - ep, 2) * c2 * s2
+    A = em * c2 + ep * s2
+    B = em * s2 + ep * c2
+    kappa = np.sqrt(np.sqrt(em * ep * B / A) / solution.omega)
+    return GaussianRDMParams(*(_result(v, scalar) for v in (em, ep, c, s, d_coeff, kappa)),
+                             omega=solution.omega)
 
 
 def mixing_parameter(rdmp: GaussianRDMParams) -> float:
@@ -188,36 +219,40 @@ def mixing_parameter(rdmp: GaussianRDMParams) -> float:
 
     Infinite for a pure state (D = 0), zero at the critical point.
     """
-    if rdmp.pure:
-        return math.inf
-    if rdmp.critical:
-        return 0.0
-    rhs = 1.0 + 2.0 * rdmp.eps_minus * rdmp.eps_plus / rdmp.d_coeff
-    return math.acosh(rhs)
+    (em, ep, d), scalar = _entries(rdmp.eps_minus, rdmp.eps_plus, rdmp.d_coeff)
+    theta = np.where(d == 0.0, math.inf, 0.0)
+    mixed = (d != 0.0) & (em != 0.0)
+    theta[mixed] = _libm(math.acosh, 1.0 + 2.0 * em[mixed] * ep[mixed] / d[mixed])
+    return _result(theta, scalar)
 
 
-def _temperature(omega: float, theta: float) -> float:
+def _temperature(omega: float, theta: np.ndarray) -> np.ndarray:
     """T = Omega / theta: infinite at theta = 0, zero for a pure state."""
-    return omega / theta if theta else math.inf
+    return np.divide(omega, theta, out=np.full(theta.shape, math.inf), where=theta != 0.0)
 
 
 def effective_temperature(rdmp: GaussianRDMParams) -> float:
     """Effective temperature T = Omega / theta of the equivalent thermal
     oscillator (m = 1, Omega = omega, k_B = 1); diverges at the critical point."""
-    return _temperature(rdmp.omega, mixing_parameter(rdmp))
+    (theta,), scalar = _entries(mixing_parameter(rdmp))
+    return _result(_temperature(rdmp.omega, theta), scalar)
 
 
 def thermal_entropy_bits(theta: float) -> float:
     """Oscillator entropy [theta/2 coth(theta/2) - ln(2 sinh(theta/2))]/ln 2."""
-    if theta <= 0.0:
-        return math.inf
-    if math.isinf(theta) or theta > 45.0:
-        return 0.0
-    return (theta / math.expm1(theta) - math.log(-math.expm1(-theta))) / LN2
+    (theta,), scalar = _entries(theta)
+    bits = np.where(theta <= 0.0, math.inf, 0.0)
+    # 0 beyond theta = 45 (and for a pure state, theta = inf)
+    mixed = ~(theta <= 0.0) & ~(theta > 45.0)
+    t = theta[mixed]
+    bits[mixed] = (t / _libm(math.expm1, t)
+                   - _libm(math.log, -_libm(math.expm1, -t))) / LN2
+    return _result(bits, scalar)
 
 
 class ClosedForms(NamedTuple):
-    """Every thermodynamic-limit measure at one coupling (fields as in sweeps)."""
+    """Every thermodynamic-limit measure at one coupling (fields as in
+    sweeps), or one array per measure over a coupling grid."""
 
     s_vn: float
     l_lin: float
@@ -235,28 +270,29 @@ def closed_forms(params: ModelParams, two_lobe: bool = True) -> ClosedForms:
     ipr_td; t_eff is the effective temperature and kappa the squeezing
     rescale of the reduced state; jz_mean = <Jz>/N = -mu/2 above lambda_c
     and -1/2 below it.  The scalar functions read their field from here.
+    A coupling grid gives one array per measure from one pass over the
+    grid, equal bit for bit to the floats of its couplings one at a time.
     """
     sol = phase_solution(params)
     rdmp = rdm_params(sol)
-    theta = mixing_parameter(rdmp)
-    em, ep = rdmp.eps_minus, rdmp.eps_plus
-    # Tr rho^2 of one lobe, sqrt(eps- eps+ / (eps- eps+ + D))
-    purity = (math.sqrt(em * ep / (em * ep + rdmp.d_coeff))
-              if (em * ep + rdmp.d_coeff) > 0 else 1.0)
-    if sol.phase == "normal":
-        critical = params.coupling == params.lambda_c
-        s_bits = math.inf if critical else thermal_entropy_bits(theta)
-        l_lin, lobes = 1.0 - purity, 1.0
-    else:
-        s_bits = thermal_entropy_bits(theta)
-        if two_lobe:
-            s_bits += 1.0
-        l_lin, lobes = 1.0 - 0.5 * purity, 0.5
+    (lam, mu, em, ep, d, kappa, theta), scalar = _entries(
+        params.coupling, sol.mu, rdmp.eps_minus, rdmp.eps_plus, rdmp.d_coeff,
+        rdmp.kappa, mixing_parameter(rdmp))
+    normal = lam <= params.lambda_c
+    emep = em * ep
+    # Tr rho^2 of one lobe, sqrt(eps- eps+ / (eps- eps+ + D)), 1 where that is 0/0
+    purity = np.sqrt(np.divide(emep, emep + d, out=np.ones(lam.shape), where=emep + d > 0))
+    s_vn = thermal_entropy_bits(theta)
+    s_vn[lam == params.lambda_c] = math.inf
+    if two_lobe:
+        s_vn[~normal] += 1.0
+    # the superradiant state is an equal mixture of two orthogonal lobes;
     # mu = 1 in the normal phase, where Q is 0 and <Jz>/N is -1/2
-    return ClosedForms(
-        s_vn=s_bits, l_lin=l_lin, q_avg=1.0 - sol.mu**2,
-        ipr_inv=lobes * math.sqrt(em * ep) / (2.0 * math.pi),
-        t_eff=_temperature(rdmp.omega, theta), kappa=rdmp.kappa, jz_mean=-0.5 * sol.mu)
+    lobes = np.where(normal, 1.0, 0.5)
+    return ClosedForms(*(_result(v, scalar) for v in (
+        s_vn, 1.0 - lobes * purity, 1.0 - _libm(pow, mu, 2),
+        lobes * np.sqrt(emep) / (2.0 * math.pi), _temperature(rdmp.omega, theta),
+        kappa, -0.5 * mu)))
 
 
 def entropy_td(params: ModelParams, two_lobe: bool = True) -> float:

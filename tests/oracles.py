@@ -3,6 +3,11 @@
 full_hamiltonian is the CSR assembler of the Hamiltonian over both parity
 sectors that the package used before it assembled only the positive-parity
 block; parity_operator is the diagonal parity operator on the same basis.
+closed_forms_math and perturbative_entropy_math are the scalar closed forms
+the package evaluated one coupling at a time, with Python floats and the
+math module only; kernel_coefficients gives the position-space kernel of a
+closed-form reduced state, and strong_coupling_state (built from coherent_amplitudes and
+jx_extremal_amplitudes) the limiting ground state far above lambda_c.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+
+from dicke_qpt import IntegrityError, PhaseError
 
 
 def full_hamiltonian(params, basis) -> sp.csr_matrix:
@@ -65,3 +72,136 @@ def parity_block(params, basis) -> sp.csr_matrix:
     """The positive-parity block of full_hamiltonian, sliced out of it."""
     idx = basis.parity_indices(+1)
     return full_hamiltonian(params, basis)[idx][:, idx]
+
+
+def closed_forms_math(omega, omega0, coupling, two_lobe=True) -> dict:
+    """Every closed-form measure at one coupling, in Python floats by math.
+
+    The package's formulas in its order of operations, so the package must
+    match these values bit for bit, at one coupling and over a grid.
+    """
+    w, w0, lam = omega, omega0, coupling
+    lc = math.sqrt(w * w0) / 2.0
+    if lam <= lc:
+        mu = 1.0
+        root = math.sqrt((w0**2 - w**2) ** 2 + 16.0 * lam**2 * w * w0)
+        ep = math.sqrt(0.5 * (w0**2 + w**2 + root))
+        em2 = 8.0 * w * w0 * (lc - lam) * (lc + lam) / (w0**2 + w**2 + root)
+        gamma = 0.5 * math.atan2(4.0 * lam * math.sqrt(w * w0), w0**2 - w**2)
+    else:
+        mu = (lc / lam) ** 2
+        w0_eff2 = w0**2 / mu**2
+        root = math.sqrt((w0_eff2 - w**2) ** 2 + 4.0 * w**2 * w0**2)
+        ep = math.sqrt(0.5 * (w0_eff2 + w**2 + root))
+        em2 = (2.0 * w**2 * w0**2 * (1.0 - mu) * (1.0 + mu)
+               / (mu**2 * (w0_eff2 + w**2 + root)))
+        gamma = 0.5 * math.atan2(2.0 * w * w0 * mu**2, w0**2 - mu**2 * w**2)
+    em = math.sqrt(max(em2, 0.0))
+    c, s = math.cos(gamma), math.sin(gamma)
+    d = (em - ep) ** 2 * c**2 * s**2
+    A = em * c**2 + ep * s**2
+    B = em * s**2 + ep * c**2
+    kappa = math.sqrt(math.sqrt(em * ep * B / A) / w)
+    if d == 0.0:
+        theta = math.inf
+    elif em == 0.0:
+        theta = 0.0
+    else:
+        theta = math.acosh(1.0 + 2.0 * em * ep / d)
+    if theta <= 0.0 or lam == lc:
+        s_vn = math.inf
+    elif theta > 45.0:
+        s_vn = 0.0
+    else:
+        s_vn = (theta / math.expm1(theta) - math.log(-math.expm1(-theta))) / math.log(2.0)
+    purity = math.sqrt(em * ep / (em * ep + d)) if (em * ep + d) > 0 else 1.0
+    if lam <= lc:
+        l_lin, lobes = 1.0 - purity, 1.0
+    else:
+        if two_lobe:
+            s_vn += 1.0
+        l_lin, lobes = 1.0 - 0.5 * purity, 0.5
+    return {"s_vn": s_vn, "l_lin": l_lin, "q_avg": 1.0 - mu**2,
+            "ipr_inv": lobes * math.sqrt(em * ep) / (2.0 * math.pi),
+            "t_eff": w / theta if theta else math.inf, "kappa": kappa,
+            "jz_mean": -0.5 * mu}
+
+
+def perturbative_entropy_math(omega, omega0, coupling) -> float:
+    """The weak-coupling entropy at one coupling, in Python floats by math."""
+    sigma = coupling / (omega + omega0)
+    p = 1.0 / (1.0 + sigma**2)
+    q = 1.0 - p
+    return 0.0 if q == 0.0 else -p * math.log2(p) - q * math.log2(q)
+
+def kernel_coefficients(rdmp) -> tuple[float, float, float]:
+    """(norm, a, b) of the position-space kernel of rdmp (thermo.GaussianRDMParams).
+
+    The kernel is norm * exp(-a (y^2 + y'^2) + b y y'); it is undefined at
+    lambda_c.
+    """
+    if rdmp.eps_minus == 0.0:
+        raise PhaseError("Gaussian RDM diverges at the critical point")
+    A = rdmp.eps_minus * rdmp.c**2 + rdmp.eps_plus * rdmp.s**2
+    k2 = rdmp.kappa**2
+    norm = math.sqrt(rdmp.eps_minus * rdmp.eps_plus / (math.pi * A)) / rdmp.kappa
+    a = (2.0 * rdmp.eps_minus * rdmp.eps_plus + rdmp.d_coeff) / (4.0 * k2 * A)
+    b = rdmp.d_coeff / (2.0 * k2 * A)
+    if 2.0 * a <= b:
+        raise IntegrityError("Gaussian kernel is not normalizable")
+    return norm, a, b
+
+
+def coherent_amplitudes(alpha: float, n_max: int) -> np.ndarray:
+    """Fock amplitudes of |alpha>.
+
+    The largest amplitude, at n0 = floor(alpha^2) (or n_max if smaller), comes
+    from lgamma; the rest follow by c_{n+1} = c_n |alpha| / sqrt(n + 1) and
+    c_{n-1} = c_n sqrt(n) / |alpha|, whose factors are all at most 1, so
+    nothing overflows.  Rounding grows with the distance from n0, plus one
+    factor common to all amplitudes from the cancelling terms of log c_n0
+    (max relative error 5e-15 at alpha = 16, 2e-13 at alpha = 27).
+    """
+    n = np.arange(n_max + 1)
+    if alpha == 0.0:
+        out = np.zeros(n_max + 1)
+        out[0] = 1.0
+        return out
+    a = abs(alpha)
+    n0 = min(math.floor(a * a), n_max)
+    peak = math.exp(-a * a / 2.0 + n0 * math.log(a) - 0.5 * math.lgamma(n0 + 1))
+    up = np.cumprod(np.concatenate(([peak], a / np.sqrt(n[n0 + 1:]))))
+    down = np.cumprod(np.concatenate(([peak], np.sqrt(n[n0:0:-1]) / a)))
+    return np.concatenate((down[:0:-1], up)) * np.sign(alpha) ** n
+
+
+def jx_extremal_amplitudes(n_atoms: int, sign: int) -> np.ndarray:
+    """|j, m_x = sign * j> in the Jz basis: every atom polarized along +-x.
+
+    Amplitude on |j, m> is 2^-j sqrt(C(N, j+m)), with alternating signs
+    (-1)^(j - m) for the -x eigenstate.
+    """
+    j = n_atoms / 2.0
+    n_up = np.arange(n_atoms + 1)
+    log_binom = (math.lgamma(n_atoms + 1)
+                 - np.array([math.lgamma(k + 1) + math.lgamma(n_atoms - k + 1) for k in n_up]))
+    amps = np.exp(0.5 * log_binom - j * math.log(2.0))
+    if sign < 0:
+        amps = amps * (-1.0) ** (n_atoms - n_up)
+    return amps
+
+
+def strong_coupling_state(params: ModelParams, basis: BasisIndex) -> np.ndarray:
+    """Limiting ground state in the truncated basis, for overlap tests.
+
+    (|+alpha, -j_x> + |-alpha, +j_x>)/sqrt(2) with alpha = sqrt(2j)
+    * coupling / omega: a coherent field paired with the opposite-sign J_x
+    eigenstate of the atoms.  Normalized after truncation.
+    """
+    alpha = math.sqrt(2.0 * params.j) * params.coupling / params.omega
+    branch_plus = np.outer(coherent_amplitudes(alpha, basis.n_max),
+                           jx_extremal_amplitudes(basis.n_atoms, -1))
+    branch_minus = np.outer(coherent_amplitudes(-alpha, basis.n_max),
+                            jx_extremal_amplitudes(basis.n_atoms, +1))
+    psi = ((branch_plus + branch_minus) / math.sqrt(2.0)).ravel()
+    return psi / np.linalg.norm(psi)

@@ -32,7 +32,7 @@ from dicke_qpt import (SweepConfig, critical_asymptote,
                        sr_solution, von_neumann_entropy)
 from dicke_qpt.entanglement import average_linear_entropy_Q
 from dicke_qpt.thermo import mixing_parameter
-from oracles import full_hamiltonian
+from oracles import full_hamiltonian, kernel_coefficients
 
 LC = 0.5  # resonance critical coupling
 
@@ -225,7 +225,7 @@ def test_criterion_9_property_suite(resonant_ground):
     worst_kernel = 0.0
     for ratio in (0.3, 0.6, 0.9):
         params = make_params(1, 1, ratio * LC, 8)
-        norm, a, b = rdm_params(normal_solution(params)).kernel_coefficients()
+        norm, a, b = kernel_coefficients(rdm_params(normal_solution(params)))
         sigma = 1.0 / math.sqrt(2 * (2 * a - b))
         y = np.linspace(-9 * sigma, 9 * sigma, 600)
         kernel = norm * np.exp(-a * (y[:, None] ** 2 + y[None, :] ** 2)

@@ -11,7 +11,7 @@ from dicke_qpt import (IntegrityError, ParameterError, average_linear_entropy_Q,
                        partial_trace, single_atom_rdm, von_neumann_entropy)
 from dicke_qpt.entanglement import collective_expectations
 from dicke_qpt.eigensolver import GroundState
-from dicke_qpt.perturbative import coherent_amplitudes
+from oracles import coherent_amplitudes
 
 
 def embed_in_qubit_register(state, basis):

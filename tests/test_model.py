@@ -60,6 +60,13 @@ class TestMakeParams:
         with pytest.raises(ParameterError):
             make_params(**kw)
 
+    def test_coupling_grid(self):
+        p = make_params(1, 1, [0, 0.25, 1.5], 8)
+        assert p.coupling.dtype == float and p.coupling.tolist() == [0.0, 0.25, 1.5]
+        for bad in ([0.1, -0.1], [0.1, math.nan], [math.inf]):
+            with pytest.raises(ParameterError):
+                make_params(1, 1, np.array(bad), 8)
+
 
 class TestBasis:
     def test_single_atom_enumeration(self):

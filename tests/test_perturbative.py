@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from dicke_qpt import (make_params, partial_trace, perturbative_entropy,
-                       strong_coupling_state, von_neumann_entropy)
+                       von_neumann_entropy)
 from dicke_qpt.eigensolver import suggest_cutoff
 from dicke_qpt.entanglement import _make_rdm
-from dicke_qpt.perturbative import coherent_amplitudes, jx_extremal_amplitudes
+from oracles import coherent_amplitudes, jx_extremal_amplitudes, strong_coupling_state
 
 
 class TestWeakCoupling:

@@ -187,31 +187,55 @@ class TestRunSweep:
 
     def test_point_functions_looked_up_per_call(self, monkeypatch):
         # run_sweep must call whatever the module attribute is when it runs,
-        # so a wrapper installed after import sees every point
+        # so a wrapper installed after import sees every point; ED is called
+        # per point, td once with its whole grid
         calls = {"ed": [], "td": []}
 
-        def counting(backend, inner):
+        def counting_ed(inner):
             def wrapper(config, n_atoms, coupling, start=None):
-                calls[backend].append((n_atoms, coupling))
+                calls["ed"].append((n_atoms, coupling))
                 return inner(config, n_atoms, coupling, start)
             return wrapper
 
-        monkeypatch.setattr(sweep, "measure_point_ed",
-                            counting("ed", sweep.measure_point_ed))
-        monkeypatch.setattr(sweep, "measure_point_td",
-                            counting("td", sweep.measure_point_td))
+        def counting_td(inner):
+            def wrapper(config, couplings):
+                calls["td"].append(couplings)
+                return inner(config, couplings)
+            return wrapper
+
+        monkeypatch.setattr(sweep, "measure_point_ed", counting_ed(sweep.measure_point_ed))
+        monkeypatch.setattr(sweep, "measure_point_td", counting_td(sweep.measure_point_td))
         config = SweepConfig(lambda_min=0.2, lambda_max=1.6, lambda_steps=3,
                              n_atoms=(2, 3, "inf"), backend="ed", measures=("s_vn",))
         reports, failures = run_sweep(config)
         assert not failures
         grid = config.lambda_grid().tolist()
         assert calls["ed"] == [(n, lam) for n in (2, 3) for lam in grid]
-        assert calls["td"] == [(None, lam) for lam in config.td_lambda_grid().tolist()]
-        assert len(reports) == len(calls["ed"]) + len(calls["td"])
+        (td_grid,) = calls["td"]
+        np.testing.assert_array_equal(td_grid, config.td_lambda_grid())
+        assert len(reports) == len(calls["ed"]) + td_grid.size
+
+    def test_grid_domain_error_fails_every_coupling(self, monkeypatch):
+        # a domain error from the one td grid call becomes one failure row
+        # per coupling of that grid, and the CLI exits 2
+        from dicke_qpt.cli import main
+
+        def domain_error(*args, **kwargs):
+            raise ParameterError("injected")
+
+        monkeypatch.setattr("dicke_qpt.thermo.closed_forms", domain_error)
+        config = SweepConfig(lambda_min=0.2, lambda_max=1.6, lambda_steps=4,
+                             n_atoms=("inf",), backend="perturbative", measures=("s_vn",))
+        reports, failures = run_sweep(config)
+        assert [r.backend for r in reports] == ["perturbative"] * 4
+        assert [(f.backend, f.coupling, f.n_atoms, f.error) for f in failures] == [
+            ("td", lam, None, "ParameterError") for lam in config.td_lambda_grid().tolist()]
+        assert all(f.message == "ParameterError: injected" for f in failures)
+        assert main(["--backend", "td", "--lambda-steps", "4", "--measures", "s_vn"]) == 2
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only domain failures become rows under "errors"; a bug must crash
-        def broken(params, two_lobe=True):
+        def broken(*args, **kwargs):
             raise TypeError("bug in a measure")
 
         monkeypatch.setattr("dicke_qpt.thermo.closed_forms", broken)

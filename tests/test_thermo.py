@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from scipy.optimize import brentq
 from dicke_qpt import (ParameterError, PhaseError, closed_forms,
                        critical_asymptote, effective_temperature, entropy_td,
                        ipr_td, linear_entropy_td, make_params, normal_solution,
-                       q_td, q_td_derivative, rdm_params, sr_solution)
+                       perturbative_entropy, q_td, q_td_derivative, rdm_params,
+                       sr_solution)
 from dicke_qpt.thermo import (mixing_parameter, phase_solution,
                               thermal_entropy_bits)
+from oracles import (closed_forms_math, kernel_coefficients,
+                     perturbative_entropy_math)
 
 LC = 0.5  # critical coupling on resonance (omega = omega0 = 1)
 
@@ -31,7 +35,7 @@ def bogoliubov_oracle(omega, omega0, coupling):
 
 def nystrom_entropy_oracle(rdmp, n=600, span=9.0):
     """Oracle: discretize the Gaussian kernel and diagonalize it."""
-    norm, a, b = rdmp.kernel_coefficients()
+    norm, a, b = kernel_coefficients(rdmp)
     sigma = 1.0 / math.sqrt(2 * (2 * a - b))
     y = np.linspace(-span * sigma, span * sigma, n)
     w = y[1] - y[0]
@@ -44,7 +48,7 @@ def nystrom_entropy_oracle(rdmp, n=600, span=9.0):
 
 def purity_quadrature_oracle(solution, n=800, span=9.0):
     """Oracle: Tr rho^2 by direct 2-D quadrature of the kernel."""
-    norm, a, b = rdm_params(solution).kernel_coefficients()
+    norm, a, b = kernel_coefficients(rdm_params(solution))
     sigma = 1.0 / math.sqrt(2 * (2 * a - b))
     y = np.linspace(-span * sigma, span * sigma, n)
     w = y[1] - y[0]
@@ -185,7 +189,7 @@ class TestGaussianRDM:
     def test_kernel_undefined_at_critical_point(self):
         rdmp = rdm_params(normal_solution(resonant(1.0)))
         with pytest.raises(PhaseError):
-            rdmp.kernel_coefficients()
+            kernel_coefficients(rdmp)
 
 
 class TestEffectiveTemperature:
@@ -441,3 +445,69 @@ class TestClosedForms:
         assert forms.l_lin == linear_entropy_td(params)
         assert forms.q_avg == q_td(params)
         assert forms.ipr_inv == ipr_td(params)
+
+
+# lambda/lambda_c: the named points of both phases, and anything in [0, 10]
+RATIOS = st.one_of(st.sampled_from([0.0, 1 - 1e-9, 1.0, 1 + 1e-9, 10.0]),
+                   st.floats(0.0, 10.0))
+
+
+def bits(values):
+    """Exact bit patterns of floats (-0.0 differs from 0.0)."""
+    return [float(v).hex() for v in values]
+
+
+class TestCouplingGrid:
+    @settings(max_examples=50, deadline=None)
+    @given(omega=st.floats(0.2, 5.0), omega0=st.floats(0.2, 5.0),
+           ratios=st.lists(RATIOS, min_size=1, max_size=12), two_lobe=st.booleans())
+    def test_grid_matches_scalar_functions_bit_for_bit(self, omega, omega0, ratios,
+                                                       two_lobe):
+        lc = math.sqrt(omega * omega0) / 2.0
+        couplings = np.array(ratios) * lc
+        grid = make_params(omega, omega0, couplings, 2)
+        forms = closed_forms(grid, two_lobe)
+        pert = perturbative_entropy(grid)
+        assert all(isinstance(column, np.ndarray) for column in forms)
+        for k, lam in enumerate(couplings.tolist()):
+            params = make_params(omega, omega0, lam, 2)
+            one = closed_forms(params, two_lobe)
+            rdmp = rdm_params(phase_solution(params))
+            assert all(type(value) is float for value in one)
+            assert bits(column[k] for column in forms) == bits(one)
+            assert bits(one) == bits(closed_forms_math(omega, omega0, lam, two_lobe).values())
+            assert bits(one[:6]) == bits([
+                entropy_td(params, two_lobe), linear_entropy_td(params), q_td(params),
+                ipr_td(params), effective_temperature(rdmp), rdmp.kappa])
+            assert bits([pert[k]]) == bits([perturbative_entropy(params)]) == bits(
+                [perturbative_entropy_math(omega, omega0, lam)])
+
+    @pytest.mark.parametrize("omega, omega0", [(1.0, 1.0), (1.0, 3.0), (2.5, 0.4)])
+    def test_grid_with_zero_and_critical_coupling_warns_nothing(self, omega, omega0):
+        lc = math.sqrt(omega * omega0) / 2.0
+        grid = make_params(omega, omega0, np.array([0.0, 0.5 * lc, lc, 2.0 * lc]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forms = closed_forms(grid)
+            pert = perturbative_entropy(grid)
+        assert (forms.s_vn[0], forms.s_vn[2], forms.t_eff[2], pert[0]) == (
+            0.0, math.inf, math.inf, 0.0)
+
+    def test_phase_solutions_over_a_grid(self):
+        lam = np.array([0.0, 0.25, LC, 0.75, 5.0])
+        sol = phase_solution(make_params(1.0, 1.0, lam, 2))
+        assert sol.phase.tolist() == ["normal"] * 3 + ["superradiant"] * 2
+        below = normal_solution(make_params(1.0, 1.0, lam[:3], 2))
+        above = sr_solution(make_params(1.0, 1.0, lam[2:], 2))
+        assert bits(sol.eps_minus) == bits(below.eps_minus.tolist() + above.eps_minus[1:].tolist())
+        with pytest.raises(PhaseError):
+            normal_solution(make_params(1.0, 1.0, lam, 2))
+        with pytest.raises(PhaseError):
+            sr_solution(make_params(1.0, 1.0, lam, 2))
+
+    def test_underflowing_mu_is_a_domain_error(self):
+        # (lambda_c/lambda)^4 is 0.0 in floats beyond about 1e81 lambda_c,
+        # where the superradiant solution would divide by it
+        for lam in (1e100, np.array([0.3, 1e100])):
+            with pytest.raises(ParameterError, match="underflows"):
+                closed_forms(make_params(1.0, 1.0, lam, 2))
