@@ -27,11 +27,11 @@ def main(argv=None):
     reports, failures = run_sweep(config)
     emit(reports, path=args.out, failures=failures)
 
+    grid = config.td_lambda_grid()
+    derivative = q_td_derivative(make_params(config.omega, config.omega0, grid, 2))
     lines = ["lambda,lambda_rel,dq_dlambda_td"]
-    for lam in config.td_lambda_grid():
-        params = make_params(config.omega, config.omega0, float(lam), 2)
-        lines.append(f"{float(lam)!r},{float(lam) / config.lambda_c!r},"
-                     f"{q_td_derivative(params)!r}")
+    for lam, dq in zip(grid.tolist(), derivative.tolist()):
+        lines.append(f"{lam!r},{lam / config.lambda_c!r},{dq!r}")
     with open(args.derivative_out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -8,8 +8,7 @@ come from the exact bosonized solution of both coupling phases.
 from .eigensolver import GroundState, converge_cutoff, ground_state
 from .entanglement import (ReducedDensityMatrix, average_linear_entropy_Q,
                            inverse_participation_ratio, linear_entropy,
-                           meyer_wallach_Q_generic, partial_trace,
-                           single_atom_rdm, von_neumann_entropy)
+                           partial_trace, single_atom_rdm, von_neumann_entropy)
 from .errors import (CapacityError, ConfigError, CutoffConvergenceError,
                      DickeError, FitError, IntegrityError, ParameterError,
                      PhaseError, SolverError)

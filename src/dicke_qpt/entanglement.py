@@ -2,9 +2,9 @@
 
 Covers the bipartite atom-field reduced density matrices and their von
 Neumann / linear entropies, the single-atom reduced state built from
-collective expectations, the subsystem-averaged linear entropy Q, a generic
-qubit-register Q evaluator, and the coordinate-space inverse participation
-ratio, integrated by a tensor Gauss-Hermite rule that is exact for the state.
+collective expectations, the subsystem-averaged linear entropy Q, and the
+coordinate-space inverse participation ratio, integrated by a tensor
+Gauss-Hermite rule that is exact for the state.
 """
 
 from __future__ import annotations
@@ -145,57 +145,31 @@ def average_linear_entropy_Q(state: GroundState, basis: BasisIndex, *,
     N = basis.n_atoms
     rho_k = single_atom_rdm(state, basis)
     l_k = linear_entropy(rho_k, 2)
-    A = basis.reshape(state.amplitudes)
-    if A.shape[0] <= A.shape[1]:
-        rho_b = _make_rdm("field", A @ A.T)
+    if basis.n_max <= basis.n_atoms:
+        rho_b = partial_trace(state, basis, keep="field")
     elif _atoms_rdm is None:
-        rho_b = _make_rdm("atoms", A.T @ A)
+        rho_b = partial_trace(state, basis, keep="atoms")
     else:
         rho_b = _atoms_rdm
     l_b = linear_entropy(rho_b, N + 1)
     return float((N * l_k + l_b) / (N + 1.0))
 
 
-def meyer_wallach_Q_generic(qubit_state: np.ndarray) -> float:
-    """Average single-qubit linear entropy of a pure n-qubit state.
+def _oscillator_table(k_top: int) -> np.ndarray:
+    """W^(1/4) psi_k(t / sqrt(2)) for k <= k_top on the (2 k_top + 1)-node rule.
 
-    Q = 2 [1 - (1/n) sum_k Tr rho_k^2], evaluated through per-qubit partial
-    traces; supports n <= 12 qubits and requires unit normalization.
+    Rows are the Gauss-Hermite nodes t with scaled weights W, columns the
+    Hermite functions psi_k.  Each column is mantissa * exp(log_scale), so the
+    Gaussian does not underflow far out (exp(-t^2/4) is 0 beyond t ~ 54.6).
     """
-    psi = np.asarray(qubit_state, dtype=complex).ravel()
-    n = psi.size.bit_length() - 1
-    if psi.size != 2**n or n < 1:
-        raise ParameterError(f"state length {psi.size} is not a power of two")
-    if n > 12:
-        raise ParameterError(f"register size {n} exceeds the 12-qubit limit")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ParameterError("qubit state must be normalized")
-    tensor = psi.reshape([2] * n)
-    purity_sum = 0.0
-    for k in range(n):
-        mat = np.moveaxis(tensor, k, 0).reshape(2, -1)
-        rho = mat @ mat.conj().T
-        purity_sum += float(np.real(np.sum(rho * rho.conj())))
-    return float(2.0 * (1.0 - purity_sum / n))
-
-
-def oscillator_eigenfunctions(xs: np.ndarray, k_max: int, freq: float) -> np.ndarray:
-    """Orthonormal harmonic-oscillator eigenfunctions phi_k(x), k <= k_max.
-
-    Unit mass, frequency freq: phi_k(x) = freq^(1/4) psi_k(xi) with the
-    Hermite functions psi_k of the scaled coordinate xi = sqrt(freq) * x.
-    Each column is mantissa * exp(log_scale), so the Gaussian does not
-    underflow far out (exp(-xi^2/2) is 0 beyond xi ~ 38.6).  Returns shape
-    (len(xs), k_max + 1).
-    """
-    xi = np.sqrt(freq) * np.asarray(xs, dtype=float)
-    out = np.empty((xi.size, k_max + 1))
+    t, weights = _gauss_hermite(2 * k_top + 1)
+    out = np.empty((t.size, k_top + 1))
     log_scale = None
-    for k, (_, cur, scale) in enumerate(_hermite_functions(xi, k_max)):
+    for k, (_, cur, scale) in enumerate(_hermite_functions(t / math.sqrt(2.0), k_top)):
         if scale is not log_scale:      # a new scale only every 16 steps
-            log_scale, factor = scale, freq**0.25 * np.exp(scale)
+            log_scale, factor = scale, np.exp(scale)
         out[:, k] = cur * factor
-    return out
+    return weights[:, None] ** 0.25 * out
 
 
 def _hermite_functions(t: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -243,21 +217,19 @@ def inverse_participation_ratio(state: GroundState, basis: BasisIndex,
     """Unnormalized coordinate-space IPR, integral of Psi^4 over the plane.
 
     Psi(x, y) has the field oscillator (omega) along x and the atomic-
-    excitation boson n_b = m + j (omega0) along y.  Along an axis of
-    frequency f with top level k, Psi^4 is a polynomial of degree 4k in
-    t = sqrt(2 f) x times exp(-t^2).  A K-node Gauss-Hermite rule is exact to
-    degree 2K - 1, so the tensor rule with 2 n_max + 1 (field) and 2 N + 1
-    (atoms) nodes is exact up to rounding.
+    excitation boson n_b = m + j (omega0) along y.  The eigenfunction of
+    level k at frequency f is f^(1/4) psi_k(sqrt(f) x), so the substitution
+    t = sqrt(2 f) x leaves the frequencies only in the factor
+    sqrt(omega omega0) / 2, and both axes use the same table of
+    psi_k(t / sqrt(2)).  Along an axis with top level k, Psi^4 is a
+    polynomial of degree 4k in t times exp(-t^2).  A K-node Gauss-Hermite
+    rule is exact to degree 2K - 1, so the tensor rule with 2 n_max + 1
+    (field) and 2 N + 1 (atoms) nodes is exact up to rounding.
     """
-    def axis(k_top: int, freq: float) -> np.ndarray:
-        t, weights = _gauss_hermite(2 * k_top + 1)
-        return weights[:, None] ** 0.25 * oscillator_eigenfunctions(
-            t / math.sqrt(2.0 * freq), k_top, freq)
-
-    psi = (axis(basis.n_max, params.omega) @ basis.reshape(state.amplitudes)
-           @ axis(basis.n_atoms, params.omega0).T)
+    psi = (_oscillator_table(basis.n_max) @ basis.reshape(state.amplitudes)
+           @ _oscillator_table(basis.n_atoms).T)
     # squared twice in place: psi**4 runs a per-element pow, and takes 48
     # against 6 ms on a 1057 x 513 grid (2-core Intel Xeon VM)
     psi *= psi
     psi *= psi
-    return float(np.sum(psi) / (2.0 * math.sqrt(params.omega * params.omega0)))
+    return float(math.sqrt(params.omega * params.omega0) / 2.0 * np.sum(psi))

@@ -53,13 +53,6 @@ class ModelParams:
         """Critical coupling sqrt(omega * omega0) / 2."""
         return math.sqrt(self.omega * self.omega0) / 2.0
 
-    @property
-    def coupling_ratio(self) -> float:
-        return self.coupling / self.lambda_c
-
-    def with_coupling(self, coupling: float) -> "ModelParams":
-        return make_params(self.omega, self.omega0, coupling, self.n_atoms)
-
 
 def make_params(omega, omega0, coupling, n_atoms) -> ModelParams:
     """Validate and pack model parameters; coupling may be a 1-d array."""
@@ -87,8 +80,6 @@ class BasisIndex:
 
     n_max: int
     n_atoms: int
-    n: np.ndarray = field(repr=False)        # Fock occupation per entry
-    n_b: np.ndarray = field(repr=False)      # m + j per entry (integer)
     parity: np.ndarray = field(repr=False)   # +-1 per entry
 
     @property
@@ -96,15 +87,8 @@ class BasisIndex:
         return self.n_atoms / 2.0
 
     @property
-    def m(self) -> np.ndarray:
-        return self.n_b - self.j
-
-    @property
     def dim(self) -> int:
         return (self.n_max + 1) * (self.n_atoms + 1)
-
-    def index(self, n: int, n_b: int) -> int:
-        return n * (self.n_atoms + 1) + n_b
 
     def parity_indices(self, sector: int = +1) -> np.ndarray:
         return np.flatnonzero(self.parity == sector)
@@ -125,10 +109,9 @@ def build_basis(params: ModelParams, n_max: int,
         raise CapacityError(
             f"basis dimension {dim} exceeds ceiling {max_dim} "
             f"(n_max={n_max}, N={params.n_atoms})")
-    n = np.repeat(np.arange(n_max + 1), n_states)
-    n_b = np.tile(np.arange(n_states), n_max + 1)
-    parity = np.where((n + n_b) % 2 == 0, 1, -1).astype(np.int8)
-    return BasisIndex(n_max=n_max, n_atoms=params.n_atoms, n=n, n_b=n_b, parity=parity)
+    n_plus_n_b = np.add.outer(np.arange(n_max + 1), np.arange(n_states)).ravel()
+    parity = np.where(n_plus_n_b % 2 == 0, 1, -1).astype(np.int8)
+    return BasisIndex(n_max=n_max, n_atoms=params.n_atoms, parity=parity)
 
 
 def assemble_hamiltonian(params: ModelParams, basis: BasisIndex) -> sp.dia_matrix:

@@ -159,6 +159,8 @@ class SweepConfig:
             if n != "inf" and not (isinstance(n, Real) and 1 <= n < math.inf
                                    and int(n) == n):
                 raise ConfigError(f"bad n_atoms entry {n!r}")
+        if len(set(self.n_atoms)) != len(self.n_atoms):
+            raise ConfigError(f"repeated n_atoms entry in {self.n_atoms!r}")
 
     @property
     def lambda_c(self) -> float:
@@ -330,14 +332,15 @@ def measure_point_perturbative(config: SweepConfig,
 def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailure]]:
     """Evaluate every (coupling, N, backend) point; domain failures are per-point.
 
-    Returns (reports, failures), reports sorted canonically so downstream
-    output is independent of evaluation order.  Errors outside POINT_ERRORS
-    propagate.  ED points of one N run in ascending coupling, and each gets
-    the amplitudes that the point before it returned as its start (the first
-    point of each N, and a point after a failed one, start from the fixed
-    vector).  td and perturbative make one call each over their whole grid
-    (td_lambda_grid, lambda_grid); a domain error from it becomes one
-    failure row per coupling.  Point functions are looked up at every call.
+    Returns (reports, failures), reports in canonical order (sort_key) by
+    construction: backends in KNOWN_BACKENDS order, then atom numbers and
+    couplings ascending.  Errors outside POINT_ERRORS propagate.  Each ED
+    point gets the amplitudes that the point before it at the same N
+    returned as its start (the first point of each N, and a point after a
+    failed one, start from the fixed vector).  td and perturbative make one
+    call each over their whole grid (td_lambda_grid, lambda_grid); a domain
+    error from it becomes one failure row per coupling.  Point functions are
+    looked up at every call.
     """
     config.validate()
     reports: list[MeasureReport] = []
@@ -345,7 +348,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
     for backend in config.backends():
         if backend == "ed":
             grid = config.lambda_grid().tolist()
-            for n in config.integer_n_atoms():
+            for n in sorted(config.integer_n_atoms()):
                 start = None
                 for lam in grid:
                     try:
@@ -362,7 +365,6 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
         except POINT_ERRORS as exc:
             failures += (SweepFailure.from_exception(backend, lam, None, exc)
                          for lam in grid.tolist())
-    reports.sort(key=MeasureReport.sort_key)
     failures.sort(key=lambda f: (f.backend, f.coupling))
     return reports, failures
 

@@ -38,6 +38,8 @@ from .errors import ParameterError, PhaseError
 from .model import ModelParams
 
 LN2 = math.log(2.0)
+# omega0^2/mu^2 below this squares to a finite float, with 1e-15 to spare
+_W0_EFF2_MAX = math.sqrt(np.finfo(float).max) * (1.0 - 1e-15)
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -110,8 +112,10 @@ def _superradiant(w, w0, lc, lam):
     """(eps-, eps+, gamma(2), mu) at the superradiant couplings lam."""
     mu = _libm(pow, lc / lam, 2)
     mu2 = _libm(pow, mu, 2)
-    if not mu2.all():
-        raise ParameterError(f"(lambda_c/lambda)^4 underflows at coupling {lam.max()}")
+    # omega0^2/mu^2 and its square are finite up to 3.4e38 lambda_c (omega = omega0 = 1)
+    if not (mu2 > w0**2 / _W0_EFF2_MAX).all():
+        raise ParameterError(f"(lambda_c/lambda)^4 underflows against omega0^2 at "
+                             f"coupling {lam.max()}, beyond the closed forms' range")
     w0_eff2 = w0**2 / mu2
     root = np.sqrt(_libm(pow, w0_eff2 - w**2, 2) + 4.0 * w**2 * w0**2)
     ep = np.sqrt(0.5 * (w0_eff2 + w**2 + root))
@@ -188,10 +192,6 @@ class GaussianRDMParams:
     kappa: float
     omega: float
 
-    @property
-    def pure(self) -> bool:
-        return self.d_coeff == 0.0
-
 
 def rdm_params(solution: PhaseSolution) -> GaussianRDMParams:
     """Gaussian reduced-state coefficients for a phase solution.
@@ -222,7 +222,9 @@ def mixing_parameter(rdmp: GaussianRDMParams) -> float:
     (em, ep, d), scalar = _entries(rdmp.eps_minus, rdmp.eps_plus, rdmp.d_coeff)
     theta = np.where(d == 0.0, math.inf, 0.0)
     mixed = (d != 0.0) & (em != 0.0)
-    theta[mixed] = _libm(math.acosh, 1.0 + 2.0 * em[mixed] * ep[mixed] / d[mixed])
+    # a subnormal D overflows the ratio to inf, and theta is inf as in floats
+    with np.errstate(over="ignore"):
+        theta[mixed] = _libm(math.acosh, 1.0 + 2.0 * em[mixed] * ep[mixed] / d[mixed])
     return _result(theta, scalar)
 
 
@@ -374,7 +376,9 @@ def q_td(params: ModelParams) -> float:
 def q_td_derivative(params: ModelParams) -> float:
     """dQ/dlambda in the thermodynamic limit: 4 lambda_c^4 / lambda^5 above
     the transition, zero below."""
-    lam, lc = params.coupling, params.lambda_c
-    if lam <= lc:
-        return 0.0
-    return 4.0 * lc**4 / lam**5
+    (lam,), scalar = _entries(params.coupling)
+    lc = params.lambda_c
+    above = lam > lc
+    dq = np.zeros(lam.shape)
+    dq[above] = 4.0 * lc**4 / _libm(pow, lam[above], 5)
+    return _result(dq, scalar)

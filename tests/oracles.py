@@ -8,6 +8,8 @@ the package evaluated one coupling at a time, with Python floats and the
 math module only; kernel_coefficients gives the position-space kernel of a
 closed-form reduced state, and strong_coupling_state (built from coherent_amplitudes and
 jx_extremal_amplitudes) the limiting ground state far above lambda_c.
+meyer_wallach_Q_generic evaluates Q on an explicit qubit register;
+flat_index and with_coupling are small helpers for building test inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,17 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from dicke_qpt import IntegrityError, PhaseError
+from dicke_qpt import IntegrityError, ParameterError, PhaseError, make_params
+
+
+def flat_index(basis, n: int, n_b: int) -> int:
+    """Position of |n> x |j, n_b - j> in the n-major basis order."""
+    return n * (basis.n_atoms + 1) + n_b
+
+
+def with_coupling(params, coupling):
+    """params at another coupling, validated by make_params."""
+    return make_params(params.omega, params.omega0, coupling, params.n_atoms)
 
 
 def full_hamiltonian(params, basis) -> sp.csr_matrix:
@@ -205,3 +217,26 @@ def strong_coupling_state(params: ModelParams, basis: BasisIndex) -> np.ndarray:
                             jx_extremal_amplitudes(basis.n_atoms, +1))
     psi = ((branch_plus + branch_minus) / math.sqrt(2.0)).ravel()
     return psi / np.linalg.norm(psi)
+
+
+def meyer_wallach_Q_generic(qubit_state: np.ndarray) -> float:
+    """Average single-qubit linear entropy of a pure n-qubit state.
+
+    Q = 2 [1 - (1/n) sum_k Tr rho_k^2], evaluated through per-qubit partial
+    traces; supports n <= 12 qubits and requires unit normalization.
+    """
+    psi = np.asarray(qubit_state, dtype=complex).ravel()
+    n = psi.size.bit_length() - 1
+    if psi.size != 2**n or n < 1:
+        raise ParameterError(f"state length {psi.size} is not a power of two")
+    if n > 12:
+        raise ParameterError(f"register size {n} exceeds the 12-qubit limit")
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ParameterError("qubit state must be normalized")
+    tensor = psi.reshape([2] * n)
+    purity_sum = 0.0
+    for k in range(n):
+        mat = np.moveaxis(tensor, k, 0).reshape(2, -1)
+        rho = mat @ mat.conj().T
+        purity_sum += float(np.real(np.sum(rho * rho.conj())))
+    return float(2.0 * (1.0 - purity_sum / n))

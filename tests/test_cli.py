@@ -81,6 +81,17 @@ class TestMain:
         assert code == 2
         assert "failed:" in err
 
+    def test_out_of_range_td_grid_fails_per_coupling(self, capsys):
+        # 1e40 lambda_c lies beyond the closed forms' range, so the one
+        # closed_forms call over the grid fails, giving a row per coupling
+        code, out, err = run_cli([
+            "--backend", "td", "--lambda-min", "0", "--lambda-max", "1e40",
+            "--lambda-steps", "2", "--format", "json"], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.count("failed: backend=td") == 2
+        assert out.count('"error": "ParameterError"') == 2
+
     def test_single_lobe_flag_drops_one_bit(self, capsys):
         args = ["--backend", "td", "--lambda-min", "1.4", "--lambda-max",
                 "1.8", "--lambda-steps", "2", "--measures", "s_vn"]

@@ -11,7 +11,7 @@ from dicke_qpt import (CutoffConvergenceError, ParameterError, SolverError,
 from dicke_qpt import eigensolver
 from dicke_qpt.eigensolver import (DEFAULT_ENERGY_TOL, TOP_WEIGHT_LIMIT,
                                    suggest_cutoff)
-from oracles import full_hamiltonian, parity_block
+from oracles import flat_index, full_hamiltonian, parity_block
 
 
 def hamiltonian_and_basis(params, n_max):
@@ -38,7 +38,7 @@ class TestGroundState:
         basis = build_basis(params, 6)
         gs = ground_state(assemble_hamiltonian(params, basis), basis)
         assert gs.energy == -4.0
-        assert gs.amplitudes[basis.index(0, 0)] == 1.0
+        assert gs.amplitudes[flat_index(basis, 0, 0)] == 1.0
         assert abs(gs.amplitudes).sum() == 1.0
 
     def test_matches_dense_full_diagonalization(self):
@@ -191,7 +191,7 @@ class TestLanczos:
         H, basis = hamiltonian_and_basis(params, 30)
         assert basis.parity_indices(+1).size > eigensolver.DENSE_LIMIT
         start = np.zeros(basis.dim)
-        start[basis.index(0, 0)] = 1.0
+        start[flat_index(basis, 0, 0)] = 1.0
         gs = ground_state(H, basis, start=start)
         assert lanczos_steps == [0.0]
         assert gs.energy == -8.0 and gs.residual == 0.0

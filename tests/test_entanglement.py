@@ -7,11 +7,11 @@ import pytest
 from dicke_qpt import entanglement
 from dicke_qpt import (IntegrityError, ParameterError, average_linear_entropy_Q,
                        build_basis, inverse_participation_ratio, linear_entropy,
-                       linear_entropy_td, make_params, meyer_wallach_Q_generic,
-                       partial_trace, single_atom_rdm, von_neumann_entropy)
+                       linear_entropy_td, make_params, partial_trace,
+                       single_atom_rdm, von_neumann_entropy)
 from dicke_qpt.entanglement import collective_expectations
 from dicke_qpt.eigensolver import GroundState
-from oracles import coherent_amplitudes
+from oracles import coherent_amplitudes, flat_index, meyer_wallach_Q_generic
 
 
 def embed_in_qubit_register(state, basis):
@@ -43,7 +43,7 @@ def synthetic_state(basis, entries):
     """Unit-norm GroundState with amplitudes placed at given (n, n_b)."""
     amps = np.zeros(basis.dim)
     for (n, nb), val in entries.items():
-        amps[basis.index(n, nb)] = val
+        amps[flat_index(basis, n, nb)] = val
     amps /= np.linalg.norm(amps)
     return GroundState(energy=0.0, amplitudes=amps, residual=0.0, converged=True,
                        basis=basis)

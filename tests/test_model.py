@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dicke_qpt import (CapacityError, ParameterError, assemble_hamiltonian,
                        build_basis, make_params)
-from oracles import full_hamiltonian, parity_block, parity_operator
+from oracles import flat_index, full_hamiltonian, parity_block, parity_operator
 
 
 def dense_reference_hamiltonian(params, n_max):
@@ -33,12 +33,12 @@ class TestMakeParams:
     def test_resonant_critical_coupling(self):
         p = make_params(1, 1, 0.5, 8)
         assert p.lambda_c == 0.5
-        assert p.coupling_ratio == 1.0
+        assert p.coupling / p.lambda_c == 1.0
         assert p.j == 4.0
 
     def test_zero_coupling_is_valid(self):
         p = make_params(1, 1, 0, 2)
-        assert p.coupling_ratio == 0.0
+        assert p.coupling / p.lambda_c == 0.0
 
     def test_off_resonance_critical_coupling(self):
         assert make_params(4, 1, 1, 16).lambda_c == 1.0
@@ -72,8 +72,6 @@ class TestBasis:
     def test_single_atom_enumeration(self):
         basis = build_basis(make_params(1, 1, 0.1, 1), 1)
         assert basis.dim == 4
-        assert basis.n.tolist() == [0, 0, 1, 1]
-        assert basis.m.tolist() == [-0.5, 0.5, -0.5, 0.5]
         assert basis.parity.tolist() == [1, -1, -1, 1]
 
     def test_two_atoms_no_photons(self):
@@ -88,10 +86,15 @@ class TestBasis:
         with pytest.raises(CapacityError):
             build_basis(make_params(1, 1, 0.1, 8), 40, max_dim=100)
 
-    def test_index_bijection(self):
+    def test_n_major_layout(self):
+        # state (n, n_b) sits at n * (N + 1) + n_b, so reshape puts Fock
+        # layer n in row n, with parity (-1)^(n + n_b)
         basis = build_basis(make_params(1, 1, 0.1, 3), 5)
-        seen = {basis.index(n, nb) for n, nb in zip(basis.n, basis.n_b)}
-        assert seen == set(range(basis.dim))
+        layout = basis.reshape(np.arange(basis.dim))
+        n, n_b = np.arange(6)[:, None], np.arange(4)[None, :]
+        assert layout.shape == (6, 4)
+        assert (layout == n * 4 + n_b).all()
+        assert (basis.reshape(basis.parity) == (-1) ** (n + n_b)).all()
 
 
 class TestHamiltonian:
@@ -108,8 +111,8 @@ class TestHamiltonian:
         params = make_params(1, 1, 0.3, 1)
         basis = build_basis(params, 1)
         H = full_hamiltonian(params, basis).toarray()
-        i = basis.index(0, 1)
-        k = basis.index(1, 0)
+        i = flat_index(basis, 0, 1)
+        k = flat_index(basis, 1, 0)
         assert H[i, k] == pytest.approx(0.3, abs=1e-15)
 
     def test_matches_dense_kronecker_oracle(self):

@@ -79,7 +79,7 @@ class TestConfig:
         dict(lambda_scale="log", lambda_min="0.1", lambda_max=1.0),
         dict(lambda_scale="log", lambda_min=0.5, lambda_max=2.0),
         dict(lambda_scale="log", lambda_min=0.1, lambda_max=1.0 + 1e-12),
-        dict(two_lobe="false"), dict(two_lobe=0),
+        dict(two_lobe="false"), dict(two_lobe=0), dict(n_atoms=(4, 4)),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -184,6 +184,15 @@ class TestRunSweep:
         ed = [r for r in reports if r.backend == "ed"]
         assert [(r.n_atoms, round(r.coupling_rel, 6)) for r in ed] == [
             (2, 0.1), (2, 0.5), (4, 0.1), (4, 0.5)]
+
+    def test_reports_come_out_in_canonical_order(self):
+        # ED atom numbers run ascending whatever order they are given in,
+        # so run_sweep needs no sort of its own
+        config = SweepConfig(lambda_min=0.1, lambda_max=0.5, lambda_steps=2,
+                             n_atoms=(8, 4), backend="all", measures=("s_vn",))
+        reports, _ = run_sweep(config)
+        assert reports == sorted(reports, key=MeasureReport.sort_key)
+        assert [r.n_atoms for r in reports if r.backend == "ed"] == [4, 4, 8, 8]
 
     def test_point_functions_looked_up_per_call(self, monkeypatch):
         # run_sweep must call whatever the module attribute is when it runs,

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -16,7 +17,7 @@ from dicke_qpt import (ParameterError, PhaseError, closed_forms,
 from dicke_qpt.thermo import (mixing_parameter, phase_solution,
                               thermal_entropy_bits)
 from oracles import (closed_forms_math, kernel_coefficients,
-                     perturbative_entropy_math)
+                     perturbative_entropy_math, with_coupling)
 
 LC = 0.5  # critical coupling on resonance (omega = omega0 = 1)
 
@@ -114,8 +115,8 @@ class TestSRSolution:
         for omega, omega0 in ((1.0, 1.0), (4.0, 1.0)):
             params = make_params(omega, omega0, 0.0, 2)
             lc = params.lambda_c
-            left = normal_solution(params.with_coupling(lc))
-            right = sr_solution(params.with_coupling(lc))
+            left = normal_solution(with_coupling(params, lc))
+            right = sr_solution(with_coupling(params, lc))
             assert abs(left.eps_minus - right.eps_minus) <= 1e-12
             assert abs(left.eps_plus - right.eps_plus) <= 1e-12
             assert abs(math.tan(2 * left.gamma) - math.tan(2 * right.gamma)) <= 1e-12
@@ -155,7 +156,6 @@ class TestGaussianRDM:
     def test_pure_limit_at_zero_coupling(self):
         rdmp = rdm_params(normal_solution(resonant(0.0)))
         assert rdmp.d_coeff == 0.0
-        assert rdmp.pure
 
     def test_kappa_frozen_value(self):
         rdmp = rdm_params(normal_solution(resonant(0.5)))
@@ -279,7 +279,7 @@ class TestCriticalAsymptote:
         params = make_params(1.0, 4.0, 0.0, 8)
         lc = params.lambda_c
         coupling = lc * (1 - 1e-6)
-        exact = entropy_td(params.with_coupling(coupling))
+        exact = entropy_td(with_coupling(params, coupling))
         assert abs(critical_asymptote(params, coupling) - exact) < 0.01
 
     def test_out_of_window_rejected(self):
@@ -289,7 +289,7 @@ class TestCriticalAsymptote:
     def test_length_scale_exponent(self):
         # l- = eps-**-1/2 diverges with exponent -1/4
         deltas = np.logspace(-6, -3, 12) * LC
-        lminus = np.array([normal_solution(resonant(0.0).with_coupling(LC - d)
+        lminus = np.array([normal_solution(with_coupling(resonant(0.0), LC - d)
                                            ).eps_minus ** -0.5 for d in deltas])
         slope = np.polyfit(np.log(deltas), np.log(lminus), 1)[0]
         assert slope == pytest.approx(-0.25, abs=1e-3)
@@ -357,8 +357,8 @@ class TestIPRTD:
     def test_phase_consistency_at_transition(self):
         params = make_params(4.0, 1.0, 0.0, 2)
         lc = params.lambda_c
-        below = ipr_td(params.with_coupling(lc))
-        above = ipr_td(params.with_coupling(lc + 0.0))
+        below = ipr_td(with_coupling(params, lc))
+        above = ipr_td(with_coupling(params, lc + 0.0))
         assert below == above == 0.0
 
 
@@ -374,15 +374,15 @@ class TestQTD:
         for ratio in (1.2, 1.5, 2.0):
             lam = ratio * LC
             h = 1e-5 * lam
-            fd = (q_td(resonant(0.0).with_coupling(lam + h))
-                  - q_td(resonant(0.0).with_coupling(lam - h))) / (2 * h)
+            fd = (q_td(with_coupling(resonant(0.0), lam + h))
+                  - q_td(with_coupling(resonant(0.0), lam - h))) / (2 * h)
             expected = q_td_derivative(resonant(ratio))
             assert fd == pytest.approx(expected, rel=1e-8)
 
     def test_value_continuous_derivative_jumps(self):
         assert q_td(resonant(1.0)) == 0.0
         h = 1e-9
-        right = (q_td(resonant(0.0).with_coupling(LC + h)) - 0.0) / h
+        right = (q_td(with_coupling(resonant(0.0), LC + h)) - 0.0) / h
         assert right == pytest.approx(4.0 / LC, rel=1e-6)
         assert q_td_derivative(resonant(1.0)) == 0.0
 
@@ -390,7 +390,7 @@ class TestQTD:
 class TestScalingRelation:
     def test_gap_exponent_half(self):
         deltas = np.logspace(-6, -3, 20) * LC
-        eps = np.array([normal_solution(resonant(0.0).with_coupling(LC - d)
+        eps = np.array([normal_solution(with_coupling(resonant(0.0), LC - d)
                                         ).eps_minus for d in deltas])
         slope = np.polyfit(np.log(deltas), np.log(eps), 1)[0]
         assert slope == pytest.approx(0.5, abs=1e-3)
@@ -461,6 +461,8 @@ class TestCouplingGrid:
     @settings(max_examples=50, deadline=None)
     @given(omega=st.floats(0.2, 5.0), omega0=st.floats(0.2, 5.0),
            ratios=st.lists(RATIOS, min_size=1, max_size=12), two_lobe=st.booleans())
+    # D is subnormal here, and 2 eps- eps+ / D overflows to inf
+    @example(omega=1.0, omega0=2.0, ratios=[9.906452447176264e-156], two_lobe=True)
     def test_grid_matches_scalar_functions_bit_for_bit(self, omega, omega0, ratios,
                                                        two_lobe):
         lc = math.sqrt(omega * omega0) / 2.0
@@ -468,7 +470,8 @@ class TestCouplingGrid:
         grid = make_params(omega, omega0, couplings, 2)
         forms = closed_forms(grid, two_lobe)
         pert = perturbative_entropy(grid)
-        assert all(isinstance(column, np.ndarray) for column in forms)
+        dq = q_td_derivative(grid)
+        assert all(isinstance(column, np.ndarray) for column in (*forms, dq))
         for k, lam in enumerate(couplings.tolist()):
             params = make_params(omega, omega0, lam, 2)
             one = closed_forms(params, two_lobe)
@@ -481,6 +484,9 @@ class TestCouplingGrid:
                 ipr_td(params), effective_temperature(rdmp), rdmp.kappa])
             assert bits([pert[k]]) == bits([perturbative_entropy(params)]) == bits(
                 [perturbative_entropy_math(omega, omega0, lam)])
+            assert type(q_td_derivative(params)) is float
+            assert bits([dq[k]]) == bits([q_td_derivative(params)]) == bits(
+                [4.0 * lc**4 / lam**5 if lam > lc else 0.0])
 
     @pytest.mark.parametrize("omega, omega0", [(1.0, 1.0), (1.0, 3.0), (2.5, 0.4)])
     def test_grid_with_zero_and_critical_coupling_warns_nothing(self, omega, omega0):
@@ -510,4 +516,14 @@ class TestCouplingGrid:
         # where the superradiant solution would divide by it
         for lam in (1e100, np.array([0.3, 1e100])):
             with pytest.raises(ParameterError, match="underflows"):
+                closed_forms(make_params(1.0, 1.0, lam, 2))
+
+    @pytest.mark.parametrize("ratio", [1e39, 5e78])
+    def test_overflowing_effective_frequency_is_a_domain_error(self, ratio):
+        # omega0^2/mu^2 squared overflows beyond about 3.4e38 lambda_c, and
+        # omega0^2/mu^2 itself beyond about 1e77 lambda_c
+        for lam in (ratio * LC, np.array([0.3, ratio * LC])):
+            with warnings.catch_warnings(), pytest.raises(
+                    ParameterError, match=re.escape(f"coupling {ratio * LC}")):
+                warnings.simplefilter("error")
                 closed_forms(make_params(1.0, 1.0, lam, 2))
