@@ -5,6 +5,8 @@ Dicke basis with certified cutoff convergence; thermodynamic-limit results
 come from the exact bosonized solution of both coupling phases.
 """
 
+import types
+
 from .eigensolver import GroundState, converge_cutoff, ground_state
 from .entanglement import (ReducedDensityMatrix, average_linear_entropy_Q,
                            inverse_participation_ratio, linear_entropy,
@@ -24,4 +26,5 @@ from .thermo import (ClosedForms, GaussianRDMParams, PhaseSolution,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -48,12 +48,12 @@ so 140 stays.
 
 A solve without a start vector starts Lanczos from a fixed vector, so
 repeated runs are bit-identical.  ground_state's keyword start replaces it by
-a ground vector at the same N and any cutoff, truncated or zero-padded at
-the end: the basis is n-major, so a smaller basis is a prefix of a larger
-one, and the resized vector is already close to the new ground state.
-During cutoff escalation each solve after the first starts from the
-previous cutoff's ground vector, and converge_cutoff's start, if given,
-starts the first.
+the amplitude matrix of a ground state at the same N and any cutoff, its
+Fock rows truncated or zero-padded: a smaller cutoff's matrix is the top
+rows of a larger one's, so the resized matrix is already close to the new
+ground state.  During cutoff escalation each solve after the first starts
+from the previous cutoff's ground state, and converge_cutoff's start, if
+given, starts the first.
 
 run_sweep passes each ED point the ground state that the previous point at
 the same N accepted (lambda-continuation).  On the benchmark's large_n
@@ -99,11 +99,11 @@ _KEEP_FLOATS = 1_000_000
 class GroundState:
     """Ground eigenpair over a BasisIndex.
 
-    amplitudes is the full-basis real vector (unit norm, deterministic sign:
-    the largest-magnitude amplitude is positive), supported on the positive-
-    parity sector.  converged marks cutoff certification by converge_cutoff,
-    not the eigensolve itself; residual is ||Hv - Ev||_2.  The cutoff is
-    basis.n_max.
+    amplitudes is the real (n_max + 1, N + 1) matrix psi(n, n_b) (unit norm,
+    deterministic sign: the largest-magnitude amplitude is positive), zero
+    where basis.parity is -1.  converged marks cutoff certification by
+    converge_cutoff, not the eigensolve itself; residual is ||Hv - Ev||_2.
+    The cutoff is basis.n_max.
     """
 
     energy: float
@@ -112,11 +112,8 @@ class GroundState:
     converged: bool
     basis: BasisIndex
 
-    def reshape(self) -> np.ndarray:
-        return self.basis.reshape(self.amplitudes)
-
     def top_fock_weight(self) -> float:
-        return float((self.reshape()[-1] ** 2).sum())
+        return float((self.amplitudes[-1] ** 2).sum())
 
 
 def _norm(x: np.ndarray) -> float:
@@ -259,11 +256,11 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
     """Certified lowest eigenpair of the positive-parity block of the Hamiltonian.
 
     hamiltonian is the block on basis, as assemble_hamiltonian returns it.
-    start, if given, is a ground vector at the same N and any cutoff
-    (GroundState.amplitudes); Lanczos starts from it, truncated or
+    start, if given, is an amplitude matrix at the same N and any cutoff
+    (GroundState.amplitudes); Lanczos starts from it, its Fock rows cut or
     zero-padded to basis, instead of the fixed vector.  The banded path
-    ignores it.  A start that is not finite, or has no weight on the +1
-    sector, raises ParameterError.
+    ignores it.  A start without N + 1 columns, not finite, or without
+    weight on the +1 sector raises ParameterError.
     The residual ||Hv - Ev|| is taken on the block.  It equals the residual
     over the whole basis: the amplitudes vanish on the -1 sector, and H
     never mixes the two sectors.
@@ -271,13 +268,14 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
     ||Hv - Ev|| <= tol * |E| cannot be met, or if Lanczos does not converge
     within LANCZOS_MAX_STEPS steps.
     """
-    idx = basis.parity_indices(+1)
+    plus = basis.parity == +1
     v0 = None
     if start is not None:
-        padded = np.zeros(basis.dim)
-        size = min(basis.dim, start.size)
-        padded[:size] = start[:size]
-        v0 = padded[idx]
+        if start.ndim != 2 or start.shape[1] != basis.n_atoms + 1:
+            raise ParameterError(f"start {start.shape} is not an N={basis.n_atoms} state")
+        padded = np.zeros(plus.shape)
+        padded[:start.shape[0]] = start[:basis.n_max + 1]
+        v0 = padded[plus]
         if not (np.isfinite(start).all() and 0.0 < _norm(v0) < math.inf):
             raise ParameterError("start must be finite and have weight on the "
                                  "positive-parity block")
@@ -289,8 +287,8 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
         raise SolverError(
             f"residual {residual:.3e} above tolerance {threshold:.3e} "
             f"(dim={basis.dim})", residual=residual)
-    amplitudes = np.zeros(basis.dim)
-    amplitudes[idx] = vec
+    amplitudes = np.zeros(plus.shape)
+    amplitudes[plus] = vec
     return GroundState(energy=energy, amplitudes=amplitudes, residual=residual,
                        converged=False, basis=basis)
 
@@ -316,10 +314,10 @@ def converge_cutoff(params: ModelParams,
 
     Convergence requires successive ground energies to agree within
     energy_tol and the weight on the top Fock layer to stay below 1e-8.
-    The first solve starts from start (see ground_state), or from the fixed
-    vector if it is None; run_sweep passes the previous point's ground
-    amplitudes at the same N.  Each later solve starts Lanczos from the
-    previous cutoff's ground vector, zero-padded to the new cutoff.
+    The first solve starts from start, an amplitude matrix at the same N
+    (see ground_state), or from the fixed vector if it is None; run_sweep
+    passes the previous point's.  Each later solve starts Lanczos from the
+    previous cutoff's amplitudes, zero-padded to the new cutoff.
     Returns the final GroundState with converged=True; its basis.n_max is the
     accepted cutoff.
     Raises CutoffConvergenceError (with the observed energy sequence) if the

@@ -4,7 +4,8 @@ Covers the bipartite atom-field reduced density matrices and their von
 Neumann / linear entropies, the single-atom reduced state built from
 collective expectations, the subsystem-averaged linear entropy Q, and the
 coordinate-space inverse participation ratio, integrated by a tensor
-Gauss-Hermite rule that is exact for the state.
+Gauss-Hermite rule that is exact for the state.  Each reads the state's
+amplitude matrix psi(n, n_b) and basis (state.amplitudes, state.basis).
 """
 
 from __future__ import annotations
@@ -64,14 +65,13 @@ def _make_rdm(subsystem: str, matrix: np.ndarray) -> ReducedDensityMatrix:
                                 eigenvalues=ev, clipped_weight=clipped)
 
 
-def partial_trace(state: GroundState, basis: BasisIndex,
-                  keep: str = "atoms") -> ReducedDensityMatrix:
+def partial_trace(state: GroundState, keep: str = "atoms") -> ReducedDensityMatrix:
     """Reduced density matrix of the atoms or the field from a pure state.
 
     For keep="atoms": rho[m, m'] = sum_n psi(n, m) psi(n, m'); analogous for
-    the field.  The amplitude matrix view makes both a single product.
+    the field.  On the amplitude matrix both are a single product.
     """
-    A = basis.reshape(state.amplitudes)
+    A = state.amplitudes
     if keep == "atoms":
         rho = A.T @ A
     elif keep == "field":
@@ -102,11 +102,11 @@ def linear_entropy(rdm: ReducedDensityMatrix, subsystem_dim: int | None = None) 
     return float(eta * (1.0 - rdm.purity()))
 
 
-def collective_expectations(state: GroundState, basis: BasisIndex) -> dict:
+def collective_expectations(state: GroundState) -> dict:
     """<Jz> and <J+> in the collective basis; <J-> = <J+> for real amplitudes."""
-    A = basis.reshape(state.amplitudes)
-    j = basis.j
-    m = np.arange(basis.n_atoms + 1) - j
+    A = state.amplitudes
+    j = state.basis.j
+    m = np.arange(state.basis.n_atoms + 1) - j
     w = A**2
     jz = float((w * m[None, :]).sum())
     raise_m = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
@@ -114,7 +114,7 @@ def collective_expectations(state: GroundState, basis: BasisIndex) -> dict:
     return {"jz": jz, "jp": jp}
 
 
-def single_atom_rdm(state: GroundState, basis: BasisIndex) -> ReducedDensityMatrix:
+def single_atom_rdm(state: GroundState) -> ReducedDensityMatrix:
     """2x2 reduced state of one atom from collective expectation values.
 
     rho_k = [[ (1 - 2<Jz>/N)/2,  <J->/N ],
@@ -122,15 +122,15 @@ def single_atom_rdm(state: GroundState, basis: BasisIndex) -> ReducedDensityMatr
     so Tr rho_k^2 = 1/2 + 2<Jz>^2/N^2 + 2<J-><J+>/N^2.  For a parity
     eigenstate <J+-> vanish identically (they flip the parity sector).
     """
-    ex = collective_expectations(state, basis)
-    N = basis.n_atoms
+    ex = collective_expectations(state)
+    N = state.basis.n_atoms
     z = 2.0 * ex["jz"] / N
     off = ex["jp"] / N
     rho = np.array([[0.5 * (1.0 - z), off], [off, 0.5 * (1.0 + z)]])
     return _make_rdm("single-atom", rho)
 
 
-def average_linear_entropy_Q(state: GroundState, basis: BasisIndex, *,
+def average_linear_entropy_Q(state: GroundState, *,
                              _atoms_rdm: ReducedDensityMatrix | None = None) -> float:
     """Subsystem-averaged linear entropy Q = N/(N+1) L_k + 1/(N+1) L_b.
 
@@ -142,13 +142,13 @@ def average_linear_entropy_Q(state: GroundState, basis: BasisIndex, *,
     of the same state) is used as _atoms_rdm instead of a second build; it is
     the same matrix, so Q keeps its bits.
     """
-    N = basis.n_atoms
-    rho_k = single_atom_rdm(state, basis)
+    N = state.basis.n_atoms
+    rho_k = single_atom_rdm(state)
     l_k = linear_entropy(rho_k, 2)
-    if basis.n_max <= basis.n_atoms:
-        rho_b = partial_trace(state, basis, keep="field")
+    if state.basis.n_max <= N:
+        rho_b = partial_trace(state, keep="field")
     elif _atoms_rdm is None:
-        rho_b = partial_trace(state, basis, keep="atoms")
+        rho_b = partial_trace(state, keep="atoms")
     else:
         rho_b = _atoms_rdm
     l_b = linear_entropy(rho_b, N + 1)
@@ -224,9 +224,10 @@ def inverse_participation_ratio(state: GroundState, basis: BasisIndex,
     psi_k(t / sqrt(2)).  Along an axis with top level k, Psi^4 is a
     polynomial of degree 4k in t times exp(-t^2).  A K-node Gauss-Hermite
     rule is exact to degree 2K - 1, so the tensor rule with 2 n_max + 1
-    (field) and 2 N + 1 (atoms) nodes is exact up to rounding.
+    (field) and 2 N + 1 (atoms) nodes is exact up to rounding.  The tables
+    are sized from basis: one of another shape than the state raises ValueError.
     """
-    psi = (_oscillator_table(basis.n_max) @ basis.reshape(state.amplitudes)
+    psi = (_oscillator_table(basis.n_max) @ state.amplitudes
            @ _oscillator_table(basis.n_atoms).T)
     # squared twice in place: psi**4 runs a per-element pow, and takes 48
     # against 6 ms on a 1057 x 513 grid (2-core Intel Xeon VM)

@@ -73,14 +73,15 @@ def make_params(omega, omega0, coupling, n_atoms) -> ModelParams:
 class BasisIndex:
     """Enumeration of |n> x |j, m> product states under a boson cutoff.
 
-    Ordering is n-major, m-minor (m ascending from -j), so the flat index of
-    (n, m) is n * (N + 1) + (m + j).  Each state carries the parity label
-    (-1)^(n + m + j), the eigenvalue of exp[i pi (a^dag a + Jz + j)].
+    A state's amplitudes form an (n_max + 1, N + 1) matrix psi(n, n_b) with
+    n_b = m + j; parity is the same grid of labels (-1)^(n + n_b), the
+    eigenvalue of exp[i pi (a^dag a + Jz + j)].  Its +1 entries, read row by
+    row, are the rows of the Hamiltonian block.
     """
 
     n_max: int
     n_atoms: int
-    parity: np.ndarray = field(repr=False)   # +-1 per entry
+    parity: np.ndarray = field(repr=False)   # +-1 per (n, n_b), int8
 
     @property
     def j(self) -> float:
@@ -89,13 +90,6 @@ class BasisIndex:
     @property
     def dim(self) -> int:
         return (self.n_max + 1) * (self.n_atoms + 1)
-
-    def parity_indices(self, sector: int = +1) -> np.ndarray:
-        return np.flatnonzero(self.parity == sector)
-
-    def reshape(self, amplitudes: np.ndarray) -> np.ndarray:
-        """View a flat amplitude vector as an (n_max+1, N+1) matrix."""
-        return np.asarray(amplitudes).reshape(self.n_max + 1, self.n_atoms + 1)
 
 
 def build_basis(params: ModelParams, n_max: int,
@@ -109,7 +103,7 @@ def build_basis(params: ModelParams, n_max: int,
         raise CapacityError(
             f"basis dimension {dim} exceeds ceiling {max_dim} "
             f"(n_max={n_max}, N={params.n_atoms})")
-    n_plus_n_b = np.add.outer(np.arange(n_max + 1), np.arange(n_states)).ravel()
+    n_plus_n_b = np.add.outer(np.arange(n_max + 1), np.arange(n_states))
     parity = np.where(n_plus_n_b % 2 == 0, 1, -1).astype(np.int8)
     return BasisIndex(n_max=n_max, n_atoms=params.n_atoms, parity=parity)
 
@@ -117,8 +111,8 @@ def build_basis(params: ModelParams, n_max: int,
 def assemble_hamiltonian(params: ModelParams, basis: BasisIndex) -> sp.dia_matrix:
     """The positive-parity block of the Hamiltonian, stored by its diagonals.
 
-    Rows and columns are the basis states of parity +1 in basis order
-    (basis.parity_indices(+1)): Fock layer n holds n_b = n mod 2,
+    Rows and columns are the basis states of parity +1 (basis.parity == +1),
+    n-major: Fock layer n holds n_b = n mod 2,
     n mod 2 + 2, ... <= N.  The diagonal is omega * n + omega0 * m; the
     coupling connects (n, n_b) to (n + 1, n_b +- 1) with element
     (coupling / sqrt(2j)) * sqrt(n + 1) * sqrt(j(j+1) - m(m +- 1)), and never

@@ -77,7 +77,7 @@ class SweepConfig:
     |lambda - lambda_c| / lambda_c logarithmically on
     [lambda_min, lambda_max], at most 1, and places points on both sides
     of lambda_c.
-    n_atoms entries are positive ints; the string "inf" requests
+    n_atoms is a non-empty tuple of positive ints; the string "inf" requests
     thermodynamic-limit rows.  tol is the cutoff-convergence energy
     tolerance; solver_tol bounds each eigenpair residual relative to |E|.
     two_lobe=False reports the broken-symmetry single-lobe entropy above
@@ -155,6 +155,8 @@ class SweepConfig:
             raise ConfigError("tol and solver_tol must be positive and finite")
         if not (isinstance(self.max_dim, Integral) and 1 <= self.max_dim):
             raise ConfigError("max_dim must be an integer >= 1")
+        if not self.n_atoms:
+            raise ConfigError("n_atoms must name at least one atom number")
         for n in self.n_atoms:
             if n != "inf" and not (isinstance(n, Real) and 1 <= n < math.inf
                                    and int(n) == n):
@@ -279,21 +281,20 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float,
                             growth=config.cutoff_growth, energy_tol=config.tol,
                             tol=config.solver_tol, max_dim=config.max_dim,
                             start=start)
-    basis = state.basis
     values: dict = {}
     atoms_rdm = None
     if "s_vn" in config.measures or "l_lin" in config.measures:
-        atoms_rdm = entanglement.partial_trace(state, basis, keep="atoms")
+        atoms_rdm = entanglement.partial_trace(state, keep="atoms")
     if "s_vn" in config.measures:
         values["s_vn"] = entanglement.von_neumann_entropy(atoms_rdm)
     if "l_lin" in config.measures:
         values["l_lin"] = entanglement.linear_entropy(atoms_rdm, n_atoms + 1)
     if "q_avg" in config.measures:
-        values["q_avg"] = entanglement.average_linear_entropy_Q(state, basis,
-                                                                _atoms_rdm=atoms_rdm)
+        values["q_avg"] = entanglement.average_linear_entropy_Q(state, _atoms_rdm=atoms_rdm)
     if "ipr_inv" in config.measures:
-        values["ipr_inv"] = entanglement.inverse_participation_ratio(state, basis, params)
-    jz = entanglement.collective_expectations(state, basis)["jz"]
+        values["ipr_inv"] = entanglement.inverse_participation_ratio(
+            state, state.basis, params)
+    jz = entanglement.collective_expectations(state)["jz"]
     report = MeasureReport(backend="ed", coupling=coupling,
                            coupling_rel=coupling / params.lambda_c,
                            n_atoms=n_atoms, n_max=state.basis.n_max,

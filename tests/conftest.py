@@ -52,7 +52,7 @@ s = dq.converge_cutoff(p)
 dq.inverse_participation_ratio(s, s.basis, p)
 s = dq.converge_cutoff(dq.make_params(1.0, 1.0, 0.5, 16))
 print('scipy.special' in sys.modules)
-print(s.basis.parity_indices(1).size > es.DENSE_LIMIT, 'scipy.sparse.linalg' in sys.modules)
+print((s.basis.parity > 0).sum() > es.DENSE_LIMIT, 'scipy.sparse.linalg' in sys.modules)
 """
 
 

@@ -9,7 +9,7 @@ math module only; kernel_coefficients gives the position-space kernel of a
 closed-form reduced state, and strong_coupling_state (built from coherent_amplitudes and
 jx_extremal_amplitudes) the limiting ground state far above lambda_c.
 meyer_wallach_Q_generic evaluates Q on an explicit qubit register;
-flat_index and with_coupling are small helpers for building test inputs.
+parity_indices and with_coupling are small helpers for building test inputs.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import scipy.sparse as sp
 from dicke_qpt import IntegrityError, ParameterError, PhaseError, make_params
 
 
-def flat_index(basis, n: int, n_b: int) -> int:
-    """Position of |n> x |j, n_b - j> in the n-major basis order."""
-    return n * (basis.n_atoms + 1) + n_b
+def parity_indices(basis, sector: int = +1) -> np.ndarray:
+    """Positions of one parity sector's states in the n-major flat order."""
+    return np.flatnonzero(basis.parity == sector)
 
 
 def with_coupling(params, coupling):
@@ -77,12 +77,12 @@ def full_hamiltonian(params, basis) -> sp.csr_matrix:
 
 def parity_operator(basis) -> sp.csr_matrix:
     """Diagonal parity operator, eigenvalues (-1)^(n + m + j)."""
-    return sp.diags(basis.parity.astype(float), format="csr")
+    return sp.diags(basis.parity.ravel().astype(float), format="csr")
 
 
 def parity_block(params, basis) -> sp.csr_matrix:
     """The positive-parity block of full_hamiltonian, sliced out of it."""
-    idx = basis.parity_indices(+1)
+    idx = parity_indices(basis, +1)
     return full_hamiltonian(params, basis)[idx][:, idx]
 
 
@@ -204,7 +204,7 @@ def jx_extremal_amplitudes(n_atoms: int, sign: int) -> np.ndarray:
 
 
 def strong_coupling_state(params: ModelParams, basis: BasisIndex) -> np.ndarray:
-    """Limiting ground state in the truncated basis, for overlap tests.
+    """Limiting ground amplitude matrix in the truncated basis, for overlap tests.
 
     (|+alpha, -j_x> + |-alpha, +j_x>)/sqrt(2) with alpha = sqrt(2j)
     * coupling / omega: a coherent field paired with the opposite-sign J_x
@@ -215,7 +215,7 @@ def strong_coupling_state(params: ModelParams, basis: BasisIndex) -> np.ndarray:
                            jx_extremal_amplitudes(basis.n_atoms, -1))
     branch_minus = np.outer(coherent_amplitudes(-alpha, basis.n_max),
                             jx_extremal_amplitudes(basis.n_atoms, +1))
-    psi = ((branch_plus + branch_minus) / math.sqrt(2.0)).ravel()
+    psi = (branch_plus + branch_minus) / math.sqrt(2.0)
     return psi / np.linalg.norm(psi)
 
 

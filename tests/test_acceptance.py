@@ -49,9 +49,9 @@ def test_criterion_1_zero_coupling_exactness(resonant_ground):
     for n_atoms in (1, 2, 8):
         gs = resonant_ground(0.0, n_atoms)
         energy_exact &= gs.energy == -n_atoms / 2.0
-        s = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
-        l = linear_entropy(partial_trace(gs, gs.basis, "atoms"), n_atoms + 1)
-        q = average_linear_entropy_Q(gs, gs.basis)
+        s = von_neumann_entropy(partial_trace(gs, "atoms"))
+        l = linear_entropy(partial_trace(gs, "atoms"), n_atoms + 1)
+        q = average_linear_entropy_Q(gs)
         worst_measure = max(worst_measure, abs(s), abs(l), abs(q))
     report("criterion 1 (zero-coupling exactness)",
            energy_exact and worst_measure <= 1e-10,
@@ -62,7 +62,7 @@ def test_criterion_2_strong_coupling_entropy(resonant_ground):
     deviations = []
     for ratio in (2.0, 3.0, 4.0):
         gs = resonant_ground(ratio, 8)
-        s = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
+        s = von_neumann_entropy(partial_trace(gs, "atoms"))
         deviations.append(abs(s - 1.0))
     converging = deviations[0] > deviations[1] > deviations[2]
     report("criterion 2 (strong-coupling entropy)",
@@ -201,8 +201,8 @@ def test_criterion_9_property_suite(resonant_ground):
     for ratio in np.linspace(0.0, 3.0, 20):
         ratio = round(float(ratio), 10)
         gs = resonant_ground(ratio, 6)
-        s_a = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
-        s_f = von_neumann_entropy(partial_trace(gs, gs.basis, "field"))
+        s_a = von_neumann_entropy(partial_trace(gs, "atoms"))
+        s_f = von_neumann_entropy(partial_trace(gs, "field"))
         worst_schmidt = max(worst_schmidt, abs(s_a - s_f))
         H = full_hamiltonian(make_params(1, 1, ratio * LC, 6), gs.basis)
         worst_parity = max(worst_parity,
@@ -250,7 +250,7 @@ def test_criterion_10_perturbative_window(resonant_ground):
     for n_atoms in (8, 32):
         for ratio in (0.1, 0.2, 0.3, 0.4):
             gs = resonant_ground(ratio, n_atoms)
-            s_ed = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
+            s_ed = von_neumann_entropy(partial_trace(gs, "atoms"))
             s_pert = perturbative_entropy(make_params(1, 1, ratio * LC, n_atoms))
             worst = max(worst, abs(s_ed - s_pert))
     report("criterion 10 (perturbative window)", worst <= 0.01,

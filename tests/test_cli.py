@@ -51,8 +51,9 @@ class TestMain:
         ["--backend", "td", "--solver-tol", "nan"],
         ["--backend", "td", "--lambda-scale", "log", "--lambda-min", "0.5",
          "--lambda-max", "2", "--lambda-steps", "3"],
+        ["--n-atoms", ""],
     ], ids=["lambda_steps", "tol", "lambda_max_inf", "omega_nan", "omega_inf",
-            "solver_tol_nan", "log_offset_above_one"])
+            "solver_tol_nan", "log_offset_above_one", "n_atoms_empty"])
     def test_invalid_arguments_exit_one(self, args, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 1

@@ -11,7 +11,7 @@ from dicke_qpt import (CutoffConvergenceError, ParameterError, SolverError,
 from dicke_qpt import eigensolver
 from dicke_qpt.eigensolver import (DEFAULT_ENERGY_TOL, TOP_WEIGHT_LIMIT,
                                    suggest_cutoff)
-from oracles import flat_index, full_hamiltonian, parity_block
+from oracles import full_hamiltonian, parity_block, parity_indices
 
 
 def hamiltonian_and_basis(params, n_max):
@@ -38,7 +38,7 @@ class TestGroundState:
         basis = build_basis(params, 6)
         gs = ground_state(assemble_hamiltonian(params, basis), basis)
         assert gs.energy == -4.0
-        assert gs.amplitudes[flat_index(basis, 0, 0)] == 1.0
+        assert gs.amplitudes[0, 0] == 1.0
         assert abs(gs.amplitudes).sum() == 1.0
 
     def test_matches_dense_full_diagonalization(self):
@@ -52,7 +52,7 @@ class TestGroundState:
     def test_positive_parity(self, resonant_ground):
         gs = resonant_ground(0.9, 8)
         weight_minus = float(
-            (gs.amplitudes[gs.basis.parity_indices(-1)] ** 2).sum())
+            (gs.amplitudes[gs.basis.parity == -1] ** 2).sum())
         assert weight_minus == 0.0
 
     def test_residual_certificate(self):
@@ -75,7 +75,8 @@ class TestGroundState:
         params = make_params(1, 1, 0.6, 4)
         basis = build_basis(params, 12)
         gs = ground_state(assemble_hamiltonian(params, basis), basis)
-        assert gs.amplitudes[np.argmax(np.abs(gs.amplitudes))] > 0
+        amps = gs.amplitudes.ravel()
+        assert amps[np.argmax(np.abs(amps))] > 0
 
     def test_projected_energy_is_full_ground_energy(self):
         # above lambda_c the two parity sectors are nearly degenerate; the
@@ -95,9 +96,10 @@ class TestGroundState:
         params = make_params(1.3, 0.7, ratio * math.sqrt(1.3 * 0.7) / 2, n_atoms)
         H, basis = hamiltonian_and_basis(params, n_max)
         gs = ground_state(H, basis)
-        assert np.all(gs.amplitudes[basis.parity_indices(-1)] == 0.0)
+        assert np.all(gs.amplitudes[basis.parity == -1] == 0.0)
         full = full_hamiltonian(params, basis)
-        oracle = np.linalg.norm(full @ gs.amplitudes - gs.energy * gs.amplitudes)
+        amps = gs.amplitudes.ravel()
+        oracle = np.linalg.norm(full @ amps - gs.energy * amps)
         assert gs.residual == pytest.approx(oracle, rel=1e-14)
 
     def test_variational_monotonicity(self):
@@ -127,7 +129,7 @@ class TestGroundState:
         dense = ground_state(H, basis)
         monkeypatch.setattr(eigensolver, "DENSE_LIMIT", 0)
         lanczos = ground_state(H, basis)
-        assert basis.parity_indices(+1).size == 391
+        assert parity_indices(basis, +1).size == 391
         assert abs(lanczos.energy - dense.energy) <= 1e-12 * abs(dense.energy)
         np.testing.assert_allclose(lanczos.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
 
@@ -189,22 +191,25 @@ class TestLanczos:
         # so Lanczos takes one step and the start comes back unchanged
         params = make_params(1, 1, 0.0, 16)
         H, basis = hamiltonian_and_basis(params, 30)
-        assert basis.parity_indices(+1).size > eigensolver.DENSE_LIMIT
-        start = np.zeros(basis.dim)
-        start[flat_index(basis, 0, 0)] = 1.0
+        assert parity_indices(basis, +1).size > eigensolver.DENSE_LIMIT
+        start = np.zeros(basis.parity.shape)
+        start[0, 0] = 1.0
         gs = ground_state(H, basis, start=start)
         assert lanczos_steps == [0.0]
         assert gs.energy == -8.0 and gs.residual == 0.0
         np.testing.assert_array_equal(gs.amplitudes, start)
 
-    @pytest.mark.parametrize("kind", ["zero", "minus_one", "nan", "nan_minus_one"])
+    @pytest.mark.parametrize("kind", ["zero", "minus_one", "nan", "nan_minus_one",
+                                      "flat", "other_n"])
     def test_unusable_start_rejected(self, kind, lanczos_steps):
         # rejected before any Lanczos step: normalizing a start without +1
-        # weight divides 0 by 0, and the tridiagonal eigensolver then fails
+        # weight divides 0 by 0, and the tridiagonal eigensolver then fails;
+        # a flat vector or an N = 4 state, resized into the N = 16 block,
+        # would be a scrambled start
         params = make_params(1, 1, 0.5, 16)
         H, basis = hamiltonian_and_basis(params, 30)
-        assert basis.parity_indices(+1).size > eigensolver.DENSE_LIMIT
-        plus, minus = basis.parity_indices(+1), basis.parity_indices(-1)
+        assert parity_indices(basis, +1).size > eigensolver.DENSE_LIMIT
+        plus, minus = parity_indices(basis, +1), parity_indices(basis, -1)
         start = np.zeros(basis.dim)
         if kind == "minus_one":
             start[minus] = 1.0
@@ -214,6 +219,12 @@ class TestLanczos:
         elif kind == "nan_minus_one":
             start[plus] = 1.0
             start[minus[-1]] = math.nan
+        elif kind == "flat":
+            start[plus] = 1.0
+        if kind == "other_n":
+            start = converge_cutoff(make_params(1, 1, 0.5, 4)).amplitudes
+        elif kind != "flat":
+            start = start.reshape(basis.parity.shape)
         with pytest.raises(ParameterError):
             ground_state(H, basis, start=start)
         with pytest.raises(ParameterError):
@@ -330,8 +341,8 @@ class TestCutoffConvergence:
         cold = cold_escalation(params)
         assert warm.basis.n_max == cold.basis.n_max
         assert abs(warm.energy - cold.energy) <= 1e-12 * abs(cold.energy)
-        s_warm = von_neumann_entropy(partial_trace(warm, warm.basis, "atoms"))
-        s_cold = von_neumann_entropy(partial_trace(cold, cold.basis, "atoms"))
+        s_warm = von_neumann_entropy(partial_trace(warm, "atoms"))
+        s_cold = von_neumann_entropy(partial_trace(cold, "atoms"))
         assert abs(s_warm - s_cold) <= 1e-10
 
     def test_escalation_starts_from_padded_previous_vector(self, monkeypatch):
@@ -356,8 +367,8 @@ class TestCutoffConvergence:
         np.testing.assert_array_equal(starts[0], starts[-1])
         for prev, state, v0 in zip(states, states[1:], starts[1:]):
             padded = np.zeros(state.basis.dim)
-            padded[:prev.basis.dim] = prev.amplitudes
-            np.testing.assert_array_equal(v0, padded[state.basis.parity_indices(+1)])
+            padded[:prev.basis.dim] = prev.amplitudes.ravel()
+            np.testing.assert_array_equal(v0, padded[parity_indices(state.basis, +1)])
 
     def test_growth_must_exceed_one(self):
         for growth in (1.0, math.nan, math.inf):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from dicke_qpt import entanglement
-from dicke_qpt import (IntegrityError, ParameterError, average_linear_entropy_Q,
-                       build_basis, inverse_participation_ratio, linear_entropy,
+from dicke_qpt import (IntegrityError, ParameterError, assemble_hamiltonian,
+                       average_linear_entropy_Q, build_basis, ground_state,
+                       inverse_participation_ratio, linear_entropy,
                        linear_entropy_td, make_params, partial_trace,
                        single_atom_rdm, von_neumann_entropy)
 from dicke_qpt.entanglement import collective_expectations
 from dicke_qpt.eigensolver import GroundState
-from oracles import coherent_amplitudes, flat_index, meyer_wallach_Q_generic
+from oracles import coherent_amplitudes, meyer_wallach_Q_generic
 
 
 def embed_in_qubit_register(state, basis):
@@ -21,7 +22,7 @@ def embed_in_qubit_register(state, basis):
     with j + m set bits; the field index stays a separate tensor factor.
     """
     N = basis.n_atoms
-    amps = basis.reshape(state.amplitudes)
+    amps = state.amplitudes
     full = np.zeros((basis.n_max + 1, 2**N))
     for bits in range(2**N):
         ones = bin(bits).count("1")
@@ -41,9 +42,9 @@ def single_qubit_purity_oracle(state, basis, k):
 
 def synthetic_state(basis, entries):
     """Unit-norm GroundState with amplitudes placed at given (n, n_b)."""
-    amps = np.zeros(basis.dim)
+    amps = np.zeros(basis.parity.shape)
     for (n, nb), val in entries.items():
-        amps[flat_index(basis, n, nb)] = val
+        amps[n, nb] = val
     amps /= np.linalg.norm(amps)
     return GroundState(energy=0.0, amplitudes=amps, residual=0.0, converged=True,
                        basis=basis)
@@ -52,7 +53,7 @@ def synthetic_state(basis, entries):
 class TestPartialTrace:
     def test_product_state_gives_rank_one_projector(self, resonant_ground):
         gs = resonant_ground(0.0, 4)
-        rdm = partial_trace(gs, gs.basis, "atoms")
+        rdm = partial_trace(gs, "atoms")
         expected = np.zeros((5, 5))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rdm.matrix, expected, atol=1e-14)
@@ -60,8 +61,8 @@ class TestPartialTrace:
 
     def test_schmidt_symmetry(self, ground):
         gs = ground(1.0, 1.0, 0.6, 2)
-        s_atoms = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
-        s_field = von_neumann_entropy(partial_trace(gs, gs.basis, "field"))
+        s_atoms = von_neumann_entropy(partial_trace(gs, "atoms"))
+        s_field = von_neumann_entropy(partial_trace(gs, "field"))
         assert abs(s_atoms - s_field) < 1e-9
 
     def test_matches_dense_outer_product_oracle(self, resonant_ground):
@@ -70,51 +71,51 @@ class TestPartialTrace:
         rho_full = np.outer(gs.amplitudes, gs.amplitudes).reshape(
             basis.n_max + 1, basis.n_atoms + 1, basis.n_max + 1, basis.n_atoms + 1)
         oracle_atoms = np.einsum("nanb->ab", rho_full)
-        np.testing.assert_allclose(partial_trace(gs, basis, "atoms").matrix,
+        np.testing.assert_allclose(partial_trace(gs, "atoms").matrix,
                                    oracle_atoms, atol=1e-12)
         oracle_field = np.einsum("nama->nm", rho_full)
-        np.testing.assert_allclose(partial_trace(gs, basis, "field").matrix,
+        np.testing.assert_allclose(partial_trace(gs, "field").matrix,
                                    oracle_field, atol=1e-12)
 
     def test_unnormalized_state_rejected(self, resonant_ground):
         gs = resonant_ground(0.5, 2)
         broken = dataclasses.replace(gs, amplitudes=2.0 * gs.amplitudes)
         with pytest.raises(IntegrityError):
-            partial_trace(broken, gs.basis, "atoms")
+            partial_trace(broken, "atoms")
 
     def test_bad_subsystem_tag(self, resonant_ground):
         gs = resonant_ground(0.5, 2)
         with pytest.raises(ParameterError):
-            partial_trace(gs, gs.basis, "everything")
+            partial_trace(gs, "everything")
 
     def test_clipping_never_removes_real_weight(self, resonant_ground):
         for ratio in (0.3, 0.9, 1.5):
             gs = resonant_ground(ratio, 6)
-            assert partial_trace(gs, gs.basis, "atoms").clipped_weight <= 1e-9
+            assert partial_trace(gs, "atoms").clipped_weight <= 1e-9
 
 
 class TestEntropies:
     def test_rank_one_projector_has_zero_entropy(self, resonant_ground):
         gs = resonant_ground(0.0, 2)
-        assert von_neumann_entropy(partial_trace(gs, gs.basis, "atoms")) == 0.0
+        assert von_neumann_entropy(partial_trace(gs, "atoms")) == 0.0
 
     def test_equal_mixture_is_one_bit(self):
         basis = build_basis(make_params(1, 1, 0.1, 1), 1)
         bell = synthetic_state(basis, {(0, 0): 1.0, (1, 1): 1.0})
-        rdm = partial_trace(bell, basis, "atoms")
+        rdm = partial_trace(bell, "atoms")
         assert von_neumann_entropy(rdm) == pytest.approx(1.0, abs=1e-12)
         assert linear_entropy(rdm) == pytest.approx(1.0, abs=1e-12)
 
     def test_strong_coupling_entropy_near_one_bit(self, resonant_ground):
         gs = resonant_ground(3.0, 8)
-        s = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
+        s = von_neumann_entropy(partial_trace(gs, "atoms"))
         assert abs(s - 1.0) < 0.1
 
     def test_linear_entropy_normalization(self, resonant_ground):
         gs = resonant_ground(0.0, 4)
-        assert linear_entropy(partial_trace(gs, gs.basis, "atoms")) == 0.0
+        assert linear_entropy(partial_trace(gs, "atoms")) == 0.0
         with pytest.raises(ParameterError):
-            linear_entropy(partial_trace(gs, gs.basis, "atoms"), 1)
+            linear_entropy(partial_trace(gs, "atoms"), 1)
 
     def test_linear_entropy_approaches_closed_form(self, resonant_ground):
         # eta -> 1 deviation and finite-size error both shrink with N
@@ -122,7 +123,7 @@ class TestEntropies:
         devs = []
         for n_atoms in (4, 8, 16):
             gs = resonant_ground(0.5, n_atoms)
-            rdm = partial_trace(gs, gs.basis, "atoms")
+            rdm = partial_trace(gs, "atoms")
             devs.append(abs(linear_entropy(rdm, n_atoms + 1) - target))
         assert devs[0] > devs[1] > devs[2]
 
@@ -130,25 +131,25 @@ class TestEntropies:
         values = []
         for ratio in np.arange(0.0, 1.0, 0.1):
             gs = resonant_ground(round(ratio, 1), 6)
-            values.append(von_neumann_entropy(partial_trace(gs, gs.basis, "atoms")))
+            values.append(von_neumann_entropy(partial_trace(gs, "atoms")))
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestSingleAtom:
     def test_decoupled_limit(self, resonant_ground):
         gs = resonant_ground(0.0, 4)
-        rdm = single_atom_rdm(gs, gs.basis)
+        rdm = single_atom_rdm(gs)
         np.testing.assert_allclose(rdm.matrix, np.diag([1.0, 0.0]), atol=1e-14)
         assert rdm.purity() == pytest.approx(1.0, abs=1e-12)
 
     def test_parity_selection_rule(self, resonant_ground):
         gs = resonant_ground(1.2, 6)
-        ex = collective_expectations(gs, gs.basis)
+        ex = collective_expectations(gs)
         assert ex["jp"] == 0.0
 
     def test_matches_qubit_embedding_oracle(self, resonant_ground):
         gs = resonant_ground(1.2, 6)
-        rdm = single_atom_rdm(gs, gs.basis)
+        rdm = single_atom_rdm(gs)
         for k in range(6):
             rho_k, purity_k = single_qubit_purity_oracle(gs, gs.basis, k)
             np.testing.assert_allclose(rdm.matrix, rho_k, atol=1e-9)
@@ -156,24 +157,24 @@ class TestSingleAtom:
 
     def test_purity_identity(self, resonant_ground):
         gs = resonant_ground(0.7, 8)
-        ex = collective_expectations(gs, gs.basis)
+        ex = collective_expectations(gs)
         expected = 0.5 + 2 * ex["jz"] ** 2 / 64 + 2 * ex["jp"] ** 2 / 64
-        assert single_atom_rdm(gs, gs.basis).purity() == pytest.approx(
+        assert single_atom_rdm(gs).purity() == pytest.approx(
             expected, abs=1e-12)
 
 
 class TestAverageQ:
     def test_zero_coupling(self, resonant_ground):
         gs = resonant_ground(0.0, 4)
-        assert average_linear_entropy_Q(gs, gs.basis) == 0.0
+        assert average_linear_entropy_Q(gs) == 0.0
 
     def test_assembled_from_independent_parts(self, resonant_ground):
         gs = resonant_ground(1.0, 4)
         n = 4
-        l_k = linear_entropy(single_atom_rdm(gs, gs.basis), 2)
-        l_b = linear_entropy(partial_trace(gs, gs.basis, "field"), n + 1)
+        l_k = linear_entropy(single_atom_rdm(gs), 2)
+        l_b = linear_entropy(partial_trace(gs, "field"), n + 1)
         expected = (n * l_k + l_b) / (n + 1)
-        assert average_linear_entropy_Q(gs, gs.basis) == pytest.approx(
+        assert average_linear_entropy_Q(gs) == pytest.approx(
             expected, abs=1e-12)
 
     @pytest.mark.parametrize("ratio, n_atoms, field_smaller", [
@@ -184,10 +185,10 @@ class TestAverageQ:
         # the oracle always builds the field RDM itself
         gs = resonant_ground(ratio, n_atoms)
         assert (gs.basis.n_max < n_atoms) == field_smaller
-        l_k = linear_entropy(single_atom_rdm(gs, gs.basis), 2)
-        l_b = linear_entropy(partial_trace(gs, gs.basis, "field"), n_atoms + 1)
+        l_k = linear_entropy(single_atom_rdm(gs), 2)
+        l_b = linear_entropy(partial_trace(gs, "field"), n_atoms + 1)
         expected = (n_atoms * l_k + l_b) / (n_atoms + 1)
-        assert abs(average_linear_entropy_Q(gs, gs.basis) - expected) <= 1e-14
+        assert abs(average_linear_entropy_Q(gs) - expected) <= 1e-14
 
     @pytest.mark.parametrize("ratio, n_atoms", [(1.0, 4), (1.5, 8), (0.5, 32)])
     def test_reuses_the_callers_atoms_rdm(self, monkeypatch, resonant_ground,
@@ -195,8 +196,8 @@ class TestAverageQ:
         # where A^T A is the smaller Gram matrix, the atoms RDM the caller
         # passes is used instead of a second build, and Q keeps its bits
         gs = resonant_ground(ratio, n_atoms)
-        atoms = partial_trace(gs, gs.basis, "atoms")
-        fresh = average_linear_entropy_Q(gs, gs.basis)
+        atoms = partial_trace(gs, "atoms")
+        fresh = average_linear_entropy_Q(gs)
         built = []
         make_rdm = entanglement._make_rdm
 
@@ -205,7 +206,7 @@ class TestAverageQ:
             return make_rdm(subsystem, matrix)
 
         monkeypatch.setattr(entanglement, "_make_rdm", recording_make_rdm)
-        reused = average_linear_entropy_Q(gs, gs.basis, _atoms_rdm=atoms)
+        reused = average_linear_entropy_Q(gs, _atoms_rdm=atoms)
         assert reused == fresh
         field_smaller = gs.basis.n_max <= n_atoms
         assert built == (["single-atom", "field"] if field_smaller else ["single-atom"])
@@ -216,21 +217,20 @@ class TestAverageQ:
         devs = []
         for n_atoms in (8, 16):
             gs = resonant_ground(2.0, n_atoms)
-            l_k = linear_entropy(single_atom_rdm(gs, gs.basis), 2)
+            l_k = linear_entropy(single_atom_rdm(gs), 2)
             devs.append(abs(l_k - target))
         assert devs[1] < devs[0]
 
     def test_symmetric_selection_rule_form(self, resonant_ground):
         # with <J+-> = 0 the atom part reduces to 1 - 4 <Jz>^2 / N^2
         gs = resonant_ground(0.9, 6)
-        ex = collective_expectations(gs, gs.basis)
-        l_k = linear_entropy(single_atom_rdm(gs, gs.basis), 2)
+        ex = collective_expectations(gs)
+        l_k = linear_entropy(single_atom_rdm(gs), 2)
         assert l_k == pytest.approx(1 - 4 * ex["jz"] ** 2 / 36, abs=1e-12)
 
     def test_q_within_unit_interval(self, resonant_ground):
         for ratio in (0.4, 1.0, 1.8):
-            q = average_linear_entropy_Q(resonant_ground(ratio, 6),
-                                         resonant_ground(ratio, 6).basis)
+            q = average_linear_entropy_Q(resonant_ground(ratio, 6))
             assert 0.0 <= q <= 1.0
 
 
@@ -271,7 +271,7 @@ class TestMeyerWallach:
             purities = [single_qubit_purity_oracle(gs, gs.basis, k)[1]
                         for k in range(n_atoms)]
             q_embedding = 2 * (1 - np.mean(purities))
-            l_k = linear_entropy(single_atom_rdm(gs, gs.basis), 2)
+            l_k = linear_entropy(single_atom_rdm(gs), 2)
             assert abs(q_embedding - l_k) < 1e-9
 
 
@@ -295,10 +295,21 @@ class TestIPR:
         basis = build_basis(params, n_max)
         amps = np.zeros((n_max + 1, n_atoms + 1))
         amps[:, 0] = coherent_amplitudes(alpha, n_max)
-        state = GroundState(energy=0.0, amplitudes=amps.ravel() / np.linalg.norm(amps),
+        state = GroundState(energy=0.0, amplitudes=amps / np.linalg.norm(amps),
                             residual=0.0, converged=True, basis=basis)
         value = inverse_participation_ratio(state, basis, params)
         assert abs(value / (math.sqrt(omega * omega0) / (2 * np.pi)) - 1) < 1e-12
+
+    def test_basis_of_another_shape_rejected(self):
+        # N = 5, n_max 17 has the 108 states of N = 3, n_max 26 but another
+        # shape, so its Hermite tables do not fit the amplitude matrix
+        params = make_params(1, 1, 0.3, 3)
+        basis = build_basis(params, 26)
+        gs = ground_state(assemble_hamiltonian(params, basis), basis)
+        other = build_basis(make_params(1, 1, 0.3, 5), 17)
+        assert other.dim == basis.dim
+        with pytest.raises(ValueError):
+            inverse_participation_ratio(gs, other, params)
 
     def test_gauss_hermite_rules_cached_read_only(self, resonant_ground, monkeypatch):
         # the atom-axis rule (2N + 1 nodes) is shared by every point at that

@@ -1,13 +1,15 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dicke_qpt
 from dicke_qpt import (CapacityError, ParameterError, assemble_hamiltonian,
                        build_basis, make_params)
-from oracles import flat_index, full_hamiltonian, parity_block, parity_operator
+from oracles import full_hamiltonian, parity_block, parity_indices, parity_operator
 
 
 def dense_reference_hamiltonian(params, n_max):
@@ -27,6 +29,12 @@ def dense_reference_hamiltonian(params, n_max):
          + params.coupling / np.sqrt(2 * j)
          * np.kron(a + a.T, jplus + jplus.T))
     return H
+
+
+def test_package_exports_no_submodules():
+    exported = [getattr(dicke_qpt, name) for name in dicke_qpt.__all__]
+    assert "make_params" in dicke_qpt.__all__
+    assert not [v for v in exported if isinstance(v, types.ModuleType)]
 
 
 class TestMakeParams:
@@ -72,12 +80,12 @@ class TestBasis:
     def test_single_atom_enumeration(self):
         basis = build_basis(make_params(1, 1, 0.1, 1), 1)
         assert basis.dim == 4
-        assert basis.parity.tolist() == [1, -1, -1, 1]
+        assert basis.parity.ravel().tolist() == [1, -1, -1, 1]
 
     def test_two_atoms_no_photons(self):
         basis = build_basis(make_params(1, 1, 0.1, 2), 0)
         assert basis.dim == 3
-        assert basis.parity.tolist() == [1, -1, 1]
+        assert basis.parity.ravel().tolist() == [1, -1, 1]
 
     def test_dimension(self):
         assert build_basis(make_params(1, 1, 0.1, 8), 40).dim == 369
@@ -87,14 +95,15 @@ class TestBasis:
             build_basis(make_params(1, 1, 0.1, 8), 40, max_dim=100)
 
     def test_n_major_layout(self):
-        # state (n, n_b) sits at n * (N + 1) + n_b, so reshape puts Fock
-        # layer n in row n, with parity (-1)^(n + n_b)
+        # state (n, n_b) sits at n * (N + 1) + n_b of the flat order, so an
+        # amplitude matrix holds Fock layer n in row n, with parity
+        # (-1)^(n + n_b)
         basis = build_basis(make_params(1, 1, 0.1, 3), 5)
-        layout = basis.reshape(np.arange(basis.dim))
+        layout = np.arange(basis.dim).reshape(basis.parity.shape)
         n, n_b = np.arange(6)[:, None], np.arange(4)[None, :]
         assert layout.shape == (6, 4)
         assert (layout == n * 4 + n_b).all()
-        assert (basis.reshape(basis.parity) == (-1) ** (n + n_b)).all()
+        assert (basis.parity == (-1) ** (n + n_b)).all()
 
 
 class TestHamiltonian:
@@ -111,8 +120,8 @@ class TestHamiltonian:
         params = make_params(1, 1, 0.3, 1)
         basis = build_basis(params, 1)
         H = full_hamiltonian(params, basis).toarray()
-        i = flat_index(basis, 0, 1)
-        k = flat_index(basis, 1, 0)
+        i = np.ravel_multi_index((0, 1), basis.parity.shape)
+        k = np.ravel_multi_index((1, 0), basis.parity.shape)
         assert H[i, k] == pytest.approx(0.3, abs=1e-15)
 
     def test_matches_dense_kronecker_oracle(self):
@@ -146,8 +155,8 @@ class TestHamiltonian:
         params = make_params(1, 1, 0.8, 3)
         basis = build_basis(params, 5)
         H = full_hamiltonian(params, basis).toarray()
-        plus = basis.parity_indices(+1)
-        minus = basis.parity_indices(-1)
+        plus = parity_indices(basis, +1)
+        minus = parity_indices(basis, -1)
         assert len(plus) + len(minus) == basis.dim
         assert abs(H[np.ix_(plus, minus)]).max() == 0.0
 
@@ -187,7 +196,7 @@ class TestParityBlock:
         basis = build_basis(params, n_max)
         block = assemble_hamiltonian(params, basis)
         oracle = parity_block(params, basis)
-        assert block.shape == oracle.shape == (basis.parity_indices(+1).size,) * 2
+        assert block.shape == oracle.shape == (parity_indices(basis, +1).size,) * 2
         np.testing.assert_array_equal(bits(block.toarray()), bits(oracle.toarray()))
         x = np.random.default_rng(n_atoms * 100 + n_max).standard_normal(block.shape[0])
         np.testing.assert_array_equal(bits(block @ x), bits(oracle @ x))

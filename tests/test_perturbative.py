@@ -32,7 +32,7 @@ class TestWeakCoupling:
     def test_tracks_exact_entropy_in_window(self, resonant_ground):
         for ratio in (0.1, 0.2, 0.3, 0.4):
             gs = resonant_ground(ratio, 8)
-            s_ed = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
+            s_ed = von_neumann_entropy(partial_trace(gs, "atoms"))
             s_pert = perturbative_entropy(make_params(1, 1, 0.5 * ratio, 8))
             assert abs(s_ed - s_pert) <= 0.01
 
@@ -43,15 +43,14 @@ class TestStrongCoupling:
         start = suggest_cutoff(params) + 10
         gs = ground(1.0, 1.0, 2.0, 8, n_max_start=start)
         limit_state = strong_coupling_state(params, gs.basis)
-        overlap = float(np.dot(limit_state, gs.amplitudes)) ** 2
+        overlap = float(np.vdot(limit_state, gs.amplitudes)) ** 2
         assert overlap > 0.98
 
     def test_limiting_state_atom_rdm_is_balanced(self, ground):
         params = make_params(1, 1, 2.0, 8)
         gs = ground(1.0, 1.0, 2.0, 8,
                     n_max_start=suggest_cutoff(params) + 10)
-        psi = strong_coupling_state(params, gs.basis)
-        A = gs.basis.reshape(psi)
+        A = strong_coupling_state(params, gs.basis)
         ev = np.sort(np.linalg.eigvalsh(A.T @ A))[::-1]
         assert ev[0] == pytest.approx(0.5, abs=1e-6)
         assert ev[1] == pytest.approx(0.5, abs=1e-6)
@@ -61,8 +60,7 @@ class TestStrongCoupling:
         params = make_params(1, 1, 2.0, 8)
         gs = ground(1.0, 1.0, 2.0, 8,
                     n_max_start=suggest_cutoff(params) + 10)
-        psi = strong_coupling_state(params, gs.basis)
-        A = gs.basis.reshape(psi)
+        A = strong_coupling_state(params, gs.basis)
         rdm = _make_rdm("atoms", A.T @ A)
         assert von_neumann_entropy(rdm) == pytest.approx(1.0, abs=1e-6)
 

@@ -15,6 +15,7 @@ from dicke_qpt import (ConfigError, CutoffConvergenceError, FitError,
                        make_params, partial_trace, run_sweep, von_neumann_entropy)
 from dicke_qpt import eigensolver, entanglement, sweep
 from dicke_qpt.eigensolver import suggest_cutoff
+from oracles import parity_indices
 
 BASE_HEADER = ("lambda,lambda_rel,n_atoms,n_max,s_vn,l_lin,q_avg,ipr_inv,"
                "jz_mean,residual,converged")
@@ -80,6 +81,7 @@ class TestConfig:
         dict(lambda_scale="log", lambda_min=0.5, lambda_max=2.0),
         dict(lambda_scale="log", lambda_min=0.1, lambda_max=1.0 + 1e-12),
         dict(two_lobe="false"), dict(two_lobe=0), dict(n_atoms=(4, 4)),
+        dict(n_atoms=()),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -154,7 +156,7 @@ class TestRunSweep:
         assert report.n_max > 4
         assert built.count("atoms") == 1 and "field" not in built
         state = converge_cutoff(make_params(1.0, 1.0, 0.75, 4))
-        assert report.q_avg == average_linear_entropy_Q(state, state.basis)
+        assert report.q_avg == average_linear_entropy_Q(state)
 
     def test_td_rows_tagged_infinite_size(self):
         config = SweepConfig(lambda_min=0.2, lambda_max=1.6, lambda_steps=4,
@@ -269,7 +271,7 @@ class TestRunSweep:
             gaps = []
             for n_atoms in (8, 16, 32):
                 gs = resonant_ground(ratio, n_atoms)
-                s = von_neumann_entropy(partial_trace(gs, gs.basis, "atoms"))
+                s = von_neumann_entropy(partial_trace(gs, "atoms"))
                 gaps.append(abs(s - target))
             assert gaps[0] > gaps[1] > gaps[2]
 
@@ -344,7 +346,7 @@ class TestRunSweep:
 def cold_point(n_atoms, coupling):
     """Oracle: a standalone certified point, started from the fixed vector."""
     state = converge_cutoff(make_params(1.0, 1.0, coupling, n_atoms))
-    return state.basis.n_max, von_neumann_entropy(partial_trace(state, state.basis))
+    return state.basis.n_max, von_neumann_entropy(partial_trace(state))
 
 
 class TestContinuation:
@@ -394,9 +396,9 @@ class TestContinuation:
                 basis = build_basis(params, suggest_cutoff(params))
                 expected = np.zeros(basis.dim)
                 size = min(basis.dim, prev.basis.dim)
-                expected[:size] = prev.amplitudes[:size]
+                expected[:size] = prev.amplitudes.ravel()[:size]
                 np.testing.assert_array_equal(first_starts[k],
-                                              expected[basis.parity_indices(+1)])
+                                              expected[parity_indices(basis, +1)])
                 resized.add("padded" if size < basis.dim else "truncated")
             else:
                 # the fixed start of a standalone call
