@@ -24,9 +24,9 @@ def main(argv=None):
         lambda_min=0.0, lambda_max=3.0, lambda_steps=args.steps,
         n_atoms=tuple(int(tok) for tok in args.n_atoms.split(",")) + ("inf",),
         measures=("s_vn", "l_lin", "ipr_inv"), backend="ed")
-    reports, failures = run_sweep(config)
-    emit(reports, path=args.out, failures=failures)
-    print(f"wrote {len(reports)} rows to {args.out}"
+    table, failures = run_sweep(config)
+    emit(table, path=args.out, failures=failures)
+    print(f"wrote {len(table['lambda'])} rows to {args.out}"
           + (f" ({len(failures)} failures)" if failures else ""))
     return 2 if failures else 0
 

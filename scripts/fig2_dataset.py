@@ -20,9 +20,9 @@ def main(argv=None):
     config = SweepConfig(
         lambda_min=0.02, lambda_max=0.98, lambda_steps=args.steps,
         backend="td", measures=("s_vn", "t_eff", "kappa"))
-    reports, failures = run_sweep(config)
-    emit(reports, path=args.out, failures=failures)
-    print(f"wrote {len(reports)} rows to {args.out}")
+    table, failures = run_sweep(config)
+    emit(table, path=args.out, failures=failures)
+    print(f"wrote {len(table['lambda'])} rows to {args.out}")
     return 2 if failures else 0
 
 

@@ -24,8 +24,8 @@ def main(argv=None):
         lambda_min=0.0, lambda_max=3.0, lambda_steps=args.steps,
         n_atoms=tuple(int(tok) for tok in args.n_atoms.split(",")) + ("inf",),
         measures=("q_avg",), backend="ed")
-    reports, failures = run_sweep(config)
-    emit(reports, path=args.out, failures=failures)
+    table, failures = run_sweep(config)
+    emit(table, path=args.out, failures=failures)
 
     grid = config.td_lambda_grid()
     derivative = q_td_derivative(make_params(config.omega, config.omega0, grid, 2))
@@ -35,7 +35,7 @@ def main(argv=None):
     with open(args.derivative_out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    print(f"wrote {len(reports)} rows to {args.out} and the closed-form "
+    print(f"wrote {len(table['lambda'])} rows to {args.out} and the closed-form "
           f"derivative to {args.derivative_out}")
     return 2 if failures else 0
 

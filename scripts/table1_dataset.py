@@ -25,20 +25,21 @@ def main(argv=None):
     td_config = SweepConfig(lambda_scale="log", lambda_min=1e-6,
                             lambda_max=1e-3, lambda_steps=30, backend="td",
                             measures=("s_vn",))
-    td_reports, _ = run_sweep(td_config)
-    fits = fit_critical_exponents(td_reports, omega=td_config.omega,
+    td_table, _ = run_sweep(td_config)
+    fits = fit_critical_exponents(td_table, omega=td_config.omega,
                                   omega0=td_config.omega0)
-    reports = list(td_reports)
+    table = td_table
 
     if not args.skip_ed:
         ed_config = SweepConfig(lambda_min=0.9, lambda_max=1.3,
                                 lambda_steps=17, n_atoms=(8, 16, 32, 64),
                                 backend="ed", measures=("s_vn",), tol=1e-8)
-        ed_reports, _ = run_sweep(ed_config)
-        fits["s_vn_peak"] = fit_entropy_scaling(ed_reports)
-        reports += ed_reports
+        ed_table, _ = run_sweep(ed_config)
+        fits["s_vn_peak"] = fit_entropy_scaling(ed_table)
+        # ED rows first: the canonical backend order
+        table = {name: ed + td_table[name] for name, ed in ed_table.items()}
 
-    emit(reports, fits=fits, path=args.out, fmt="json")
+    emit(table, fits=fits, path=args.out, fmt="json")
     for name, fit in sorted(fits.items()):
         print(f"{name}: exponent {fit.exponent:+.4f} +- {fit.stderr:.4f} "
               f"(rms residual {fit.residual:.2e})")

@@ -102,16 +102,16 @@ def main(argv=None) -> int:
     except (DickeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    reports, failures = run_sweep(config)
+    table, failures = run_sweep(config)
     try:
-        text = emit(reports, fits=None, path=out_path, fmt=fmt, failures=failures)
+        text = emit(table, fits=None, path=out_path, fmt=fmt, failures=failures)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     if out_path is None:
         sys.stdout.write(text)
     else:
-        print(f"wrote {len(reports)} reports to {out_path}", file=sys.stderr)
+        print(f"wrote {len(table['lambda'])} reports to {out_path}", file=sys.stderr)
     for fail in failures:
         print(f"failed: backend={fail.backend} lambda={fail.coupling:g} "
               f"n_atoms={fail.n_atoms}: {fail.message}", file=sys.stderr)

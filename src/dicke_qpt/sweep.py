@@ -3,8 +3,10 @@
 Sweep points are independent work items evaluated through one of three
 backends: exact diagonalization at finite N ("ed"), the thermodynamic-limit
 closed forms ("td"), or the weak-coupling expansion ("perturbative").
-Reports are sorted canonically before emission so identical configurations
-reproduce byte-identical output files.
+A sweep result is a column table: {name: list of plain Python scalars} for
+every name in COLUMNS, one row per evaluated point.  run_sweep builds its
+rows in canonical order and emit writes them in the order given, so
+identical configurations reproduce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
+from itertools import chain
 from numbers import Integral, Real
-from operator import attrgetter
 
 import numpy as np
 
@@ -32,11 +33,11 @@ KNOWN_BACKENDS = ("ed", "td", "perturbative")
 BASE_COLUMNS = ("lambda", "lambda_rel", "n_atoms", "n_max", "s_vn", "l_lin",
                 "q_avg", "ipr_inv", "jz_mean", "residual", "converged")
 EXTRA_COLUMNS = ("t_eff", "kappa")
-# output columns named differently from their MeasureReport attribute
-_ATTRIBUTES = {"lambda": "coupling", "lambda_rel": "coupling_rel"}
+# the keys of a sweep table, in output order
+COLUMNS = BASE_COLUMNS + EXTRA_COLUMNS + ("backend",)
 _PLAIN_TYPES = frozenset((type(None), bool, int, float, str))
 _JSON_NONFINITE = {"Infinity": '"inf"', "-Infinity": '"-inf"', "NaN": '"nan"'}
-# reports per JSON encoder pass: bounds the transient one-string-per-value list
+# rows per JSON encoder pass: bounds the transient one-string-per-value list
 _JSON_BLOCK = 4096
 # relative half-width of the lambda_c hole punched into TD grids
 CRITICAL_EXCLUSION = 1e-12
@@ -193,35 +194,6 @@ class SweepConfig:
         return tuple(int(n) for n in self.n_atoms if n != "inf")
 
 
-@dataclass(slots=True)
-class MeasureReport:
-    """One evaluated sweep point.
-
-    Not frozen: a sweep builds one per point, and a frozen dataclass takes
-    about four times as long to construct.
-    """
-
-    backend: str
-    coupling: float
-    coupling_rel: float
-    n_atoms: object            # int, math.inf, or None (N-independent backend)
-    n_max: int | None = None
-    s_vn: float | None = None
-    l_lin: float | None = None
-    q_avg: float | None = None
-    ipr_inv: float | None = None
-    jz_mean: float | None = None
-    residual: float | None = None
-    converged: bool | None = None
-    t_eff: float | None = None
-    kappa: float | None = None
-
-    def sort_key(self):
-        backend_rank = KNOWN_BACKENDS.index(self.backend)
-        n_key = -1.0 if self.n_atoms is None else float(self.n_atoms)
-        return (backend_rank, n_key, self.coupling)
-
-
 @dataclass(frozen=True)
 class SweepFailure:
     """A per-point failure recorded without aborting the sweep.
@@ -274,77 +246,80 @@ class ScalingFit:
 
 
 def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float,
-                     start: np.ndarray | None = None) -> tuple[MeasureReport, np.ndarray]:
-    """The point's report and ground amplitudes; start as in converge_cutoff."""
+                     start: np.ndarray | None = None) -> tuple[dict, np.ndarray]:
+    """The point's row {column: value} and its ground amplitudes; start as
+    in converge_cutoff."""
     params = make_params(config.omega, config.omega0, coupling, n_atoms)
     state = converge_cutoff(params, n_max_start=config.cutoff_start,
                             growth=config.cutoff_growth, energy_tol=config.tol,
                             tol=config.solver_tol, max_dim=config.max_dim,
                             start=start)
-    values: dict = {}
+    row = dict.fromkeys(COLUMNS)
     atoms_rdm = None
     if "s_vn" in config.measures or "l_lin" in config.measures:
         atoms_rdm = entanglement.partial_trace(state, keep="atoms")
     if "s_vn" in config.measures:
-        values["s_vn"] = entanglement.von_neumann_entropy(atoms_rdm)
+        row["s_vn"] = entanglement.von_neumann_entropy(atoms_rdm)
     if "l_lin" in config.measures:
-        values["l_lin"] = entanglement.linear_entropy(atoms_rdm, n_atoms + 1)
+        row["l_lin"] = entanglement.linear_entropy(atoms_rdm, n_atoms + 1)
     if "q_avg" in config.measures:
-        values["q_avg"] = entanglement.average_linear_entropy_Q(state, _atoms_rdm=atoms_rdm)
+        row["q_avg"] = entanglement.average_linear_entropy_Q(state, _atoms_rdm=atoms_rdm)
     if "ipr_inv" in config.measures:
-        values["ipr_inv"] = entanglement.inverse_participation_ratio(
+        row["ipr_inv"] = entanglement.inverse_participation_ratio(
             state, state.basis, params)
     jz = entanglement.collective_expectations(state)["jz"]
-    report = MeasureReport(backend="ed", coupling=coupling,
-                           coupling_rel=coupling / params.lambda_c,
-                           n_atoms=n_atoms, n_max=state.basis.n_max,
-                           jz_mean=jz / n_atoms, residual=state.residual,
-                           converged=state.converged, **values)
-    return report, state.amplitudes
+    row.update({"lambda": coupling, "lambda_rel": coupling / params.lambda_c,
+                "n_atoms": n_atoms, "n_max": state.basis.n_max,
+                "jz_mean": jz / n_atoms, "residual": state.residual,
+                "converged": state.converged, "backend": "ed"})
+    return row, state.amplitudes
 
 
-def _grid_reports(backend: str, params, n_atoms, columns: dict) -> list[MeasureReport]:
-    """One converged report per coupling of the grid params.coupling, built
-    positionally; columns holds the values of fields after n_atoms, else None."""
-    columns = {"converged": repeat(True), **columns}
-    rest = (columns.get(f.name, repeat(None)) for f in fields(MeasureReport)[4:])
-    return list(map(MeasureReport, repeat(backend), params.coupling.tolist(),
-                    (params.coupling / params.lambda_c).tolist(), repeat(n_atoms), *rest))
+def _grid_columns(backend: str, params, n_atoms, values: dict) -> dict:
+    """The table of one converged row per coupling of the grid params.coupling;
+    values holds the measure columns, and the columns it lacks are None."""
+    rows = params.coupling.size
+    return {**{name: [None] * rows for name in COLUMNS},
+            "lambda": params.coupling.tolist(),
+            "lambda_rel": (params.coupling / params.lambda_c).tolist(),
+            "n_atoms": [n_atoms] * rows, "converged": [True] * rows,
+            "backend": [backend] * rows, **values}
 
 
-def measure_point_td(config: SweepConfig, couplings: np.ndarray) -> list[MeasureReport]:
-    """The report of every coupling of the grid couplings from one closed_forms
+def measure_point_td(config: SweepConfig, couplings: np.ndarray) -> dict:
+    """The table of every coupling of the grid couplings from one closed_forms
     call, bit for bit one call per coupling (see thermo); n_atoms is inf."""
     params = make_params(config.omega, config.omega0, couplings, 2)
     forms = thermo.closed_forms(params, two_lobe=config.two_lobe)
-    return _grid_reports("td", params, math.inf, {
+    return _grid_columns("td", params, math.inf, {
         m: getattr(forms, m).tolist() for m in ("jz_mean",) + config.measures})
 
 
-def measure_point_perturbative(config: SweepConfig,
-                               couplings: np.ndarray) -> list[MeasureReport]:
-    """The s_vn report of every coupling of the grid couplings from one
+def measure_point_perturbative(config: SweepConfig, couplings: np.ndarray) -> dict:
+    """The s_vn table of every coupling of the grid couplings from one
     perturbative_entropy call, bit for bit one per coupling; n_atoms is None."""
     params = make_params(config.omega, config.omega0, couplings, 2)
-    return _grid_reports("perturbative", params, None,
+    return _grid_columns("perturbative", params, None,
                          {"s_vn": perturbative_entropy(params).tolist()})
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailure]]:
+def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
     """Evaluate every (coupling, N, backend) point; domain failures are per-point.
 
-    Returns (reports, failures), reports in canonical order (sort_key) by
-    construction: backends in KNOWN_BACKENDS order, then atom numbers and
-    couplings ascending.  Errors outside POINT_ERRORS propagate.  Each ED
-    point gets the amplitudes that the point before it at the same N
-    returned as its start (the first point of each N, and a point after a
-    failed one, start from the fixed vector).  td and perturbative make one
-    call each over their whole grid (td_lambda_grid, lambda_grid); a domain
-    error from it becomes one failure row per coupling.  Point functions are
-    looked up at every call.
+    Returns (table, failures): table maps each name in COLUMNS to a list
+    of plain Python scalars, one per evaluated point.  Rows and failures
+    both come in canonical order by construction: backends in
+    KNOWN_BACKENDS order, then atom numbers and couplings ascending.
+    Errors outside POINT_ERRORS propagate.  Each ED point gets the
+    amplitudes that the point before it at the same N returned as its start
+    (the first point of each N, and a point after a failed one, start from
+    the fixed vector).  td and perturbative make one call each over their
+    whole grid (td_lambda_grid, lambda_grid); a domain error from it becomes
+    one failure row per coupling.  Point functions are looked up at every
+    call.
     """
     config.validate()
-    reports: list[MeasureReport] = []
+    table: dict = {name: [] for name in COLUMNS}
     failures: list[SweepFailure] = []
     for backend in config.backends():
         if backend == "ed":
@@ -353,8 +328,9 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
                 start = None
                 for lam in grid:
                     try:
-                        report, start = measure_point_ed(config, n, lam, start)
-                        reports.append(report)
+                        row, start = measure_point_ed(config, n, lam, start)
+                        for name, column in table.items():
+                            column.append(row[name])
                     except POINT_ERRORS as exc:
                         start = None
                         failures.append(SweepFailure.from_exception(backend, lam, n, exc))
@@ -362,12 +338,13 @@ def run_sweep(config: SweepConfig) -> tuple[list[MeasureReport], list[SweepFailu
         measure, grid = ((measure_point_td, config.td_lambda_grid()) if backend == "td"
                          else (measure_point_perturbative, config.lambda_grid()))
         try:
-            reports += measure(config, grid)
+            columns = measure(config, grid)
+            for name, column in table.items():
+                column += columns[name]
         except POINT_ERRORS as exc:
             failures += (SweepFailure.from_exception(backend, lam, None, exc)
                          for lam in grid.tolist())
-    failures.sort(key=lambda f: (f.backend, f.coupling))
-    return reports, failures
+    return table, failures
 
 
 def _parabola_peak(x: np.ndarray, y: np.ndarray, k: int) -> tuple[float, float]:
@@ -392,26 +369,28 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(np.sqrt(cov[0, 0])), rms
 
 
-def fit_entropy_scaling(reports: list[MeasureReport]) -> ScalingFit:
+def fit_entropy_scaling(table: dict) -> ScalingFit:
     """Fit the per-N entropy maximum against log2 N.
 
-    Needs ED reports with s_vn for at least four system sizes, each with its
-    peak resolved strictly inside the coupling grid; the grid maximum is
-    refined by a local parabola.  Returns the exponent x of
-    S_max ~ x * log2 N.
+    Needs converged ED rows of table with s_vn for at least four system
+    sizes, each with its peak resolved strictly inside the coupling grid;
+    the grid maximum is refined by a local parabola.  Returns the exponent
+    x of S_max ~ x * log2 N.
     """
-    by_n: dict[int, list[MeasureReport]] = {}
-    for rep in reports:
-        if (rep.backend == "ed" and rep.s_vn is not None and rep.converged
-                and rep.n_atoms not in (None, math.inf)):
-            by_n.setdefault(int(rep.n_atoms), []).append(rep)
+    by_n: dict[int, list[tuple[float, float]]] = {}
+    for backend, n_atoms, lam, s_vn, converged in zip(
+            table["backend"], table["n_atoms"], table["lambda"], table["s_vn"],
+            table["converged"]):
+        if (backend == "ed" and s_vn is not None and converged
+                and n_atoms not in (None, math.inf)):
+            by_n.setdefault(int(n_atoms), []).append((lam, s_vn))
     if len(by_n) < 4:
         raise FitError(f"need >= 4 system sizes with entropy data, got {len(by_n)}")
     peaks = []
     for n in sorted(by_n):
-        pts = sorted(by_n[n], key=lambda r: r.coupling)
-        lam = np.array([p.coupling for p in pts])
-        s = np.array([p.s_vn for p in pts])
+        pts = sorted(by_n[n], key=lambda p: p[0])
+        lam = np.array([p[0] for p in pts])
+        s = np.array([p[1] for p in pts])
         k = int(np.argmax(s))
         if k == 0 or k == len(s) - 1:
             raise FitError(f"entropy peak for N={n} sits on the grid boundary")
@@ -425,33 +404,35 @@ def fit_entropy_scaling(reports: list[MeasureReport]) -> ScalingFit:
                       residual=rms, peaks=tuple(peaks))
 
 
-def fit_critical_exponents(reports: list[MeasureReport], omega: float,
+def fit_critical_exponents(table: dict, omega: float,
                            omega0: float) -> dict[str, ScalingFit]:
     """Log-log slopes of the gap, length scale, and entropy below lambda_c.
 
-    Input: TD reports on a log-spaced window approaching lambda_c from
-    below, and the frequencies of the sweep that made them, which fix
-    lambda_c and the exact gap values.  Every TD report must lie on that
-    lambda_c (coupling = coupling_rel * lambda_c within 1e-9 lambda_c);
+    Input: a table whose td rows lie on a log-spaced window approaching
+    lambda_c from below, and the frequencies of the sweep that made them,
+    which fix lambda_c and the exact gap values.  Every td row must lie on
+    that lambda_c (lambda = lambda_rel * lambda_c within 1e-9 lambda_c);
     invalid frequencies raise ParameterError.
     The gap eps- and length l- = eps-^-1/2 are recomputed from the
     coupling; the entropy slope is taken against log2|lambda_c - lambda|.
     Expected exponents: +1/2, -1/4, and -1/4.
     """
-    pts = [r for r in reports if r.backend == "td" and r.s_vn is not None]
+    pts = [(lam, rel, s_vn) for backend, lam, rel, s_vn in zip(
+        table["backend"], table["lambda"], table["lambda_rel"], table["s_vn"])
+        if backend == "td" and s_vn is not None]
     if not pts:
-        raise FitError("no thermodynamic-limit entropy reports to fit")
+        raise FitError("no thermodynamic-limit entropy rows to fit")
     lc = make_params(omega, omega0, 0.0, 2).lambda_c
-    if not all(abs(r.coupling - r.coupling_rel * lc) <= 1e-9 * lc for r in pts):
-        raise FitError("reports do not lie on the given frequencies' lambda_c")
-    below = sorted((r for r in pts if r.coupling < lc), key=lambda r: r.coupling)
+    if not all(abs(lam - rel * lc) <= 1e-9 * lc for lam, rel, _ in pts):
+        raise FitError("rows do not lie on the given frequencies' lambda_c")
+    below = sorted((p for p in pts if p[0] < lc), key=lambda p: p[0])
     if len(below) < 3:
         raise FitError("need >= 3 points below lambda_c")
-    couplings = np.array([r.coupling for r in below])
+    couplings = np.array([p[0] for p in below])
     delta = lc - couplings
     if delta.min() / lc < 1e-12:
         raise FitError("window reaches too close to lambda_c for stable floats")
-    s_vn = np.array([r.s_vn for r in below])
+    s_vn = np.array([p[2] for p in below])
     eps_minus = thermo.normal_solution(make_params(omega, omega0, couplings, 2)).eps_minus
     window = (float(delta.min() / lc), float(delta.max() / lc))
     out = {}
@@ -461,32 +442,6 @@ def fit_critical_exponents(reports: list[MeasureReport], omega: float,
     out["l_minus"] = ScalingFit("l_minus", slope, err, window, rms)
     slope, err, rms = _line_fit(np.log2(delta), s_vn)
     out["s_vn"] = ScalingFit("s_vn", slope, err, window, rms)
-    return out
-
-
-def _plain(value):
-    """The Python scalar that a report value equals.
-
-    numpy bools, numpy integers and float subclasses such as numpy.float64
-    become bool, int and float, so both formats write them as those.
-    """
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
-def _columns(reports: list[MeasureReport], columns: tuple) -> list[list]:
-    """One list of plain Python scalars per output column."""
-    out = []
-    for column in columns:
-        values = list(map(attrgetter(_ATTRIBUTES.get(column, column)), reports))
-        if not _PLAIN_TYPES.issuperset(map(type, values)):
-            values = list(map(_plain, values))
-        out.append(values)
     return out
 
 
@@ -529,32 +484,39 @@ def _json_reports(cells: list[list], columns: tuple) -> list[str]:
     return pieces
 
 
-def emit(reports: list[MeasureReport], fits: dict[str, ScalingFit] | None = None,
+def emit(table: dict, fits: dict[str, ScalingFit] | None = None,
          path=None, fmt: str = "csv", failures: list[SweepFailure] = ()) -> str:
     """Write the dataset to path; returns the serialized text.
 
-    Rows are sorted by MeasureReport.sort_key, so output bytes are a pure
-    function of the inputs.  Columns: the base columns in order, then
-    t_eff and kappa when some report carries them, then backend.  Report
-    values are written as the Python scalars they equal: numpy bools,
-    integers and floats as bool, int and float.
+    table maps each name in COLUMNS to a list of plain Python scalars
+    (None, bool, int, float or str), one per row, as run_sweep returns it;
+    any other value raises TypeError, and columns of unequal length raise
+    ValueError.  Rows are written in the order given.  Columns: the base
+    columns in order, then t_eff and kappa when some row carries them, then
+    backend.
 
-    CSV: the header line, then one line per report, each ending in "\n",
+    CSV: the header line, then one line per row, each ending in "\n",
     cells joined by ",": None is empty, bools are true/false, floats are
     repr() (so inf, -inf and nan), ints and strings are str().  Only a
     string holding a comma, a quote or a newline would be quoted, and no
-    report field written by this package holds one.  JSON: byte-identical to
+    column written by this package holds one.  JSON: byte-identical to
     json.dumps(payload, indent=2, allow_nan=False) + "\n", where payload is
-    {"reports": [one object per report, keys as the CSV columns], "fits":
+    {"reports": [one object per row, keys as the CSV columns], "fits":
     {name: fit.as_dict() per item of fits, sorted by name}, "errors":
     [f.as_dict() per failure]} and
-    non-finite report values are the strings "inf", "-inf" and "nan".
+    non-finite table values are the strings "inf", "-inf" and "nan".
     """
-    reports = sorted(reports, key=MeasureReport.sort_key)
-    extras = any(r.t_eff is not None or r.kappa is not None for r in reports)
+    extras = any(v is not None for name in EXTRA_COLUMNS for v in table[name])
     columns = BASE_COLUMNS + (EXTRA_COLUMNS if extras else ()) + ("backend",)
+    cells = [table[name] for name in columns]
+    for name, values in zip(columns, cells):
+        if not _PLAIN_TYPES.issuperset(map(type, values)):
+            raise TypeError(f"column {name!r} holds a value that is not a plain "
+                            "Python scalar")
+    if len(set(map(len, cells))) != 1:
+        raise ValueError("table columns differ in length")
     if fmt == "csv":
-        text = _csv_text(columns, _columns(reports, columns))
+        text = _csv_text(columns, cells)
     elif fmt == "json":
         # the small rest of the payload goes through json.dumps as it is;
         # the reports array is spliced in where its empty "[]" was written
@@ -564,7 +526,7 @@ def emit(reports: list[MeasureReport], fits: dict[str, ScalingFit] | None = None
             "errors": [f.as_dict() for f in failures],
         }, indent=2, allow_nan=False)
         head = '{\n  "reports": '
-        text = "".join([head, *_json_reports(_columns(reports, columns), columns),
+        text = "".join([head, *_json_reports(cells, columns),
                         rest[len(head + "[]"):], "\n"])
     else:
         raise ConfigError(f"unknown output format {fmt!r}")

@@ -10,6 +10,8 @@ closed-form reduced state, and strong_coupling_state (built from coherent_amplit
 jx_extremal_amplitudes) the limiting ground state far above lambda_c.
 meyer_wallach_Q_generic evaluates Q on an explicit qubit register;
 parity_indices and with_coupling are small helpers for building test inputs.
+table_of and rows_of convert between row dicts and the sweep's column
+table, and canonical_key is the canonical row order that run_sweep builds.
 """
 
 from __future__ import annotations
@@ -20,6 +22,24 @@ import numpy as np
 import scipy.sparse as sp
 
 from dicke_qpt import IntegrityError, ParameterError, PhaseError, make_params
+from dicke_qpt.sweep import COLUMNS, KNOWN_BACKENDS
+
+
+def table_of(rows) -> dict:
+    """The sweep table of row dicts keyed by column name; absent values are None."""
+    return {name: [row.get(name) for row in rows] for name in COLUMNS}
+
+
+def rows_of(table: dict) -> list[dict]:
+    """The rows of a sweep table, as {column: value} dicts."""
+    return [dict(zip(table, values)) for values in zip(*table.values())]
+
+
+def canonical_key(row: dict) -> tuple:
+    """Canonical row order: backends in KNOWN_BACKENDS order, then atom
+    numbers (None first) and couplings ascending."""
+    n_key = -1.0 if row["n_atoms"] is None else float(row["n_atoms"])
+    return (KNOWN_BACKENDS.index(row["backend"]), n_key, row["lambda"])
 
 
 def parity_indices(basis, sector: int = +1) -> np.ndarray:

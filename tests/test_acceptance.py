@@ -33,7 +33,7 @@ from dicke_qpt import (SweepConfig, critical_asymptote,
 from dicke_qpt.entanglement import average_linear_entropy_Q
 from dicke_qpt.thermo import mixing_parameter
 from oracles import (full_hamiltonian, kernel_coefficients, meyer_wallach_Q_generic,
-                     with_coupling)
+                     rows_of, with_coupling)
 
 LC = 0.5  # resonance critical coupling
 
@@ -134,9 +134,9 @@ def test_criterion_4c_critical_ipr_suppression():
 def test_criterion_5_critical_exponents():
     config = SweepConfig(lambda_scale="log", lambda_min=1e-6, lambda_max=1e-3,
                          lambda_steps=30, backend="td", measures=("s_vn",))
-    reports, failures = run_sweep(config)
+    table, failures = run_sweep(config)
     assert not failures
-    fits = fit_critical_exponents(reports, omega=1.0, omega0=1.0)
+    fits = fit_critical_exponents(table, omega=1.0, omega0=1.0)
     devs = {
         "eps_minus": abs(fits["eps_minus"].exponent - 0.5),
         "l_minus": abs(fits["l_minus"].exponent + 0.25),
@@ -169,9 +169,9 @@ def test_criterion_7_finite_size_entropy_scaling():
     config = SweepConfig(lambda_min=0.9, lambda_max=1.3, lambda_steps=17,
                          n_atoms=(8, 16, 32, 64), backend="ed",
                          measures=("s_vn",), tol=1e-8)
-    reports, failures = run_sweep(config)
+    table, failures = run_sweep(config)
     assert not failures
-    fit = fit_entropy_scaling(reports)
+    fit = fit_entropy_scaling(table)
     peak_positions = [p[1] / LC for p in fit.peaks]
     monotone = all(b < a for a, b in zip(peak_positions, peak_positions[1:]))
     report("criterion 7 (finite-size entropy scaling)",
@@ -273,16 +273,16 @@ def ed_and_td_values():
     config = SweepConfig(lambda_min=0.5, lambda_max=2.0, lambda_steps=2,
                          n_atoms=(32, 64, 128, "inf"), backend="ed",
                          measures=("s_vn", "q_avg", "ipr_inv"))
-    reports, failures = run_sweep(config)
+    table, failures = run_sweep(config)
     assert not failures
     ed, td = {}, {}
-    for r in reports:     # ED rows come in ascending N
+    for row in rows_of(table):     # ED rows come in ascending N
         for measure in config.measures:
-            key = (round(r.coupling_rel, 9), measure)
-            if r.backend == "ed":
-                ed.setdefault(key, []).append(getattr(r, measure))
+            key = (round(row["lambda_rel"], 9), measure)
+            if row["backend"] == "ed":
+                ed.setdefault(key, []).append(row[measure])
             else:
-                td[key] = getattr(r, measure)
+                td[key] = row[measure]
     return {key: (ed[key], td[key]) for key in td}
 
 

@@ -253,8 +253,8 @@ class TestLanczos:
         monkeypatch.setattr(eigensolver, "LANCZOS_MAX_STEPS", 5)
         config = SweepConfig(lambda_min=0.0, lambda_max=2.0, lambda_steps=3,
                              n_atoms=(16,), measures=("s_vn",))
-        reports, failures = run_sweep(config)
-        assert [r.coupling for r in reports] == [0.0]
+        table, failures = run_sweep(config)
+        assert table["lambda"] == [0.0]
         assert len(failures) == 2
         assert all(f.message.startswith("SolverError: Lanczos") for f in failures)
 

@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicke_qpt import (ConfigError, CutoffConvergenceError, FitError,
-                       IntegrityError, MeasureReport, ParameterError, ScalingFit,
+                       IntegrityError, ParameterError, ScalingFit,
                        SolverError, SweepConfig, SweepFailure,
                        average_linear_entropy_Q, build_basis, converge_cutoff,
                        emit, fit_critical_exponents, fit_entropy_scaling,
                        make_params, partial_trace, run_sweep, von_neumann_entropy)
 from dicke_qpt import eigensolver, entanglement, sweep
 from dicke_qpt.eigensolver import suggest_cutoff
-from oracles import parity_indices
+from oracles import canonical_key, parity_indices, rows_of, table_of
 
 BASE_HEADER = ("lambda,lambda_rel,n_atoms,n_max,s_vn,l_lin,q_avg,ipr_inv,"
                "jz_mean,residual,converged")
@@ -119,26 +119,26 @@ class TestRunSweep:
     def test_ed_point_matches_dense_reference_pipeline(self):
         config = SweepConfig(lambda_min=0.6, lambda_max=1.2, lambda_steps=2,
                              n_atoms=(2,), backend="ed")
-        reports, failures = run_sweep(config)
+        table, failures = run_sweep(config)
         assert not failures
-        for rep in reports:
-            oracle = dense_reference_measures(1.0, 1.0, rep.coupling, 2,
-                                              rep.n_max + 20)
-            assert rep.s_vn == pytest.approx(oracle["s_vn"], abs=1e-6)
-            assert rep.l_lin == pytest.approx(oracle["l_lin"], abs=1e-6)
-            assert rep.q_avg == pytest.approx(oracle["q_avg"], abs=1e-6)
-            assert rep.jz_mean == pytest.approx(oracle["jz_mean"], abs=1e-6)
-            assert rep.converged
+        for row in rows_of(table):
+            oracle = dense_reference_measures(1.0, 1.0, row["lambda"], 2,
+                                              row["n_max"] + 20)
+            assert row["s_vn"] == pytest.approx(oracle["s_vn"], abs=1e-6)
+            assert row["l_lin"] == pytest.approx(oracle["l_lin"], abs=1e-6)
+            assert row["q_avg"] == pytest.approx(oracle["q_avg"], abs=1e-6)
+            assert row["jz_mean"] == pytest.approx(oracle["jz_mean"], abs=1e-6)
+            assert row["converged"]
 
     def test_zero_coupling_point_is_exactly_disentangled(self):
         config = SweepConfig(lambda_min=0.0, lambda_max=1.0, lambda_steps=2,
                              n_atoms=(4,), backend="ed")
-        reports, _ = run_sweep(config)
-        zero = [r for r in reports if r.coupling == 0.0][0]
-        assert zero.s_vn == 0.0
-        assert zero.l_lin == 0.0
-        assert zero.q_avg == 0.0
-        assert zero.jz_mean == -0.5
+        table, _ = run_sweep(config)
+        zero = [row for row in rows_of(table) if row["lambda"] == 0.0][0]
+        assert zero["s_vn"] == 0.0
+        assert zero["l_lin"] == 0.0
+        assert zero["q_avg"] == 0.0
+        assert zero["jz_mean"] == -0.5
 
     def test_ed_point_builds_the_atoms_rdm_once(self, monkeypatch):
         # n_max > N at N = 4, 1.5 lambda_c: Q's smaller Gram matrix is the
@@ -152,39 +152,39 @@ class TestRunSweep:
 
         monkeypatch.setattr(entanglement, "_make_rdm", recording_make_rdm)
         config = SweepConfig(n_atoms=(4,), backend="ed")
-        report, _ = sweep.measure_point_ed(config, 4, 0.75)
-        assert report.n_max > 4
+        row, _ = sweep.measure_point_ed(config, 4, 0.75)
+        assert row["n_max"] > 4
         assert built.count("atoms") == 1 and "field" not in built
         state = converge_cutoff(make_params(1.0, 1.0, 0.75, 4))
-        assert report.q_avg == average_linear_entropy_Q(state)
+        assert row["q_avg"] == average_linear_entropy_Q(state)
 
     def test_td_rows_tagged_infinite_size(self):
         config = SweepConfig(lambda_min=0.2, lambda_max=1.6, lambda_steps=4,
                              backend="td",
                              measures=("s_vn", "l_lin", "q_avg", "ipr_inv",
                                        "t_eff", "kappa"))
-        reports, failures = run_sweep(config)
+        table, failures = run_sweep(config)
         assert not failures
-        assert all(r.n_atoms == math.inf for r in reports)
-        assert all(r.t_eff is not None and r.kappa is not None for r in reports)
+        assert all(n == math.inf for n in table["n_atoms"])
+        assert None not in table["t_eff"] and None not in table["kappa"]
 
     def test_perturbative_backend(self):
         config = SweepConfig(lambda_min=0.0, lambda_max=0.4, lambda_steps=3,
                              backend="perturbative")
-        reports, _ = run_sweep(config)
-        assert [r.backend for r in reports] == ["perturbative"] * 3
-        assert reports[0].s_vn == 0.0
-        assert all(r.n_atoms is None for r in reports)
+        table, _ = run_sweep(config)
+        assert table["backend"] == ["perturbative"] * 3
+        assert table["s_vn"][0] == 0.0
+        assert table["n_atoms"] == [None] * 3
 
     def test_all_backends_and_canonical_order(self):
         config = SweepConfig(lambda_min=0.1, lambda_max=0.5, lambda_steps=2,
                              n_atoms=(2, 4), backend="all",
                              measures=("s_vn",))
-        reports, _ = run_sweep(config)
-        kinds = [r.backend for r in reports]
+        table, _ = run_sweep(config)
+        kinds = table["backend"]
         assert kinds == sorted(kinds, key=("ed", "td", "perturbative").index)
-        ed = [r for r in reports if r.backend == "ed"]
-        assert [(r.n_atoms, round(r.coupling_rel, 6)) for r in ed] == [
+        ed = [row for row in rows_of(table) if row["backend"] == "ed"]
+        assert [(row["n_atoms"], round(row["lambda_rel"], 6)) for row in ed] == [
             (2, 0.1), (2, 0.5), (4, 0.1), (4, 0.5)]
 
     def test_reports_come_out_in_canonical_order(self):
@@ -192,9 +192,29 @@ class TestRunSweep:
         # so run_sweep needs no sort of its own
         config = SweepConfig(lambda_min=0.1, lambda_max=0.5, lambda_steps=2,
                              n_atoms=(8, 4), backend="all", measures=("s_vn",))
-        reports, _ = run_sweep(config)
-        assert reports == sorted(reports, key=MeasureReport.sort_key)
-        assert [r.n_atoms for r in reports if r.backend == "ed"] == [4, 4, 8, 8]
+        table, _ = run_sweep(config)
+        rows = rows_of(table)
+        assert rows == sorted(rows, key=canonical_key)
+        assert [row["n_atoms"] for row in rows if row["backend"] == "ed"] == [4, 4, 8, 8]
+
+    def test_failures_come_out_in_the_rows_canonical_order(self, monkeypatch):
+        # ED fails at both atom numbers, td and perturbative on their whole
+        # grids: the failures list N-major within ED, then td, then
+        # perturbative, as rows would be
+        def domain_error(*args, **kwargs):
+            raise ParameterError("injected")
+
+        monkeypatch.setattr("dicke_qpt.thermo.closed_forms", domain_error)
+        monkeypatch.setattr(sweep, "perturbative_entropy", domain_error)
+        config = SweepConfig(lambda_min=1.5, lambda_max=3.0, lambda_steps=3,
+                             n_atoms=(3, 2, "inf"), backend="all", max_dim=60)
+        _, failures = run_sweep(config)
+        keys = [canonical_key({"backend": f.backend, "n_atoms": f.n_atoms,
+                               "lambda": f.coupling}) for f in failures]
+        assert keys == sorted(keys)
+        assert {f.n_atoms for f in failures if f.backend == "ed"} == {2, 3}
+        assert [f.backend for f in failures if f.backend != "ed"] == (
+            ["td"] * 3 + ["perturbative"] * 3)
 
     def test_point_functions_looked_up_per_call(self, monkeypatch):
         # run_sweep must call whatever the module attribute is when it runs,
@@ -218,13 +238,13 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "measure_point_td", counting_td(sweep.measure_point_td))
         config = SweepConfig(lambda_min=0.2, lambda_max=1.6, lambda_steps=3,
                              n_atoms=(2, 3, "inf"), backend="ed", measures=("s_vn",))
-        reports, failures = run_sweep(config)
+        table, failures = run_sweep(config)
         assert not failures
         grid = config.lambda_grid().tolist()
         assert calls["ed"] == [(n, lam) for n in (2, 3) for lam in grid]
         (td_grid,) = calls["td"]
         np.testing.assert_array_equal(td_grid, config.td_lambda_grid())
-        assert len(reports) == len(calls["ed"]) + td_grid.size
+        assert len(table["lambda"]) == len(calls["ed"]) + td_grid.size
 
     def test_grid_domain_error_fails_every_coupling(self, monkeypatch):
         # a domain error from the one td grid call becomes one failure row
@@ -237,8 +257,8 @@ class TestRunSweep:
         monkeypatch.setattr("dicke_qpt.thermo.closed_forms", domain_error)
         config = SweepConfig(lambda_min=0.2, lambda_max=1.6, lambda_steps=4,
                              n_atoms=("inf",), backend="perturbative", measures=("s_vn",))
-        reports, failures = run_sweep(config)
-        assert [r.backend for r in reports] == ["perturbative"] * 4
+        table, failures = run_sweep(config)
+        assert table["backend"] == ["perturbative"] * 4
         assert [(f.backend, f.coupling, f.n_atoms, f.error) for f in failures] == [
             ("td", lam, None, "ParameterError") for lam in config.td_lambda_grid().tolist()]
         assert all(f.message == "ParameterError: injected" for f in failures)
@@ -258,11 +278,11 @@ class TestRunSweep:
     def test_report_bounds(self):
         config = SweepConfig(lambda_min=0.3, lambda_max=1.7, lambda_steps=3,
                              n_atoms=(4,), backend="ed")
-        reports, _ = run_sweep(config)
-        for rep in reports:
-            assert 0.0 <= rep.s_vn <= math.log2(min(5, rep.n_max + 1))
-            assert 0.0 <= rep.l_lin <= 1.0
-            assert 0.0 <= rep.q_avg <= 1.0
+        table, _ = run_sweep(config)
+        for row in rows_of(table):
+            assert 0.0 <= row["s_vn"] <= math.log2(min(5, row["n_max"] + 1))
+            assert 0.0 <= row["l_lin"] <= 1.0
+            assert 0.0 <= row["q_avg"] <= 1.0
 
     def test_finite_size_entropy_approaches_closed_form(self, resonant_ground):
         from dicke_qpt import entropy_td, make_params, partial_trace, von_neumann_entropy
@@ -281,18 +301,19 @@ class TestRunSweep:
         config = SweepConfig(lambda_min=0.0, lambda_max=3.0, lambda_steps=13,
                              n_atoms=(8, "inf"), backend="ed",
                              measures=("s_vn",))
-        reports, failures = run_sweep(config)
+        table, failures = run_sweep(config)
         assert not failures
-        ed = sorted((r for r in reports if r.backend == "ed"),
-                    key=lambda r: r.coupling)
-        td = sorted((r for r in reports if r.backend == "td"),
-                    key=lambda r: r.coupling)
-        ed_s = [r.s_vn for r in ed]
-        peak_at = ed[int(np.argmax(ed_s))].coupling_rel
+        rows = rows_of(table)
+        ed = sorted((row for row in rows if row["backend"] == "ed"),
+                    key=lambda row: row["lambda"])
+        td = sorted((row for row in rows if row["backend"] == "td"),
+                    key=lambda row: row["lambda"])
+        ed_s = [row["s_vn"] for row in ed]
+        peak_at = ed[int(np.argmax(ed_s))]["lambda_rel"]
         assert 0.75 <= peak_at <= 1.5
         assert abs(ed_s[-1] - 1.0) < 0.1
-        near_crit = max(td, key=lambda r: r.s_vn)
-        assert abs(near_crit.coupling_rel - 1.0) <= 0.3
+        near_crit = max(td, key=lambda row: row["s_vn"])
+        assert abs(near_crit["lambda_rel"] - 1.0) <= 0.3
         from dicke_qpt import entropy_td, make_params
         close = entropy_td(make_params(1, 1, 0.5 * (1 - 1e-3), 2))
         assert close > max(ed_s)
@@ -300,12 +321,12 @@ class TestRunSweep:
     def test_failures_recorded_without_aborting(self):
         config = SweepConfig(lambda_min=0.0, lambda_max=4.0, lambda_steps=3,
                              n_atoms=(8,), backend="ed", max_dim=120)
-        reports, failures = run_sweep(config)
+        table, failures = run_sweep(config)
         # the strong-coupling point cannot converge inside 120 states
         assert any(f.coupling > 0 for f in failures)
         assert all("CutoffConvergence" in f.message or "Capacity" in f.message
                    for f in failures)
-        assert any(r.coupling == 0.0 for r in reports)
+        assert 0.0 in table["lambda"]
 
     def test_failures_keep_structured_fields(self, monkeypatch):
         # a SolverError keeps its residual and a CutoffConvergenceError its
@@ -323,10 +344,10 @@ class TestRunSweep:
 
         config = SweepConfig(lambda_min=0.0, lambda_max=2.0, lambda_steps=3,
                              n_atoms=(2,), measures=("s_vn",))
-        reports, clean = run_sweep(config)
+        _, clean = run_sweep(config)
         monkeypatch.setattr(sweep, "converge_cutoff", failing)
         survivors, failures = run_sweep(config)
-        assert not clean and [r.coupling for r in survivors] == [0.0]
+        assert not clean and survivors["lambda"] == [0.0]
         solver, cutoff = failures
         assert (solver.error, solver.residual, solver.energy_history) == (
             "SolverError", 1.5e-3, ())
@@ -357,12 +378,12 @@ class TestContinuation:
                          n_atoms=(32, 40), measures=("s_vn",))
 
     def test_rows_match_cold_points(self):
-        reports, failures = run_sweep(self.CONFIG)
-        assert not failures and len(reports) == 8
-        for rep in reports:
-            n_max, s_vn = cold_point(rep.n_atoms, rep.coupling)
-            assert rep.n_max == n_max
-            assert abs(rep.s_vn - s_vn) <= 1e-10
+        table, failures = run_sweep(self.CONFIG)
+        assert not failures and len(table["lambda"]) == 8
+        for row in rows_of(table):
+            n_max, s_vn = cold_point(row["n_atoms"], row["lambda"])
+            assert row["n_max"] == n_max
+            assert abs(row["s_vn"] - s_vn) <= 1e-10
 
     def test_first_solve_starts_from_previous_point(self, monkeypatch):
         starts, firsts, accepted = [], [], []
@@ -381,8 +402,8 @@ class TestContinuation:
 
         monkeypatch.setattr(eigensolver, "_lanczos", recording_lanczos)
         monkeypatch.setattr(sweep, "converge_cutoff", recording_converge_cutoff)
-        reports, failures = run_sweep(self.CONFIG)
-        assert len(reports) == 7 and len(failures) == 1
+        table, failures = run_sweep(self.CONFIG)
+        assert len(table["lambda"]) == 7 and len(failures) == 1
         first_starts = [starts[k] for k in firsts]
         points = [(n, lam) for n in (32, 40) for lam in self.CONFIG.lambda_grid()]
         # point -> the point whose accepted state it starts from; the others
@@ -418,57 +439,55 @@ class TestContinuation:
     def test_repeated_sweeps_emit_identical_bytes(self):
         texts = []
         for _ in range(2):
-            reports, failures = run_sweep(self.CONFIG)
-            texts.append(emit(reports, fmt="json", failures=failures))
+            table, failures = run_sweep(self.CONFIG)
+            texts.append(emit(table, fmt="json", failures=failures))
         assert texts[0] == texts[1]
 
 
 class TestFits:
     @staticmethod
-    def synthetic_peak_reports(exponent=0.14, offset=0.3):
-        reports = []
+    def synthetic_peak_rows(exponent=0.14, offset=0.3):
+        rows = []
         for n in (8, 16, 32, 64):
             peak = exponent * math.log2(n) + offset
             for lam in np.linspace(0.3, 0.7, 9):
                 s = peak - 3.0 * (lam - 0.5) ** 2
-                reports.append(MeasureReport(backend="ed", coupling=float(lam),
-                                             coupling_rel=2 * float(lam),
-                                             n_atoms=n, s_vn=float(s),
-                                             converged=True))
-        return reports
+                rows.append({"backend": "ed", "lambda": float(lam),
+                             "lambda_rel": 2 * float(lam), "n_atoms": n,
+                             "s_vn": float(s), "converged": True})
+        return rows
 
     def test_recovers_planted_entropy_exponent(self):
-        fit = fit_entropy_scaling(self.synthetic_peak_reports())
+        fit = fit_entropy_scaling(table_of(self.synthetic_peak_rows()))
         assert fit.exponent == pytest.approx(0.14, abs=1e-12)
         assert fit.residual < 1e-12
         assert [p[0] for p in fit.peaks] == [8, 16, 32, 64]
 
     def test_needs_four_sizes(self):
-        reports = [r for r in self.synthetic_peak_reports() if r.n_atoms != 64]
+        rows = [row for row in self.synthetic_peak_rows() if row["n_atoms"] != 64]
         with pytest.raises(FitError):
-            fit_entropy_scaling(reports)
+            fit_entropy_scaling(table_of(rows))
 
     def test_boundary_peak_rejected(self):
-        reports = [MeasureReport(backend="ed", coupling=float(lam),
-                                 coupling_rel=2 * float(lam), n_atoms=n,
-                                 s_vn=float(lam), converged=True)
-                   for n in (8, 16, 32, 64) for lam in np.linspace(0.3, 0.7, 5)]
+        rows = [{"backend": "ed", "lambda": float(lam), "lambda_rel": 2 * float(lam),
+                 "n_atoms": n, "s_vn": float(lam), "converged": True}
+                for n in (8, 16, 32, 64) for lam in np.linspace(0.3, 0.7, 5)]
         with pytest.raises(FitError):
-            fit_entropy_scaling(reports)
+            fit_entropy_scaling(table_of(rows))
 
     @staticmethod
-    def synthetic_critical_reports(slope=-0.25, lc=0.5):
-        reports = []
+    def synthetic_critical_rows(slope=-0.25, lc=0.5):
+        rows = []
         for offset in np.logspace(-6, -3, 15):
             lam = lc * (1 - offset)
             s = slope * math.log2(lc * offset) + 0.7
-            reports.append(MeasureReport(backend="td", coupling=float(lam),
-                                         coupling_rel=float(lam) / lc,
-                                         n_atoms=math.inf, s_vn=float(s)))
-        return reports
+            rows.append({"backend": "td", "lambda": float(lam),
+                         "lambda_rel": float(lam) / lc, "n_atoms": math.inf,
+                         "s_vn": float(s)})
+        return rows
 
     def test_recovers_planted_entropy_slope(self):
-        fits = fit_critical_exponents(self.synthetic_critical_reports(),
+        fits = fit_critical_exponents(table_of(self.synthetic_critical_rows()),
                                       omega=1.0, omega0=1.0)
         assert fits["s_vn"].exponent == pytest.approx(-0.25, abs=1e-12)
         assert fits["eps_minus"].exponent == pytest.approx(0.5, abs=1e-3)
@@ -476,33 +495,33 @@ class TestFits:
 
     def test_rejects_mismatched_frequencies(self):
         with pytest.raises(FitError):
-            fit_critical_exponents(self.synthetic_critical_reports(),
+            fit_critical_exponents(table_of(self.synthetic_critical_rows()),
                                    omega=1.0, omega0=3.0)
 
     @pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
     def test_rejects_invalid_frequencies(self, omega):
         with pytest.raises(ParameterError):
-            fit_critical_exponents(self.synthetic_critical_reports(),
+            fit_critical_exponents(table_of(self.synthetic_critical_rows()),
                                    omega=omega, omega0=1.0)
 
     def test_needs_points_below_transition(self):
-        reports = [MeasureReport(backend="td", coupling=0.6, coupling_rel=1.2,
-                                 n_atoms=math.inf, s_vn=1.0)]
+        table = table_of([{"backend": "td", "lambda": 0.6, "lambda_rel": 1.2,
+                           "n_atoms": math.inf, "s_vn": 1.0}])
         with pytest.raises(FitError):
-            fit_critical_exponents(reports, omega=1.0, omega0=1.0)
+            fit_critical_exponents(table, omega=1.0, omega0=1.0)
 
     def test_rejects_reports_from_two_frequency_pairs(self):
         # lambda_c is 0.5 at (1, 1) and 1.0 at (4, 1); either pair leaves the
-        # other sweep's reports off its lambda_c
-        reports = []
+        # other sweep's rows off its lambda_c
+        rows = []
         for omega in (1.0, 4.0):
             config = SweepConfig(omega=omega, lambda_scale="log", lambda_min=1e-6,
                                  lambda_max=1e-3, lambda_steps=8, backend="td",
                                  measures=("s_vn",))
-            reports += run_sweep(config)[0]
+            rows += rows_of(run_sweep(config)[0])
         for omega in (1.0, 4.0):
             with pytest.raises(FitError):
-                fit_critical_exponents(reports, omega=omega, omega0=1.0)
+                fit_critical_exponents(table_of(rows), omega=omega, omega0=1.0)
 
 
 def oracle_cell(value) -> str:
@@ -529,34 +548,20 @@ def oracle_json_value(value):
     return value
 
 
-def oracle_row(rep, extras: bool) -> dict:
-    row = {"lambda": rep.coupling, "lambda_rel": rep.coupling_rel,
-           "n_atoms": rep.n_atoms, "n_max": rep.n_max, "s_vn": rep.s_vn,
-           "l_lin": rep.l_lin, "q_avg": rep.q_avg, "ipr_inv": rep.ipr_inv,
-           "jz_mean": rep.jz_mean, "residual": rep.residual,
-           "converged": rep.converged}
-    if extras:
-        row["t_eff"] = rep.t_eff
-        row["kappa"] = rep.kappa
-    row["backend"] = rep.backend
-    return row
-
-
-def oracle_emit(reports, fits=None, fmt="csv", failures=()) -> str:
+def oracle_emit(rows, fits=None, fmt="csv", failures=()) -> str:
     """Oracle: a CSV join of per-cell strings, and the pure-Python
-    json.dumps(indent=2); both take plain Python scalars only."""
-    reports = sorted(reports, key=MeasureReport.sort_key)
-    extras = any(r.t_eff is not None or r.kappa is not None for r in reports)
+    json.dumps(indent=2); both take plain Python scalars only, rows in the
+    order given."""
+    extras = any(row.get("t_eff") is not None or row.get("kappa") is not None
+                 for row in rows)
+    columns = (BASE_HEADER.split(",") + (["t_eff", "kappa"] if extras else [])
+               + ["backend"])
     if fmt == "csv":
-        rows = [oracle_row(rep, extras) for rep in reports]
-        columns = (BASE_HEADER.split(",") + (["t_eff", "kappa"] if extras else [])
-                   + ["backend"])
         lines = [",".join(columns)]
-        lines += [",".join(oracle_cell(row[c]) for c in columns) for row in rows]
+        lines += [",".join(oracle_cell(row.get(c)) for c in columns) for row in rows]
         return "\n".join(lines) + "\n"
     payload = {
-        "reports": [{k: oracle_json_value(v) for k, v in oracle_row(r, extras).items()}
-                    for r in reports],
+        "reports": [{c: oracle_json_value(row.get(c)) for c in columns} for row in rows],
         "fits": {name: fit.as_dict() for name, fit in sorted((fits or {}).items())},
         "errors": [f.as_dict() for f in failures],
     }
@@ -576,20 +581,19 @@ def as_numpy(value):
 
 NUMBERS = st.one_of(st.booleans(), st.integers(-2**62, 2**62), st.floats())
 SCALARS = st.one_of(st.none(), NUMBERS)
-# coupling is a sort key, so it is never None
-REPORT_VALUES = ("coupling_rel", "n_atoms", "n_max", "s_vn", "l_lin", "q_avg",
-                 "ipr_inv", "jz_mean", "residual", "converged", "t_eff", "kappa")
+ROW_VALUES = ("lambda", "lambda_rel", "n_atoms", "n_max", "s_vn", "l_lin", "q_avg",
+              "ipr_inv", "jz_mean", "residual", "converged", "t_eff", "kappa")
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def report_twins(draw):
-    """A report of plain scalars, and its twin with some values as numpy scalars."""
+def row_twins(draw):
+    """A row of plain scalars, and its twin with some values as numpy scalars."""
     backend = draw(st.sampled_from(("ed", "td", "perturbative")))
-    values = {"coupling": draw(NUMBERS), **{name: draw(SCALARS) for name in REPORT_VALUES}}
-    numpy_names = draw(st.sets(st.sampled_from(("coupling",) + REPORT_VALUES)))
+    values = {"backend": backend, **{name: draw(SCALARS) for name in ROW_VALUES}}
+    numpy_names = draw(st.sets(st.sampled_from(ROW_VALUES)))
     twin = {name: as_numpy(v) if name in numpy_names else v for name, v in values.items()}
-    return MeasureReport(backend=backend, **values), MeasureReport(backend=backend, **twin)
+    return values, twin
 
 
 SCALING_FITS = st.builds(
@@ -605,12 +609,11 @@ FAILURES = st.builds(
 
 class TestEmit:
     def test_empty_reports_give_header_only_csv(self):
-        assert emit([]) == BASE_HEADER + ",backend\n"
+        assert emit(table_of([])) == BASE_HEADER + ",backend\n"
 
     def test_csv_row_content(self):
-        rep = MeasureReport(backend="td", coupling=0.25, coupling_rel=0.5,
-                            n_atoms=math.inf, s_vn=0.5, converged=True)
-        text = emit([rep])
+        text = emit(table_of([{"backend": "td", "lambda": 0.25, "lambda_rel": 0.5,
+                               "n_atoms": math.inf, "s_vn": 0.5, "converged": True}]))
         lines = text.splitlines()
         assert lines[0] == BASE_HEADER + ",backend"
         cells = lines[1].split(",")
@@ -621,15 +624,14 @@ class TestEmit:
         assert cells[-1] == "td"
 
     def test_extra_columns_only_when_present(self):
-        rep = MeasureReport(backend="td", coupling=0.2, coupling_rel=0.4,
-                            n_atoms=math.inf, t_eff=0.3, kappa=0.9)
-        text = emit([rep])
+        text = emit(table_of([{"backend": "td", "lambda": 0.2, "lambda_rel": 0.4,
+                               "n_atoms": math.inf, "t_eff": 0.3, "kappa": 0.9}]))
         assert text.splitlines()[0] == BASE_HEADER + ",t_eff,kappa,backend"
 
     def test_json_payload_structure(self):
-        reports = [MeasureReport(backend="td", coupling=0.25, coupling_rel=0.5,
-                                 n_atoms=math.inf, s_vn=math.inf)]
-        payload = json.loads(emit(reports, fmt="json"))
+        table = table_of([{"backend": "td", "lambda": 0.25, "lambda_rel": 0.5,
+                           "n_atoms": math.inf, "s_vn": math.inf}])
+        payload = json.loads(emit(table, fmt="json"))
         assert set(payload) == {"reports", "fits", "errors"}
         assert payload["reports"][0]["s_vn"] == "inf"
         assert payload["reports"][0]["n_atoms"] == math.inf or \
@@ -637,8 +639,8 @@ class TestEmit:
 
     def test_json_includes_fits_and_errors(self):
         fits = fit_critical_exponents(
-            TestFits.synthetic_critical_reports(), omega=1.0, omega0=1.0)
-        payload = json.loads(emit([], fits=fits, fmt="json"))
+            table_of(TestFits.synthetic_critical_rows()), omega=1.0, omega0=1.0)
+        payload = json.loads(emit(table_of([]), fits=fits, fmt="json"))
         assert payload["fits"]["s_vn"]["exponent"] == pytest.approx(-0.25)
         assert payload["errors"] == []
 
@@ -653,32 +655,44 @@ class TestEmit:
         assert p1.read_bytes() == p2.read_bytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(pairs=st.lists(report_twins(), max_size=12),
+    @given(pairs=st.lists(row_twins(), max_size=12),
            fits=st.one_of(st.none(), st.dictionaries(st.text(), SCALING_FITS, max_size=3)),
            failures=st.lists(FAILURES, max_size=3),
            block=st.sampled_from((1, 2, 5, 4096)))
     @example(pairs=[], fits=None, failures=[], block=4096)
     def test_matches_byte_oracle(self, pairs, fits, failures, block):
         # the C-encoded emitter writes what the per-cell oracle writes for the
-        # plain reports, also when some values arrive as numpy scalars and
-        # whatever the JSON block size
+        # plain rows, in the order given, whatever the JSON block size; a
+        # table holding a numpy scalar is rejected, not converted
         plain = [p for p, _ in pairs]
         twins = [t for _, t in pairs]
+        has_numpy = any(isinstance(v, np.generic) for t in twins for v in t.values())
         with mock.patch.object(sweep, "_JSON_BLOCK", block):
             for fmt in ("csv", "json"):
-                assert (emit(twins, fits=fits, fmt=fmt, failures=failures)
+                assert (emit(table_of(plain), fits=fits, fmt=fmt, failures=failures)
                         == oracle_emit(plain, fits=fits, fmt=fmt, failures=failures))
+                if has_numpy:
+                    with pytest.raises(TypeError, match="not a plain Python scalar"):
+                        emit(table_of(twins), fits=fits, fmt=fmt, failures=failures)
 
-    def test_numpy_scalars_written_as_python_scalars(self):
-        kwargs = dict(backend="ed", coupling=0.25, coupling_rel=0.5, n_atoms=8,
-                      n_max=12, s_vn=0.75, jz_mean=-0.5, residual=math.inf,
-                      converged=True)
-        plain = MeasureReport(**kwargs)
-        numpy = MeasureReport(**{k: as_numpy(v) for k, v in kwargs.items()})
-        for fmt in ("csv", "json"):
-            assert emit([numpy], fmt=fmt) == emit([plain], fmt=fmt)
-        assert emit([numpy]).splitlines()[1] == "0.25,0.5,8,12,0.75,,,,-0.5,inf,true,ed"
+    def test_numpy_scalars_rejected(self):
+        row = {"backend": "ed", "lambda": 0.25, "lambda_rel": 0.5, "n_atoms": 8,
+               "n_max": 12, "s_vn": 0.75, "jz_mean": -0.5, "residual": math.inf,
+               "converged": True}
+        assert emit(table_of([row])).splitlines()[1] == "0.25,0.5,8,12,0.75,,,,-0.5,inf,true,ed"
+        for name, value in row.items():
+            if name != "backend":
+                twin = table_of([{**row, name: as_numpy(value)}])
+                for fmt in ("csv", "json"):
+                    with pytest.raises(TypeError, match=repr(name)):
+                        emit(twin, fmt=fmt)
+
+    def test_ragged_table_rejected(self):
+        table = table_of([{"backend": "td", "lambda": 0.25, "lambda_rel": 0.5}])
+        table["lambda"].append(0.3)
+        with pytest.raises(ValueError, match="differ in length"):
+            emit(table)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
-            emit([], fmt="parquet")
+            emit(table_of([]), fmt="parquet")
