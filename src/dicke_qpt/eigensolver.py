@@ -23,7 +23,12 @@ takes 2 x 340 Lanczos steps: 0.29 s, or 0.43 ms a step against a
 Intel Xeon VM).  The rest of a step is vector work on a preallocated
 scratch vector, 13-25 us per pass over the 45k entries, and the LAPACK
 bisection and inverse iteration of the Ritz check (dstebz and dstein, about
-50 us at k = 100) every _RITZ_EVERY steps.
+50 us at k = 100) every _RITZ_EVERY steps.  On the 200-5,000-state blocks
+of most sweep solves a step is instead dominated by per-call overhead, so
+there the vector work goes through BLAS level-1 calls, the cheapest to
+call, up to the size where OpenBLAS starts threading them (_vector_ops):
+replaying the 477 ground solves of one paper_datasets pass, the sum of
+per-solve best times fell from 0.71 to 0.48 s.
 
 DENSE_LIMIT is the measured crossover.  Median timings on parity blocks of
 the Dicke Hamiltonian (N = 4..16, lambda/lambda_c = 0.5..2; 2-core Intel
@@ -67,12 +72,13 @@ and the same sweep still gives the same bytes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, eig_banded
+from scipy.linalg.blas import daxpy, ddot
 from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (CapacityError, CutoffConvergenceError, ParameterError,
@@ -93,6 +99,9 @@ LANCZOS_MAX_STEPS = 2000
 # the first pass keeps its Lanczos vectors while steps x dim stays within
 # this many floats (8 MB); past it the second pass regenerates them
 _KEEP_FLOATS = 1_000_000
+# Lanczos vector operations go through BLAS on blocks of up to this many
+# states, through NumPy on larger ones (see _vector_ops)
+_BLAS_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -116,9 +125,37 @@ class GroundState:
         return float((self.amplitudes[-1] ** 2).sum())
 
 
+def _einsum_dot(x: np.ndarray, y: np.ndarray) -> float:
+    return np.einsum("i,i", x, y)
+
+
 def _norm(x: np.ndarray) -> float:
-    """Euclidean norm through einsum (see _lanczos_vectors on BLAS)."""
-    return math.sqrt(np.einsum("i,i", x, x))
+    """Euclidean norm through einsum (see _vector_ops on BLAS)."""
+    return math.sqrt(_einsum_dot(x, x))
+
+
+def _vector_ops(size: int) -> tuple[Callable, Callable]:
+    """dot(x, y) and axpy(x, y, a=a), which adds a x to y in place, for size entries.
+
+    Up to _BLAS_MAX entries both are BLAS level-1 calls (ddot, daxpy) from
+    scipy.linalg.blas: at 200-4,600 entries ddot costs 0.3-1.3 us against
+    0.7-2.1 us for np.dot and 2.2-4.3 us for einsum, and daxpy 0.4-1.7 us
+    against 1.4-4.9 us for a NumPy multiply and add.  OpenBLAS threads
+    level-1 calls above 10,000 entries, and in the Lanczos loop np.dot made
+    solves at 19k and 45k states 20-40 % slower (waking its threads), so
+    larger vectors take einsum and a product into a scratch vector.  The
+    rule depends on the size alone: both passes of a solve take the same
+    one and give the same bits.
+    """
+    if size <= _BLAS_MAX:
+        return ddot, daxpy
+    scratch = np.empty(size)
+
+    def axpy(x: np.ndarray, y: np.ndarray, a: float) -> np.ndarray:
+        y += np.multiply(a, x, out=scratch)
+        return y
+
+    return _einsum_dot, axpy
 
 
 def _lanczos_vectors(H: sp.spmatrix,
@@ -129,19 +166,16 @@ def _lanczos_vectors(H: sp.spmatrix,
     reorthogonalization; stops after beta_k = 0 (an invariant subspace).
     Only q_{k-1}, q_k and w are held, and a second run from the same q
     yields the same vectors bit for bit.  Each matvec returns a fresh array,
-    which becomes q_{k+1}; the updates of w go through one preallocated
-    scratch vector, so a step makes no other temporary.  The dot products go
-    through einsum, not BLAS: a threaded BLAS ddot on a 45k-entry vector
-    took 0.3 to 1.1 ms (waking its threads) against 0.04 ms for einsum.
+    which becomes q_{k+1}; the dot products and the updates of w are
+    _vector_ops calls, so a step makes no other temporary.
     """
+    dot, axpy = _vector_ops(q.size)
     q_prev, beta = np.zeros_like(q), 0.0
-    scratch = np.empty_like(q)
     while True:
-        w = H @ q
-        w -= np.multiply(beta, q_prev, out=scratch)
-        alpha = float(np.einsum("i,i", q, w))
-        w -= np.multiply(alpha, q, out=scratch)
-        beta = math.sqrt(np.einsum("i,i", w, w))
+        w = axpy(q_prev, H @ q, a=-beta)
+        alpha = float(dot(q, w))
+        w = axpy(q, w, a=-alpha)
+        beta = math.sqrt(dot(w, w))
         yield q, alpha, beta
         if beta == 0.0:
             return
@@ -206,10 +240,10 @@ def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndar
     if kept is None:
         kept = (q_i for q_i, _, _ in _lanczos_vectors(H, q))
     x = np.zeros_like(q)
-    scratch = np.empty_like(q)
+    _, axpy = _vector_ops(q.size)
     # y first: zip then stops before the generator takes another step
     for y_i, q_i in zip(y.tolist(), kept):
-        x += np.multiply(y_i, q_i, out=scratch)
+        x = axpy(q_i, x, a=y_i)
     return theta, x
 
 

@@ -14,14 +14,13 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import IntegrityError, ParameterError
 from .eigensolver import GroundState
-from .model import BasisIndex, ModelParams
+from .model import BasisIndex, ModelParams, _ArrayCache
 
 TRACE_TOL = 1e-8
 EIGVAL_FLOOR = 1e-14
@@ -155,21 +154,50 @@ def average_linear_entropy_Q(state: GroundState, *,
     return float((N * l_k + l_b) / (N + 1.0))
 
 
-def _oscillator_table(k_top: int) -> np.ndarray:
-    """W^(1/4) psi_k(t / sqrt(2)) for k <= k_top on the (2 k_top + 1)-node rule.
+def _rung(k_top: int) -> int:
+    """The smallest rung k = ceil(16 * 1.25^i) of the table ladder with k >= k_top."""
+    i = 0
+    while -(-16 * 5**i // 4**i) < k_top:
+        i += 1
+    return -(-16 * 5**i // 4**i)
 
-    Rows are the Gauss-Hermite nodes t with scaled weights W, columns the
-    Hermite functions psi_k.  Each column is mantissa * exp(log_scale), so the
+
+def _rung_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """W^(1/4) psi_n(t / sqrt(2)) for n <= k at the nodes t >= 0 of the (2k + 1)-node rule.
+
+    Rows are the nodes of _gauss_hermite(k) with their scaled weights W,
+    centre first; the even levels n and the odd ones are returned as two
+    tables, in order of n.  Each psi_n is mantissa * exp(log_scale), so the
     Gaussian does not underflow far out (exp(-t^2/4) is 0 beyond t ~ 54.6).
     """
-    t, weights = _gauss_hermite(2 * k_top + 1)
-    out = np.empty((t.size, k_top + 1))
+    t, weights = _gauss_hermite(k)
+    tables = (np.empty((t.size, k // 2 + 1)), np.empty((t.size, (k + 1) // 2)))
     log_scale = None
-    for k, (_, cur, scale) in enumerate(_hermite_functions(t / math.sqrt(2.0), k_top)):
+    for n, (_, cur, scale) in enumerate(_hermite_functions(t / math.sqrt(2.0), k)):
         if scale is not log_scale:      # a new scale only every 16 steps
             log_scale, factor = scale, np.exp(scale)
-        out[:, k] = cur * factor
-    return weights[:, None] ** 0.25 * out
+        tables[n % 2][:, n // 2] = cur * factor
+    for table in tables:
+        table *= weights[:, None] ** 0.25
+    return tables
+
+
+# the rung tables by k, shared by every IPR call; those of k = 569
+# (cutoffs 456-569) hold 2.6 MB
+_TABLE_BYTES = 8 * 2**20
+_TABLES = _ArrayCache(_TABLE_BYTES)
+
+
+def _oscillator_table(k_top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even- and odd-level tables of psi_0 .. psi_k_top on the rule of rung k >= k_top.
+
+    Read-only views of the cached rung tables (_rung_table(k)); with 2k + 1
+    nodes they are exact wherever a (2 k_top + 1)-node rule is (see
+    inverse_participation_ratio).
+    """
+    k = _rung(k_top)
+    even, odd = _TABLES.get(k) or _TABLES.put(k, _rung_table(k))
+    return even[:, :k_top // 2 + 1], odd[:, :(k_top + 1) // 2]
 
 
 def _hermite_functions(t: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -191,24 +219,24 @@ def _hermite_functions(t: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, ...]
         yield prev, cur, log_scale
 
 
-@lru_cache(maxsize=16)
 def _gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k-node Gauss-Hermite nodes t and scaled weights W = w exp(t^2).
+    """Nodes t >= 0 of the (2k + 1)-node Gauss-Hermite rule and scaled weights W = w exp(t^2).
 
-    Nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math.
-    Comp. 23, 221 (1969)), polished by one Newton step on psi_k; the weights
-    are W = 1 / (k psi_{k-1}(t)^2).  The plain weights w underflow to zero
-    beyond |t| ~ 27, where strong-coupling states still have weight.
-    Cached by k, so the atom-axis rule (k = 2N + 1) is built once per N; the
-    arrays are shared by every caller and therefore read-only.
+    The rule is symmetric: its other k nodes are -t[1:], with the same
+    weights; t[0] is the centre node.  Nodes are the eigenvalues of the
+    Jacobi matrix (Golub & Welsch, Math. Comp. 23, 221 (1969)), polished by
+    one Newton step on psi_{2k+1}; the weights are W = 1 / ((2k + 1)
+    psi_{2k}(t)^2).  The plain weights w underflow to zero beyond
+    |t| ~ 27, where strong-coupling states still have weight.
+    Not cached itself: only the rung tables built on it are (_TABLES).
     """
-    t = eigh_tridiagonal(np.zeros(k), np.sqrt(np.arange(1, k) / 2.0), eigvals_only=True)
-    prev, cur, _ = deque(_hermite_functions(t, k), maxlen=1).pop()
-    t = t - cur / (math.sqrt(2.0 * k) * prev - t * cur)
-    prev, _, log_scale = deque(_hermite_functions(t, k), maxlen=1).pop()
-    weights = np.exp(-2.0 * (np.log(np.abs(prev)) + log_scale)) / k
-    t.setflags(write=False)
-    weights.setflags(write=False)
+    size = 2 * k + 1
+    t = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1, size) / 2.0),
+                         eigvals_only=True)[k:]
+    prev, cur, _ = deque(_hermite_functions(t, size), maxlen=1).pop()
+    t = t - cur / (math.sqrt(2.0 * size) * prev - t * cur)
+    prev, _, log_scale = deque(_hermite_functions(t, size), maxlen=1).pop()
+    weights = np.exp(-2.0 * (np.log(np.abs(prev)) + log_scale)) / size
     return t, weights
 
 
@@ -223,14 +251,35 @@ def inverse_participation_ratio(state: GroundState, basis: BasisIndex,
     sqrt(omega omega0) / 2, and both axes use the same table of
     psi_k(t / sqrt(2)).  Along an axis with top level k, Psi^4 is a
     polynomial of degree 4k in t times exp(-t^2).  A K-node Gauss-Hermite
-    rule is exact to degree 2K - 1, so the tensor rule with 2 n_max + 1
-    (field) and 2 N + 1 (atoms) nodes is exact up to rounding.  The tables
-    are sized from basis: one of another shape than the state raises ValueError.
+    rule is exact to degree 2K - 1, so any rule with at least 2 n_max + 1
+    (field) and 2 N + 1 (atoms) nodes makes the tensor rule exact up to
+    rounding.  Each axis takes the rule of the rung k = ceil(16 * 1.25^i)
+    at or above its top level, with 2k + 1 nodes.  The rule is symmetric
+    and psi_n(-t) = (-1)^n psi_n(t), so a rung's tables hold only the nodes
+    t >= 0, split by the parity of n: the products with the even levels (e)
+    and with the odd levels (o) give Psi = e + o at t and e - o at -t, for
+    half the arithmetic of the whole table.  A rung's tables are built once
+    and shared by every cutoff and N up to it, in a cache of at most
+    _TABLE_BYTES (8 MB) that drops the least recently used rung.  The value
+    moves from that of the smallest exact rule by rounding only.  The tables
+    are sized from basis: one of another shape than the state raises
+    ValueError.
     """
-    psi = (_oscillator_table(basis.n_max) @ state.amplitudes
-           @ _oscillator_table(basis.n_atoms).T)
-    # squared twice in place: psi**4 runs a per-element pow, and takes 48
-    # against 6 ms on a 1057 x 513 grid (2-core Intel Xeon VM)
-    psi *= psi
-    psi *= psi
-    return float(math.sqrt(params.omega * params.omega0) / 2.0 * np.sum(psi))
+    A = state.amplitudes
+    even, odd = _oscillator_table(basis.n_max)
+    e, o = A[0::2].T @ even.T, A[1::2].T @ odd.T
+    k = even.shape[0] - 1
+    rows = np.empty((A.shape[1], 2 * k + 1))        # at x = -t[1:], then t
+    np.subtract(e[:, 1:], o[:, 1:], out=rows[:, :k])
+    np.add(e, o, out=rows[:, k:])
+    even, odd = _oscillator_table(basis.n_atoms)
+    e, o = even @ rows[0::2], odd @ rows[1::2]
+    # sum of (e + o)^4 at y = t and (e - o)^4 at y = -t[1:]: (e + o)^4 +
+    # (e - o)^4 = 2 (e^4 + 6 e^2 o^2 + o^4), whose terms are all positive,
+    # less (e - o)^4 on the centre row t[0]
+    centre = float(np.sum((e[0] - o[0]) ** 4))
+    e *= e
+    o *= o
+    e, o = e.ravel(), o.ravel()
+    total = 2.0 * (e @ e + 6.0 * (e @ o) + o @ o) - centre
+    return float(math.sqrt(params.omega * params.omega0) / 2.0 * total)

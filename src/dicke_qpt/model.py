@@ -10,14 +10,19 @@ H commutes with the parity exp[i pi (a^dag a + Jz + j)], and the finite-N
 ground state has parity +1, so only the +1 block is ever assembled.  In the
 n-major basis order that block is banded with a fixed set of diagonals, and
 assemble_hamiltonian builds it straight from them as a scipy DIA matrix.
-At N = 256, n_max 352 (45,361 of 90,721 states) that takes 2-4 ms (2-core
-Intel Xeon VM).
+Only the coupling changes along a sweep: the diagonal, the Fock-layer
+factors and the spin factors are built once per (omega, omega0, N), at the
+largest cutoff seen, and kept in a cache of at most 1 MB.  A call then
+forms the coupling entries alone, one product per stored entry: over the
+477 assemblies of one paper_datasets pass this took 0.048 s, against
+0.086 s when every call built the whole block (traced, 2-core Intel Xeon VM).
 All matrix elements are real, so the block is real symmetric.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +32,42 @@ from .errors import CapacityError, ParameterError
 
 # Generous ceiling; desk-scale sweeps stay below ~30k.
 DEFAULT_MAX_DIMENSION = 4_000_000
+
+
+class _ArrayCache:
+    """Least-recently-used tuples of arrays by key, at most max_bytes in all.
+
+    put stores the arrays read-only, since every caller shares them; a value
+    larger than max_bytes is returned without being kept.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key) -> tuple | None:
+        value = self.entries.get(key)
+        if value is not None:
+            self.entries.move_to_end(key)
+        return value
+
+    def put(self, key, value: tuple) -> tuple:
+        for array in value:
+            array.setflags(write=False)
+        self.pop(key)
+        size = sum(array.nbytes for array in value)
+        if size <= self.max_bytes:
+            while self.nbytes + size > self.max_bytes:
+                self.pop(next(iter(self.entries)))
+            self.entries[key] = value
+            self.nbytes += size
+        return value
+
+    def pop(self, key) -> None:
+        value = self.entries.pop(key, None)
+        if value is not None:
+            self.nbytes -= sum(array.nbytes for array in value)
 
 
 @dataclass(frozen=True)
@@ -108,6 +149,61 @@ def build_basis(params: ModelParams, n_max: int,
     return BasisIndex(n_max=n_max, n_atoms=params.n_atoms, parity=parity)
 
 
+def _block_dim(n_atoms: int, n_max: int) -> int:
+    """States of parity +1 up to cutoff n_max (see assemble_hamiltonian)."""
+    return (n_max // 2 + 1) * (n_atoms + 1) - (0 if n_max % 2 else (n_atoms + 1) // 2)
+
+
+def _block_structure(omega: float, omega0: float, N: int,
+                     n_max: int) -> tuple[np.ndarray, ...]:
+    """The coupling-free arrays of the +1 block, in its row order.
+
+    Returns the diagonal omega * n + omega0 * m, sqrt(n + 1) on each row's
+    Fock layer n, the ascending positive offsets of the coupling diagonals,
+    and per offset the spin factor sqrt(j(j+1) - m(m +- 1)) of each row's
+    partner (0 where it has none).  A smaller cutoff's arrays are the
+    leading entries of these.
+    """
+    j = N / 2.0
+    # states on a Fock layer with n even / odd.  Two consecutive layers hold
+    # N + 1 states, so a vector over the block, padded to whole pairs of
+    # layers, is a (pairs, N + 1) array: even layer first, then odd layer
+    sizes = (N // 2 + 1, (N + 1) // 2)
+    pairs = n_max // 2 + 1
+    dim = _block_dim(N, n_max)
+
+    def block_order(even, odd) -> np.ndarray:
+        """Block vector from its values on the even and on the odd layers."""
+        out = np.zeros((pairs, N + 1))
+        out[:, :sizes[0]] = even
+        out[:(n_max + 1) // 2, sizes[0]:] = odd
+        return out.ravel()[:dim]
+
+    n = np.arange(n_max + 1)
+    m = np.arange(N + 1) - j
+    raise_m = np.sqrt(j * (j + 1) - m * (m + 1))   # m -> m + 1
+    lower_m = np.sqrt(j * (j + 1) - m * (m - 1))   # m -> m - 1
+    diagonal = block_order(*(omega * n[p::2, None] + omega0 * m[None, p::2]
+                             for p in (0, 1)))
+    root = block_order(*(np.sqrt(n[p::2, None] + 1.0) for p in (0, 1)))
+    spins: dict[int, list] = {}                     # offset -> [even, odd] layer values
+    for p in (0, 1):
+        for shift, spin in ((p, raise_m[p::2]), (p - 1, lower_m[p::2])):
+            # at N = 1 a layer's n_b - 1 or n_b + 1 partner never exists
+            if spin.any():
+                spins.setdefault(sizes[p] + shift, [0.0, 0.0])[p] = spin
+    offsets = sorted(spins)
+    return (diagonal, root, np.array(offsets),
+            np.array([block_order(*spins[k]) for k in offsets]))
+
+
+# _block_structure per (omega, omega0, N), at the largest cutoff assembled
+# so far.  It holds 32 bytes a state for even N (40 for odd N), so 1 MB
+# keeps blocks of up to about 30,000 states: past that, assembly is a small
+# share of a solve, and keeping the block would only add to peak memory
+_STRUCTURES = _ArrayCache(2**20)
+
+
 def assemble_hamiltonian(params: ModelParams, basis: BasisIndex) -> sp.dia_matrix:
     """The positive-parity block of the Hamiltonian, stored by its diagonals.
 
@@ -122,47 +218,32 @@ def assemble_hamiltonian(params: ModelParams, basis: BasisIndex) -> sp.dia_matri
     +-(N/2 + 1) for even N, and 0, +-(L - 1), +-L and +-(L + 1) with
     L = (N + 1)/2 for odd N (only 0 and +-1 at N = 1).  Offsets are
     ascending, so the matvec adds each row's terms in column order.
+
+    Everything but the coupling is taken from _block_structure, cached per
+    (omega, omega0, N) at the largest cutoff seen: in n-major order a
+    smaller cutoff's block is the leading block of a larger one's.  A call
+    then forms each coupling entry as (coupling / sqrt(2j) * sqrt(n + 1)) *
+    spin, the same products in the same order as a cold build.
     """
     N = params.n_atoms
-    j = params.j
-    n_max = basis.n_max
-    # states on a Fock layer with n even / odd.  Two consecutive layers hold
-    # N + 1 states, so a vector over the block, padded to whole pairs of
-    # layers, is a (pairs, N + 1) array: even layer first, then odd layer
-    sizes = (N // 2 + 1, (N + 1) // 2)
-    pairs = n_max // 2 + 1
-    dim = pairs * (N + 1) - (0 if n_max % 2 else sizes[1])
-
-    def block_order(even, odd) -> np.ndarray:
-        """Block vector from its values on the even and on the odd layers."""
-        out = np.zeros((pairs, N + 1))
-        out[:, :sizes[0]] = even
-        out[:(n_max + 1) // 2, sizes[0]:] = odd
-        return out.ravel()[:dim]
-
-    n = np.arange(n_max + 1)
-    m = np.arange(N + 1) - j
-    raise_m = np.sqrt(j * (j + 1) - m * (m + 1))   # m -> m + 1
-    lower_m = np.sqrt(j * (j + 1) - m * (m - 1))   # m -> m - 1
+    dim = _block_dim(N, basis.n_max)
+    key = (params.omega, params.omega0, N)
+    structure = _STRUCTURES.get(key)
+    if structure is None or structure[0].size < dim:
+        structure = _STRUCTURES.put(key, _block_structure(*key, basis.n_max))
+    diagonal, root, upper_offsets, spins = structure
+    offsets = upper_offsets[upper_offsets < dim]    # else no row has that partner
     # a top-layer row's partners lie past the end of each diagonal, or carry
-    # lower_m[0] = 0, so its field factor is never stored
-    field = params.coupling / math.sqrt(2.0 * j) * np.sqrt(n + 1.0)
-    diagonals = {0: block_order(*(params.omega * n[p::2, None]
-                                  + params.omega0 * m[None, p::2] for p in (0, 1)))}
-    couplings: dict[int, list] = {}                 # offset -> [even, odd] layer values
-    for p in (0, 1):
-        for shift, spin in ((p, raise_m[p::2]), (p - 1, lower_m[p::2])):
-            # at N = 1 a layer's n_b - 1 or n_b + 1 partner never exists
-            if spin.any():
-                couplings.setdefault(sizes[p] + shift, [0.0, 0.0])[p] = (
-                    field[p::2, None] * spin[None, :])
-    for offset, layers in couplings.items():
-        if offset < dim:                            # else no row has that partner
-            # H[r, r + offset] = H[r + offset, r] = upper[r]; DIA keeps an
-            # entry in the column of its column index
-            upper = block_order(*layers)[:dim - offset]
-            diagonals[offset] = np.concatenate([np.zeros(offset), upper])
-            diagonals[-offset] = np.concatenate([upper, np.zeros(offset)])
-    offsets = sorted(diagonals)
-    return sp.dia_matrix((np.array([diagonals[k] for k in offsets]), offsets),
+    # a zero spin factor, so its field factor is never stored
+    field = params.coupling / math.sqrt(2.0 * params.j) * root[:dim]
+    centre = offsets.size
+    data = np.zeros((2 * centre + 1, dim))
+    data[centre] = diagonal[:dim]
+    for i, offset in enumerate(offsets.tolist()):
+        # H[r, r + offset] = H[r + offset, r] = upper[r]; DIA keeps an entry
+        # in the column of its column index
+        upper = np.multiply(field[:dim - offset], spins[i, :dim - offset],
+                            out=data[centre + 1 + i, offset:])
+        data[centre - 1 - i, :dim - offset] = upper
+    return sp.dia_matrix((data, np.concatenate([-offsets[::-1], [0], offsets])),
                          shape=(dim, dim))

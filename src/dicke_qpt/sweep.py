@@ -476,7 +476,8 @@ def _json_reports(cells: list[list], columns: tuple) -> list[str]:
     for start in range(0, n_rows, _JSON_BLOCK):
         block = [values[start:start + _JSON_BLOCK] for values in cells]
         flat = json.dumps(list(chain.from_iterable(zip(*block))), separators=("\n", ":"))
-        encoded = tuple(_JSON_NONFINITE.get(v, v) for v in flat[1:-1].split("\n"))
+        tokens = flat[1:-1].split("\n")
+        encoded = tuple(map(_JSON_NONFINITE.get, tokens, tokens))
         if start:
             pieces.append(",\n")
         pieces.append(",\n".join([row] * len(block[0])) % encoded)

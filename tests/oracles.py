@@ -239,6 +239,32 @@ def strong_coupling_state(params: ModelParams, basis: BasisIndex) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def hermite_table(k_top: int) -> np.ndarray:
+    """w^(1/4) e^(t^2/4) psi_k(t / sqrt(2)) for k <= k_top at numpy's hermgauss nodes.
+
+    The (2 k_top + 1)-node rule, the smallest exact one for the IPR at top
+    level k_top.  Plain weights and a plain recurrence: fine while the
+    outermost node stays below |t| ~ 26 (k_top up to about 100).
+    """
+    t, w = np.polynomial.hermite.hermgauss(2 * k_top + 1)
+    x = t / math.sqrt(2.0)
+    psi = np.empty((t.size, k_top + 1))
+    psi[:, 0] = math.pi**-0.25 * np.exp(-x * x / 2.0)
+    if k_top:
+        psi[:, 1] = math.sqrt(2.0) * x * psi[:, 0]
+    for n in range(1, k_top):
+        psi[:, n + 1] = (math.sqrt(2.0 / (n + 1)) * x * psi[:, n]
+                         - math.sqrt(n / (n + 1.0)) * psi[:, n - 1])
+    return (w * np.exp(t * t))[:, None] ** 0.25 * psi
+
+
+def ipr_oracle(amplitudes: np.ndarray, omega: float, omega0: float) -> float:
+    """The IPR of an amplitude matrix on the smallest exact tensor rule."""
+    n_max, n_atoms = amplitudes.shape[0] - 1, amplitudes.shape[1] - 1
+    psi = hermite_table(n_max) @ amplitudes @ hermite_table(n_atoms).T
+    return math.sqrt(omega * omega0) / 2.0 * float(np.sum(psi**4))
+
+
 def meyer_wallach_Q_generic(qubit_state: np.ndarray) -> float:
     """Average single-qubit linear entropy of a pure n-qubit state.
 

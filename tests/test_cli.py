@@ -1,9 +1,11 @@
 import dataclasses
+import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import SRC
 from dicke_qpt import SweepConfig
 from dicke_qpt.cli import build_config, build_parser, main, read_config_file
 
@@ -230,7 +232,11 @@ def test_every_config_field_reaches_config(fld, tmp_path):
 
 
 def test_module_entry_point():
+    # the fresh interpreter finds the package where this suite imports it
+    # from, whether or not it is installed
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "dicke_qpt.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "dicke-sweep" in proc.stdout

@@ -186,6 +186,24 @@ class TestLanczos:
         assert kept[0] == regenerated[0]
         np.testing.assert_array_equal(kept[1], regenerated[1])
 
+    @pytest.mark.parametrize("n_max, dim", [(605, 9_999), (607, 10_032)])
+    def test_kept_and_regenerated_bits_at_the_blas_limit(self, monkeypatch,
+                                                         lanczos_steps, n_max, dim):
+        # N = 32 blocks just below and just above _BLAS_MAX, whose vector
+        # operations go through BLAS and through NumPy: both passes of a
+        # solve must take the same ones.  The first solve keeps every vector
+        H, _ = hamiltonian_and_basis(make_params(1, 1, 0.5, 32), n_max)
+        assert H.shape[0] == dim
+        assert (dim <= eigensolver._BLAS_MAX) == (n_max == 605)
+        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", dim * eigensolver.LANCZOS_MAX_STEPS)
+        kept = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        n_kept = len(lanczos_steps)
+        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
+        regenerated = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        assert len(lanczos_steps) == 3 * n_kept
+        assert kept[0] == regenerated[0]
+        np.testing.assert_array_equal(kept[1], regenerated[1])
+
     def test_exact_eigenvector_start_is_returned(self, lanczos_steps):
         # decoupled, H is diagonal: from the ground basis vector beta_1 = 0,
         # so Lanczos takes one step and the start comes back unchanged

@@ -12,7 +12,8 @@ from dicke_qpt import (IntegrityError, ParameterError, assemble_hamiltonian,
                        single_atom_rdm, von_neumann_entropy)
 from dicke_qpt.entanglement import collective_expectations
 from dicke_qpt.eigensolver import GroundState
-from oracles import coherent_amplitudes, meyer_wallach_Q_generic
+from dicke_qpt.model import _ArrayCache
+from oracles import coherent_amplitudes, ipr_oracle, meyer_wallach_Q_generic
 
 
 def embed_in_qubit_register(state, basis):
@@ -311,30 +312,72 @@ class TestIPR:
         with pytest.raises(ValueError):
             inverse_participation_ratio(gs, other, params)
 
-    def test_gauss_hermite_rules_cached_read_only(self, resonant_ground, monkeypatch):
-        # the atom-axis rule (2N + 1 nodes) is shared by every point at that
-        # N, so a cached rule must be the same read-only arrays each time
-        # and must leave the IPR bits exactly as a freshly built rule does
-        entanglement._gauss_hermite.cache_clear()
-        t, w = entanglement._gauss_hermite(17)
-        again = entanglement._gauss_hermite(17)
-        assert again[0] is t and again[1] is w
-        assert not t.flags.writeable and not w.flags.writeable
+    def test_rung_tables_cached_read_only(self, resonant_ground, monkeypatch):
+        # a rung's tables are shared by every cutoff and N up to the rung, so
+        # cached tables must be the same read-only arrays each time and must
+        # leave the IPR bits exactly as freshly built tables do
+        monkeypatch.setattr(entanglement, "_TABLES",
+                            _ArrayCache(entanglement._TABLE_BYTES))
+        even, odd = entanglement._oscillator_table(17)
+        again = entanglement._oscillator_table(19)
+        assert entanglement._rung(17) == entanglement._rung(19) == 20
+        assert even.shape == (21, 9) and odd.shape == (21, 9)
+        assert again[0].shape == (21, 10) and again[1].shape == (21, 10)
+        assert even.base is again[0].base and odd.base is again[1].base
+        for table in (even, odd, even.base, odd.base):
+            assert not table.flags.writeable
         with pytest.raises(ValueError):
-            w[0] = 1.0
-        fresh_t, fresh_w = entanglement._gauss_hermite.__wrapped__(17)
-        assert np.array_equal(fresh_t, t) and np.array_equal(fresh_w, w)
+            even[0, 0] = 1.0
+        fresh = entanglement._rung_table(20)
+        assert np.array_equal(fresh[0][:, :9], even) and np.array_equal(fresh[1][:, :9], odd)
 
         gs = resonant_ground(1.2, 8)
         params = make_params(1, 1, 0.6, 8)
-        entanglement._gauss_hermite.cache_clear()
+        monkeypatch.setattr(entanglement, "_TABLES",
+                            _ArrayCache(entanglement._TABLE_BYTES))
         cold = inverse_participation_ratio(gs, gs.basis, params)
+        cached = dict(entanglement._TABLES.entries)
         warm = inverse_participation_ratio(gs, gs.basis, params)
-        assert entanglement._gauss_hermite.cache_info().hits >= 2
-        monkeypatch.setattr(entanglement, "_gauss_hermite",
-                            entanglement._gauss_hermite.__wrapped__)
+        assert len(cached) == 2 and all(
+            entanglement._TABLES.entries[k] is v for k, v in cached.items())
+        # a cache that keeps nothing builds every table afresh
+        monkeypatch.setattr(entanglement, "_TABLES", _ArrayCache(0))
         uncached = inverse_participation_ratio(gs, gs.basis, params)
+        assert not entanglement._TABLES.entries
         assert cold == warm == uncached
+
+    # both sides of the rung boundaries 16, 20, 25, 32, 40, 49, 62, 77 and 96
+    @pytest.mark.parametrize("k_top", [15, 16, 17, 19, 20, 21, 24, 25, 26, 31, 32,
+                                       33, 39, 40, 41, 48, 49, 50, 61, 62, 63, 76,
+                                       77, 78, 95, 96, 97])
+    @pytest.mark.parametrize("axis", ["field", "atoms"])
+    def test_rung_tables_match_the_smallest_exact_rule(self, k_top, axis):
+        # a top level of k_top on either axis, on the rule of its rung,
+        # against the (2 k_top + 1)-node rule built by numpy's hermgauss
+        shape = (k_top + 1, 9) if axis == "field" else (13, k_top + 1)
+        rng = np.random.default_rng(k_top)
+        amps = rng.standard_normal(shape) * np.exp(-0.05 * np.arange(shape[0]))[:, None]
+        amps /= np.linalg.norm(amps)
+        params = make_params(1.3, 0.7, 0.0, shape[1] - 1)
+        basis = build_basis(params, shape[0] - 1)
+        state = GroundState(energy=0.0, amplitudes=amps, residual=0.0,
+                            converged=True, basis=basis)
+        value = inverse_participation_ratio(state, basis, params)
+        assert abs(value / ipr_oracle(amps, 1.3, 0.7) - 1) < 1e-13
+
+    def test_rung_cache_stays_within_its_byte_bound(self, monkeypatch):
+        # the rung tables of cutoffs 8 to 700 hold 11 MB in all, more than
+        # the bound: the least recently used ones must be dropped
+        monkeypatch.setattr(entanglement, "_TABLES",
+                            _ArrayCache(entanglement._TABLE_BYTES))
+        cache = entanglement._TABLES
+        for k_top in range(8, 701):
+            entanglement._oscillator_table(k_top)
+            assert cache.nbytes <= entanglement._TABLE_BYTES
+        assert cache.nbytes == sum(t.nbytes for v in cache.entries.values() for t in v)
+        assert list(cache.entries)[-1] == entanglement._rung(700) == 711
+        every_rung = {entanglement._rung(n) for n in range(8, 701)}
+        assert sum((k + 1) ** 2 * 8 for k in every_rung) > cache.max_bytes
 
     def test_loads_no_scipy_special(self, fresh_interpreter):
         # scipy.special costs about 60 ms per fresh interpreter; the rule is
