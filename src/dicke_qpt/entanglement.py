@@ -14,13 +14,14 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import IntegrityError, ParameterError
 from .eigensolver import GroundState
-from .model import BasisIndex, ModelParams, _ArrayCache
+from .model import BasisIndex, ModelParams
 
 TRACE_TOL = 1e-8
 EIGVAL_FLOOR = 1e-14
@@ -162,13 +163,18 @@ def _rung(k_top: int) -> int:
     return -(-16 * 5**i // 4**i)
 
 
+# the rung tables, shared by every IPR call.  A paper_datasets pass uses 14
+# rungs and a large_n pass 10, so a second pass rebuilds none; the 16
+# largest rungs, up to k = 711 (cutoffs 570-711), would hold 10.8 MB
+@lru_cache(maxsize=16)
 def _rung_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     """W^(1/4) psi_n(t / sqrt(2)) for n <= k at the nodes t >= 0 of the (2k + 1)-node rule.
 
     Rows are the nodes of _gauss_hermite(k) with their scaled weights W,
     centre first; the even levels n and the odd ones are returned as two
-    tables, in order of n.  Each psi_n is mantissa * exp(log_scale), so the
-    Gaussian does not underflow far out (exp(-t^2/4) is 0 beyond t ~ 54.6).
+    read-only tables, in order of n.  Each psi_n is mantissa *
+    exp(log_scale), so the Gaussian does not underflow far out
+    (exp(-t^2/4) is 0 beyond t ~ 54.6).
     """
     t, weights = _gauss_hermite(k)
     tables = (np.empty((t.size, k // 2 + 1)), np.empty((t.size, (k + 1) // 2)))
@@ -179,24 +185,18 @@ def _rung_table(k: int) -> tuple[np.ndarray, np.ndarray]:
         tables[n % 2][:, n // 2] = cur * factor
     for table in tables:
         table *= weights[:, None] ** 0.25
+        table.setflags(write=False)
     return tables
-
-
-# the rung tables by k, shared by every IPR call; those of k = 569
-# (cutoffs 456-569) hold 2.6 MB
-_TABLE_BYTES = 8 * 2**20
-_TABLES = _ArrayCache(_TABLE_BYTES)
 
 
 def _oscillator_table(k_top: int) -> tuple[np.ndarray, np.ndarray]:
     """The even- and odd-level tables of psi_0 .. psi_k_top on the rule of rung k >= k_top.
 
-    Read-only views of the cached rung tables (_rung_table(k)); with 2k + 1
-    nodes they are exact wherever a (2 k_top + 1)-node rule is (see
+    Views of the rung tables _rung_table(k); with 2k + 1 nodes they are
+    exact wherever a (2 k_top + 1)-node rule is (see
     inverse_participation_ratio).
     """
-    k = _rung(k_top)
-    even, odd = _TABLES.get(k) or _TABLES.put(k, _rung_table(k))
+    even, odd = _rung_table(_rung(k_top))
     return even[:, :k_top // 2 + 1], odd[:, :(k_top + 1) // 2]
 
 
@@ -228,7 +228,7 @@ def _gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
     one Newton step on psi_{2k+1}; the weights are W = 1 / ((2k + 1)
     psi_{2k}(t)^2).  The plain weights w underflow to zero beyond
     |t| ~ 27, where strong-coupling states still have weight.
-    Not cached itself: only the rung tables built on it are (_TABLES).
+    Not cached itself: only the rung tables built on it are (_rung_table).
     """
     size = 2 * k + 1
     t = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1, size) / 2.0),
@@ -259,11 +259,10 @@ def inverse_participation_ratio(state: GroundState, basis: BasisIndex,
     t >= 0, split by the parity of n: the products with the even levels (e)
     and with the odd levels (o) give Psi = e + o at t and e - o at -t, for
     half the arithmetic of the whole table.  A rung's tables are built once
-    and shared by every cutoff and N up to it, in a cache of at most
-    _TABLE_BYTES (8 MB) that drops the least recently used rung.  The value
-    moves from that of the smallest exact rule by rounding only.  The tables
-    are sized from basis: one of another shape than the state raises
-    ValueError.
+    and shared by every cutoff and N up to it; the 16 most recently used
+    rungs are kept (_rung_table).  The value moves from that of the smallest
+    exact rule by rounding only.  The tables are sized from basis: one of
+    another shape than the state raises ValueError.
     """
     A = state.amplitudes
     even, odd = _oscillator_table(basis.n_max)

@@ -119,13 +119,16 @@ class SweepConfig:
 
     def validate(self) -> None:
         # a non-number in a float field would escape the comparisons below
-        # as a bare TypeError, and a truthy non-bool (the string "false")
-        # would pass for True
+        # as a bare TypeError, a bool in a number field would pass for 0 or
+        # 1, and a truthy non-bool (the string "false") would pass for True
         for option in fields(self):
             value = getattr(self, option.name)
-            if option.metadata["parse"] is float and not isinstance(value, Real):
+            parse = option.metadata["parse"]
+            if parse in (int, float) and isinstance(value, bool):
+                raise ConfigError(f"{option.name} must be a number, got {value!r}")
+            if parse is float and not isinstance(value, Real):
                 raise ConfigError(f"{option.name} must be a real number, got {value!r}")
-            if option.metadata["parse"] is _parse_bool and not isinstance(value, bool):
+            if parse is _parse_bool and not isinstance(value, bool):
                 raise ConfigError(f"{option.name} must be a bool, got {value!r}")
         # every range check is a chained comparison, which NaN fails
         if not (0 < self.omega < math.inf and 0 < self.omega0 < math.inf):
@@ -159,8 +162,8 @@ class SweepConfig:
         if not self.n_atoms:
             raise ConfigError("n_atoms must name at least one atom number")
         for n in self.n_atoms:
-            if n != "inf" and not (isinstance(n, Real) and 1 <= n < math.inf
-                                   and int(n) == n):
+            if n != "inf" and (isinstance(n, bool) or not (
+                    isinstance(n, Real) and 1 <= n < math.inf and int(n) == n)):
                 raise ConfigError(f"bad n_atoms entry {n!r}")
         if len(set(self.n_atoms)) != len(self.n_atoms):
             raise ConfigError(f"repeated n_atoms entry in {self.n_atoms!r}")

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from dicke_qpt import entanglement
-from dicke_qpt import (IntegrityError, ParameterError, assemble_hamiltonian,
-                       average_linear_entropy_Q, build_basis, ground_state,
-                       inverse_participation_ratio, linear_entropy,
-                       linear_entropy_td, make_params, partial_trace,
-                       single_atom_rdm, von_neumann_entropy)
+from dicke_qpt import (IntegrityError, ParameterError, SweepConfig,
+                       assemble_hamiltonian, average_linear_entropy_Q,
+                       build_basis, ground_state, inverse_participation_ratio,
+                       linear_entropy, linear_entropy_td, make_params,
+                       partial_trace, run_sweep, single_atom_rdm,
+                       von_neumann_entropy)
 from dicke_qpt.entanglement import collective_expectations
 from dicke_qpt.eigensolver import GroundState
-from dicke_qpt.model import _ArrayCache
 from oracles import coherent_amplitudes, ipr_oracle, meyer_wallach_Q_generic
 
 
@@ -316,11 +316,12 @@ class TestIPR:
         # a rung's tables are shared by every cutoff and N up to the rung, so
         # cached tables must be the same read-only arrays each time and must
         # leave the IPR bits exactly as freshly built tables do
-        monkeypatch.setattr(entanglement, "_TABLES",
-                            _ArrayCache(entanglement._TABLE_BYTES))
+        cache = entanglement._rung_table
+        cache.cache_clear()
         even, odd = entanglement._oscillator_table(17)
         again = entanglement._oscillator_table(19)
         assert entanglement._rung(17) == entanglement._rung(19) == 20
+        assert cache.cache_info().misses == 1
         assert even.shape == (21, 9) and odd.shape == (21, 9)
         assert again[0].shape == (21, 10) and again[1].shape == (21, 10)
         assert even.base is again[0].base and odd.base is again[1].base
@@ -328,22 +329,21 @@ class TestIPR:
             assert not table.flags.writeable
         with pytest.raises(ValueError):
             even[0, 0] = 1.0
-        fresh = entanglement._rung_table(20)
+        fresh = cache.__wrapped__(20)
         assert np.array_equal(fresh[0][:, :9], even) and np.array_equal(fresh[1][:, :9], odd)
 
         gs = resonant_ground(1.2, 8)
         params = make_params(1, 1, 0.6, 8)
-        monkeypatch.setattr(entanglement, "_TABLES",
-                            _ArrayCache(entanglement._TABLE_BYTES))
+        cache.cache_clear()
         cold = inverse_participation_ratio(gs, gs.basis, params)
-        cached = dict(entanglement._TABLES.entries)
+        built = cache.cache_info()
         warm = inverse_participation_ratio(gs, gs.basis, params)
-        assert len(cached) == 2 and all(
-            entanglement._TABLES.entries[k] is v for k, v in cached.items())
-        # a cache that keeps nothing builds every table afresh
-        monkeypatch.setattr(entanglement, "_TABLES", _ArrayCache(0))
+        assert built.misses == built.currsize == 2
+        assert cache.cache_info().misses == 2 and cache.cache_info().hits == built.hits + 2
+        # with the memo bypassed every table is built afresh
+        monkeypatch.setattr(entanglement, "_rung_table", cache.__wrapped__)
         uncached = inverse_participation_ratio(gs, gs.basis, params)
-        assert not entanglement._TABLES.entries
+        assert cache.cache_info().misses == 2
         assert cold == warm == uncached
 
     # both sides of the rung boundaries 16, 20, 25, 32, 40, 49, 62, 77 and 96
@@ -365,19 +365,33 @@ class TestIPR:
         value = inverse_participation_ratio(state, basis, params)
         assert abs(value / ipr_oracle(amps, 1.3, 0.7) - 1) < 1e-13
 
-    def test_rung_cache_stays_within_its_byte_bound(self, monkeypatch):
-        # the rung tables of cutoffs 8 to 700 hold 11 MB in all, more than
-        # the bound: the least recently used ones must be dropped
-        monkeypatch.setattr(entanglement, "_TABLES",
-                            _ArrayCache(entanglement._TABLE_BYTES))
-        cache = entanglement._TABLES
+    def test_rung_cache_holds_the_16_newest_rungs(self):
+        # cutoffs 8 to 700 pass through 18 rungs, 11 MB of tables: at most 16
+        # may be held, and they must be the most recently used ones
+        cache = entanglement._rung_table
+        cache.cache_clear()
         for k_top in range(8, 701):
             entanglement._oscillator_table(k_top)
-            assert cache.nbytes <= entanglement._TABLE_BYTES
-        assert cache.nbytes == sum(t.nbytes for v in cache.entries.values() for t in v)
-        assert list(cache.entries)[-1] == entanglement._rung(700) == 711
-        every_rung = {entanglement._rung(n) for n in range(8, 701)}
-        assert sum((k + 1) ** 2 * 8 for k in every_rung) > cache.max_bytes
+            assert cache.cache_info().currsize <= 16
+        every_rung = sorted({entanglement._rung(n) for n in range(8, 701)})
+        assert len(every_rung) == cache.cache_info().misses == 18
+        assert every_rung[-1] == entanglement._rung(700) == 711
+        for k in every_rung[:-17:-1]:       # newest first: each is a hit
+            cache(k)
+        assert cache.cache_info().misses == 18
+
+    def test_repeated_sweep_builds_no_table(self):
+        # a small fig1-like sweep touches 11 rungs; running it again must
+        # find every one of them kept, and give the same table
+        config = SweepConfig(lambda_min=0.0, lambda_max=3.0, lambda_steps=7,
+                             n_atoms=(8, 32), measures=("s_vn", "l_lin", "ipr_inv"))
+        cache = entanglement._rung_table
+        cache.cache_clear()
+        first, _ = run_sweep(config)
+        built = cache.cache_info().misses
+        second, _ = run_sweep(config)
+        assert built == 11 and cache.cache_info().misses == built
+        assert first == second
 
     def test_loads_no_scipy_special(self, fresh_interpreter):
         # scipy.special costs about 60 ms per fresh interpreter; the rule is

@@ -10,7 +10,6 @@ import dicke_qpt
 from dicke_qpt import model
 from dicke_qpt import (CapacityError, ParameterError, assemble_hamiltonian,
                        build_basis, make_params)
-from dicke_qpt.model import _ArrayCache
 from oracles import full_hamiltonian, parity_block, parity_indices, parity_operator
 
 
@@ -204,26 +203,21 @@ class TestParityBlock:
         np.testing.assert_array_equal(bits(block @ x), bits(oracle @ x))
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 7, 8])
-    def test_cached_structure_matches_a_cold_build(self, n_atoms, monkeypatch):
+    def test_cached_structure_matches_a_cold_build(self, n_atoms):
         # the cutoff grows, shrinks and regrows, with two frequency pairs at
-        # the same N in turn: each block must have the bits of a block built
-        # with nothing cached, and each pair keeps its own structure at the
-        # largest cutoff seen
-        monkeypatch.setattr(model, "_STRUCTURES", _ArrayCache(model._STRUCTURES.max_bytes))
-        pairs = ((1.0, 1.0, 0.37), (1.3, 0.7, 0.9))
+        # the same N in turn: whatever came before, each block must have the
+        # bits of the oracle block, and the layer pattern is built once per
+        # N, not once per frequency pair
+        model._layer_pair.cache_clear()
         for n_max in (10, 30, 12, 45, 0, 3, 45, 60, 31):
-            for omega, omega0, coupling in pairs:
+            for omega, omega0, coupling in ((1.0, 1.0, 0.37), (1.3, 0.7, 0.9)):
                 params = make_params(omega, omega0, coupling, n_atoms)
                 basis = build_basis(params, n_max)
                 block = assemble_hamiltonian(params, basis)
-                with monkeypatch.context() as cold_cache:
-                    cold_cache.setattr(model, "_STRUCTURES", _ArrayCache(0))
-                    cold = assemble_hamiltonian(params, basis)
-                assert block.offsets.tolist() == cold.offsets.tolist()
-                np.testing.assert_array_equal(bits(block.data), bits(cold.data))
-        kept = model._STRUCTURES.entries
-        assert list(kept) == [(omega, omega0, n_atoms) for omega, omega0, _ in pairs]
-        assert all(arrays[0].size == model._block_dim(n_atoms, 60) for arrays in kept.values())
+                np.testing.assert_array_equal(bits(block.toarray()),
+                                              bits(parity_block(params, basis).toarray()))
+        assert model._layer_pair.cache_info().misses == 1
+        assert not any(array.flags.writeable for array in model._layer_pair(n_atoms))
 
     @pytest.mark.parametrize("n_atoms, offsets", [
         (1, [-1, 0, 1]), (2, [-2, -1, 0, 1, 2]), (8, [-5, -4, 0, 4, 5]),

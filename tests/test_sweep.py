@@ -82,6 +82,10 @@ class TestConfig:
         dict(lambda_scale="log", lambda_min=0.1, lambda_max=1.0 + 1e-12),
         dict(two_lobe="false"), dict(two_lobe=0), dict(n_atoms=(4, 4)),
         dict(n_atoms=()),
+        dict(cutoff_start=True), dict(cutoff_start=False), dict(max_dim=True),
+        dict(omega=True), dict(omega0=True), dict(lambda_min=False),
+        dict(lambda_max=True), dict(tol=True), dict(solver_tol=True),
+        dict(n_atoms=(True,)), dict(n_atoms=(4, True)),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
