@@ -3,19 +3,20 @@
 The ground eigenpair is taken from the positive-parity sector (the finite-N
 ground state has positive parity).  model.assemble_hamiltonian assembles
 that block alone, stored by its diagonals: 5 for even N and 7 for odd N.
-Blocks of up to DENSE_LIMIT states are diagonalized by LAPACK's banded
-solver for the lowest eigenpair only (eig_banded, dsbevx); larger ones by
-two-pass Lanczos.  The first pass runs the three-term recurrence without
-reorthogonalization and watches the lowest Ritz pair of the tridiagonal
-matrix; the second pass regenerates the same Lanczos vectors and sums the
-Ritz vector, so a large solve holds three vectors and one scratch vector,
-not one per step.  Where all the vectors fit in 8 MB the first pass keeps
-them instead and the second pass needs no matvec.  For an extremal
-eigenvalue plain Lanczos needs neither reorthogonalization nor restarts: in
-floating point the Lanczos vectors lose orthogonality only as a Ritz pair
-converges, and the residual estimate of that pair stays valid (C. C. Paige,
-Linear Algebra Appl. 34, 235 (1980)).  ground_state's residual check,
-taken on the block, certifies the result either way.
+Every block is diagonalized by two-pass Lanczos, except a block whose
+off-diagonals are all zero (coupling 0): its ground state is the basis
+vector of its smallest diagonal entry, exact to the bit, with residual 0.
+The first pass runs the three-term recurrence without reorthogonalization
+and watches the lowest Ritz pair of the tridiagonal matrix; the second pass
+regenerates the same Lanczos vectors and sums the Ritz vector, so a large
+solve holds three vectors and one scratch vector, not one per step.  Where
+all the vectors fit in 8 MB the first pass keeps them instead and the
+second pass needs no matvec.  For an extremal eigenvalue plain Lanczos
+needs neither reorthogonalization nor restarts: in floating point the
+Lanczos vectors lose orthogonality only as a Ritz pair converges, and the
+residual estimate of that pair stays valid (C. C. Paige, Linear Algebra
+Appl. 34, 235 (1980)).  ground_state's residual check, taken on the block,
+certifies the result either way.
 
 One cold solve at N = 256, lambda = 2 lambda_c, n_max 352 (45,361 states)
 takes 2 x 340 Lanczos steps: 0.29 s, or 0.43 ms a step against a
@@ -30,26 +31,12 @@ call, up to the size where OpenBLAS starts threading them (_vector_ops):
 replaying the 477 ground solves of one paper_datasets pass, the sum of
 per-solve best times fell from 0.71 to 0.48 s.
 
-DENSE_LIMIT is the measured crossover.  Median timings on parity blocks of
-the Dicke Hamiltonian (N = 4..16, lambda/lambda_c = 0.5..2; 2-core Intel
-Xeon VM, 2 BLAS threads) of the banded solve, Lanczos from the fixed start,
-and Lanczos from the padded ground vector of a 1.5x smaller cutoff (as in
-escalation), with dense eigh of the same block for comparison:
-
-    states     banded   cold Lanczos   warm Lanczos   dense eigh
-    81-109     0.32     1.33           0.59           1.41 ms
-    118-128    0.53     1.57           0.45           1.96 ms
-    137-149    0.80     1.87           0.27           2.59 ms
-    150-179    1.12     1.87           0.32           3.45 ms
-    188-215    1.72     2.03           0.27           4.83 ms
-    221-277    2.94     2.12           0.26           7.12 ms
-    280-358    5.87     2.35           0.27           14.47 ms
-
-Cold solves cross over near 220 states and warm ones near 110.  Most
-solves of the benchmark's paper_datasets pass are warm, and its
-ground_state time per pass was flat within noise for limits of 80, 110,
-140, 180 and 220 (medians of 8 passes: 0.77, 0.75, 0.71, 0.71 and 0.73 s),
-so 140 stays.
+Small blocks go to Lanczos too.  Replaying the 140 coupled solves of at
+most 140 states from one paper_datasets pass (sum of per-solve best times
+of 21, same VM) took 73-86 ms, against 56 ms for LAPACK's banded solver
+(dsbevx), or 2-5 % of a 0.6-0.8 s pass; in alternated benchmark runs
+the pass's median wall time stayed within its run-to-run spread.  So one
+solver serves every block size.
 
 A solve without a start vector starts Lanczos from a fixed vector, so
 repeated runs are bit-identical.  ground_state's keyword start replaces it by
@@ -77,7 +64,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, eig_banded
 from scipy.linalg.blas import daxpy, ddot
 from scipy.linalg.lapack import dstebz, dstein
 
@@ -86,11 +72,12 @@ from .errors import (CapacityError, CutoffConvergenceError, ParameterError,
 from .model import (DEFAULT_MAX_DIMENSION, BasisIndex, ModelParams,
                     assemble_hamiltonian, build_basis)
 
-DENSE_LIMIT = 140
 DEFAULT_TOL = 1e-10
 DEFAULT_ENERGY_TOL = 1e-9
 DEFAULT_GROWTH = 1.5
 TOP_WEIGHT_LIMIT = 1e-8
+# the smallest starting cutoff suggest_cutoff returns
+_CUTOFF_FLOOR = 8
 # Lanczos steps between two solves of the tridiagonal eigenproblem, and the
 # most steps one solve may take before it raises SolverError (benchmark and
 # validation solves took at most 350)
@@ -247,30 +234,16 @@ def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndar
     return theta, x
 
 
-def _banded_lowest(H: sp.dia_matrix) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a DIA block, from its upper diagonals (LAPACK dsbevx).
-
-    In DIA storage data[k, c] holds H[c - offsets[k], c], which is where
-    LAPACK's upper band storage keeps that entry, in row width - offsets[k].
-    A nonzero LAPACK info raises SolverError.
-    """
-    upper = H.offsets >= 0
-    width = int(H.offsets.max())
-    band = np.zeros((width + 1, H.shape[1]))
-    band[width - H.offsets[upper]] = H.data[upper]
-    try:
-        w, v = eig_banded(band, select="i", select_range=(0, 0))
-    except LinAlgError as exc:
-        raise SolverError(f"banded eigensolver failed: {exc} "
-                          f"(dim={H.shape[0]})") from exc
-    return float(w[0]), v[:, 0]
-
-
 def _lowest_eigenpair(H: sp.dia_matrix, tol: float,
                       v0: np.ndarray | None) -> tuple[float, np.ndarray]:
     dim = H.shape[0]
-    if dim <= DENSE_LIMIT:
-        return _banded_lowest(H)
+    if not H.data[H.offsets != 0].any():
+        # decoupled: H is diagonal, and its ground state a basis vector
+        diagonal = H.diagonal()
+        i = int(np.argmin(diagonal))
+        vec = np.zeros(dim)
+        vec[i] = 1.0
+        return float(diagonal[i]), vec
     if v0 is None:
         # deterministic start vector keeps repeated runs bit-identical
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
@@ -292,9 +265,9 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
     hamiltonian is the block on basis, as assemble_hamiltonian returns it.
     start, if given, is an amplitude matrix at the same N and any cutoff
     (GroundState.amplitudes); Lanczos starts from it, its Fock rows cut or
-    zero-padded to basis, instead of the fixed vector.  The banded path
-    ignores it.  A start without N + 1 columns, not finite, or without
-    weight on the +1 sector raises ParameterError.
+    zero-padded to basis, instead of the fixed vector.  A start without
+    N + 1 columns, not finite, or without weight on the +1 sector raises
+    ParameterError.
     The residual ||Hv - Ev|| is taken on the block.  It equals the residual
     over the whole basis: the amplitudes vanish on the -1 sector, and H
     never mixes the two sectors.
@@ -327,14 +300,15 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
                        converged=False, basis=basis)
 
 
-def suggest_cutoff(params: ModelParams, floor: int = 8) -> int:
+def suggest_cutoff(params: ModelParams) -> int:
     """Starting cutoff from the coherent-displacement estimate.
 
     The field displacement amplitude is of order sqrt(2j) * coupling / omega;
-    covering its Poisson tail needs n_max >= alpha^2 + 6 * alpha.
+    covering its Poisson tail needs n_max >= alpha^2 + 6 * alpha, and the
+    cutoff is never below _CUTOFF_FLOOR.
     """
     alpha = math.sqrt(2.0 * params.j) * params.coupling / params.omega
-    return max(floor, math.ceil(alpha**2 + 6.0 * alpha))
+    return max(_CUTOFF_FLOOR, math.ceil(alpha**2 + 6.0 * alpha))
 
 
 def converge_cutoff(params: ModelParams,

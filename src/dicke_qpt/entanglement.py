@@ -135,22 +135,16 @@ def average_linear_entropy_Q(state: GroundState, *,
     """Subsystem-averaged linear entropy Q = N/(N+1) L_k + 1/(N+1) L_b.
 
     L_k uses eta_2 = 2 on the single-atom purity; L_b uses eta = 1 + 1/N on
-    the field purity (Schmidt bound N + 1).  The state is pure, so A A^T
-    (the field RDM) and A^T A (the atoms RDM) share their trace and nonzero
-    spectrum, hence the purity: the smaller of the two is built and checked.
-    Where that is A^T A, an atoms RDM the caller already holds (partial_trace
-    of the same state) is used as _atoms_rdm instead of a second build; it is
-    the same matrix, so Q keeps its bits.
+    the field purity (Schmidt bound N + 1).  The state is pure, so the field
+    RDM A A^T and the atoms RDM A^T A share their trace and nonzero
+    spectrum, hence the purity: the atoms RDM is built and checked, or the
+    one the caller already holds (partial_trace of the same state) is passed
+    as _atoms_rdm and used instead of a second build.
     """
     N = state.basis.n_atoms
     rho_k = single_atom_rdm(state)
     l_k = linear_entropy(rho_k, 2)
-    if state.basis.n_max <= N:
-        rho_b = partial_trace(state, keep="field")
-    elif _atoms_rdm is None:
-        rho_b = partial_trace(state, keep="atoms")
-    else:
-        rho_b = _atoms_rdm
+    rho_b = partial_trace(state, keep="atoms") if _atoms_rdm is None else _atoms_rdm
     l_b = linear_entropy(rho_b, N + 1)
     return float((N * l_k + l_b) / (N + 1.0))
 

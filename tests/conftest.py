@@ -37,22 +37,23 @@ def resonant_ground(ground):
     return solve
 
 
-# Run in a fresh interpreter by fresh_interpreter: the IPR at N = 4, then
-# converge_cutoff at N = 16, lambda_c, whose parity blocks reach above
-# DENSE_LIMIT, so that the Lanczos solver runs.  The first line says whether
-# scipy.special got loaded; the second whether the N = 16 block was above
-# DENSE_LIMIT, and whether scipy.sparse.linalg got loaded.
+# Run in a fresh interpreter by fresh_interpreter: converge_cutoff and the
+# IPR at N = 4, with the Lanczos solves counted.  The first line says whether
+# scipy.special got loaded; the second whether the Lanczos solver ran, and
+# whether scipy.sparse.linalg got loaded.
 _FRESH_WORKLOADS = """
 import sys
 sys.path.insert(0, {src!r})
 import dicke_qpt as dq
 from dicke_qpt import eigensolver as es
+solves = []
+lanczos = es._lanczos
+es._lanczos = lambda *args: solves.append(args) or lanczos(*args)
 p = dq.make_params(1.0, 1.0, 0.6, 4)
 s = dq.converge_cutoff(p)
 dq.inverse_participation_ratio(s, s.basis, p)
-s = dq.converge_cutoff(dq.make_params(1.0, 1.0, 0.5, 16))
 print('scipy.special' in sys.modules)
-print((s.basis.parity > 0).sum() > es.DENSE_LIMIT, 'scipy.sparse.linalg' in sys.modules)
+print(len(solves) > 0, 'scipy.sparse.linalg' in sys.modules)
 """
 
 

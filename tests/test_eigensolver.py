@@ -91,7 +91,7 @@ class TestGroundState:
     @pytest.mark.parametrize("n_atoms, ratio, n_max", [
         (4, 0.8, 10), (5, 1.5, 12), (16, 1.0, 45), (33, 2.0, 40)])
     def test_residual_is_the_full_hamiltonian_residual(self, n_atoms, ratio, n_max):
-        # dense and Lanczos blocks, even and odd N: the block residual equals
+        # blocks of 28 to 697 states, even and odd N: the block residual equals
         # ||Hv - Ev|| of the full Hamiltonian, whose -1 amplitudes are zero
         params = make_params(1.3, 0.7, ratio * math.sqrt(1.3 * 0.7) / 2, n_atoms)
         H, basis = hamiltonian_and_basis(params, n_max)
@@ -112,26 +112,13 @@ class TestGroundState:
         assert all(e1 <= e0 + 1e-13 for e0, e1 in zip(energies, energies[1:]))
 
     def test_iterative_path_agrees_with_dense(self):
-        # a 2219-state parity block, far above DENSE_LIMIT: the Lanczos branch
+        # a 2219-state parity block
         params = make_params(1, 1, 0.35, 16)
         basis = build_basis(params, 260)
         H = assemble_hamiltonian(params, basis)
         gs = ground_state(H, basis)
         dense = np.linalg.eigvalsh(parity_block(params, basis).toarray())[0]
         assert gs.energy == pytest.approx(dense, abs=1e-9)
-
-    def test_dense_and_lanczos_paths_agree(self, monkeypatch):
-        # N = 16 at lambda_c, n_max 45: a 391-state parity block
-        params = make_params(1, 1, 0.5, 16)
-        basis = build_basis(params, 45)
-        H = assemble_hamiltonian(params, basis)
-        monkeypatch.setattr(eigensolver, "DENSE_LIMIT", 10**6)
-        dense = ground_state(H, basis)
-        monkeypatch.setattr(eigensolver, "DENSE_LIMIT", 0)
-        lanczos = ground_state(H, basis)
-        assert parity_indices(basis, +1).size == 391
-        assert abs(lanczos.energy - dense.energy) <= 1e-12 * abs(dense.energy)
-        np.testing.assert_allclose(lanczos.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
 
 
 @pytest.fixture
@@ -155,18 +142,37 @@ class TestLanczos:
     @pytest.mark.parametrize("keep", [True, False])
     def test_matches_dense_eigh(self, monkeypatch, omega, omega0, ratio, keep):
         # normal phase, lambda_c and superradiant phase, on and off
-        # resonance; N = 16 blocks of 400-1046 states, above DENSE_LIMIT.
-        # Without room to keep the Lanczos vectors, the second pass
-        # regenerates them
+        # resonance; N = 16 blocks of 400-1046 states.  Without room to keep
+        # the Lanczos vectors, the second pass regenerates them
         if not keep:
             monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
         params = make_params(omega, omega0, ratio * math.sqrt(omega * omega0) / 2, 16)
         H, _ = hamiltonian_and_basis(params, max(46, suggest_cutoff(params) + 10))
-        assert H.shape[0] > eigensolver.DENSE_LIMIT
         energy, vec = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
         w, v = np.linalg.eigh(H.toarray())
         assert abs(energy - w[0]) <= 1e-12 * abs(w[0])
         assert abs(vec @ v[:, 0]) / np.linalg.norm(vec) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 8])
+    def test_small_blocks(self, lanczos_steps, n_atoms):
+        # cutoffs from 0 up to blocks of 150 states, below, at and above
+        # lambda_c.  A cutoff-0 block is one Fock layer, which the coupling
+        # never connects, so it is diagonal and read off exactly; every
+        # larger one is solved by Lanczos, also those of fewer states than
+        # _RITZ_EVERY steps
+        for n_max in (0, 1, 2, 3, 4, 5, 7, 10, 14, 20, 28, 40, 56, 80, 112, 149):
+            for ratio in (0.1, 1.0, 4.0):
+                params = make_params(1, 1, 0.5 * ratio, n_atoms)
+                H, basis = hamiltonian_and_basis(params, n_max)
+                if H.shape[0] > 150:
+                    return
+                steps = len(lanczos_steps)
+                gs = ground_state(H, basis)
+                assert (len(lanczos_steps) > steps) == (n_max > 0)
+                w, v = np.linalg.eigh(parity_block(params, basis).toarray())
+                assert abs(gs.energy - w[0]) <= 1e-12 * abs(w[0])
+                assert abs(gs.amplitudes[basis.parity == +1] @ v[:, 0]) >= 1 - 1e-12
+                assert gs.residual <= eigensolver.DEFAULT_TOL * abs(gs.energy)
 
     def test_repeated_calls_are_bit_identical(self):
         params = make_params(1, 1, 0.6, 16)
@@ -206,27 +212,34 @@ class TestLanczos:
 
     def test_exact_eigenvector_start_is_returned(self, lanczos_steps):
         # decoupled, H is diagonal: from the ground basis vector beta_1 = 0,
-        # so Lanczos takes one step and the start comes back unchanged
+        # so Lanczos takes one step (k = 1) and the start comes back
+        # unchanged.  ground_state takes no step there: it reads the ground
+        # state off the diagonal, and gets the same exact state
         params = make_params(1, 1, 0.0, 16)
         H, basis = hamiltonian_and_basis(params, 30)
-        assert parity_indices(basis, +1).size > eigensolver.DENSE_LIMIT
-        start = np.zeros(basis.parity.shape)
-        start[0, 0] = 1.0
-        gs = ground_state(H, basis, start=start)
+        start = np.zeros(H.shape[0])
+        start[0] = 1.0
+        energy, vec = eigensolver._lanczos(H, start, eigensolver.DEFAULT_TOL)
+        assert lanczos_steps == [0.0]
+        assert energy == -8.0
+        np.testing.assert_array_equal(vec, start)
+        amplitudes = np.zeros(basis.parity.shape)
+        amplitudes[0, 0] = 1.0
+        gs = ground_state(H, basis, start=amplitudes)
         assert lanczos_steps == [0.0]
         assert gs.energy == -8.0 and gs.residual == 0.0
-        np.testing.assert_array_equal(gs.amplitudes, start)
+        np.testing.assert_array_equal(gs.amplitudes, amplitudes)
 
     @pytest.mark.parametrize("kind", ["zero", "minus_one", "nan", "nan_minus_one",
                                       "flat", "other_n"])
-    def test_unusable_start_rejected(self, kind, lanczos_steps):
+    def test_unusable_start_rejected(self, request, kind):
         # rejected before any Lanczos step: normalizing a start without +1
         # weight divides 0 by 0, and the tridiagonal eigensolver then fails;
         # a flat vector or an N = 4 state, resized into the N = 16 block,
-        # would be a scrambled start
+        # would be a scrambled start.  Steps are counted once the start is
+        # built, since building the N = 4 state takes some
         params = make_params(1, 1, 0.5, 16)
         H, basis = hamiltonian_and_basis(params, 30)
-        assert parity_indices(basis, +1).size > eigensolver.DENSE_LIMIT
         plus, minus = parity_indices(basis, +1), parity_indices(basis, -1)
         start = np.zeros(basis.dim)
         if kind == "minus_one":
@@ -243,6 +256,7 @@ class TestLanczos:
             start = converge_cutoff(make_params(1, 1, 0.5, 4)).amplitudes
         elif kind != "flat":
             start = start.reshape(basis.parity.shape)
+        lanczos_steps = request.getfixturevalue("lanczos_steps")
         with pytest.raises(ParameterError):
             ground_state(H, basis, start=start)
         with pytest.raises(ParameterError):
@@ -266,8 +280,8 @@ class TestLanczos:
         assert "5 steps" in str(err.value) and err.value.residual > 0
 
     def test_step_cap_becomes_failure_row(self, monkeypatch):
-        # lambda = 0 stays on the dense path (77 states); lambda_c and 2 lambda_c
-        # start from Lanczos blocks of 145 states and more
+        # lambda = 0 is decoupled, and its diagonal block takes no Lanczos
+        # step; lambda_c and 2 lambda_c need more than 5 steps
         monkeypatch.setattr(eigensolver, "LANCZOS_MAX_STEPS", 5)
         config = SweepConfig(lambda_min=0.0, lambda_max=2.0, lambda_steps=3,
                              n_atoms=(16,), measures=("s_vn",))
@@ -303,21 +317,10 @@ class TestLanczos:
                 with pytest.raises(SolverError, match="info"):
                     eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
 
-    def test_banded_lapack_failure_raises_solver_error(self, monkeypatch):
-        # eig_banded raises LinAlgError on a positive LAPACK info
-        def failing_eig_banded(*args, **kwargs):
-            raise np.linalg.LinAlgError("sbevx did not converge (LAPACK info=3)")
-
-        monkeypatch.setattr(eigensolver, "eig_banded", failing_eig_banded)
-        H, basis = hamiltonian_and_basis(make_params(1, 1, 0.3, 2), 6)
-        assert H.shape[0] <= eigensolver.DENSE_LIMIT
-        with pytest.raises(SolverError, match="info=3"):
-            ground_state(H, basis)
-
     def test_loads_no_sparse_linalg(self, fresh_interpreter):
         # the Lanczos solver needs only a sparse matvec and scipy.linalg;
-        # the interpreter ran converge_cutoff at N = 16, lambda_c, which
-        # solves parity blocks above DENSE_LIMIT
+        # the interpreter ran converge_cutoff at N = 4, whose Lanczos solves
+        # it counted
         proc = fresh_interpreter
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1].split() == ["True", "False"]

@@ -194,8 +194,9 @@ class TestAverageQ:
     @pytest.mark.parametrize("ratio, n_atoms", [(1.0, 4), (1.5, 8), (0.5, 32)])
     def test_reuses_the_callers_atoms_rdm(self, monkeypatch, resonant_ground,
                                           ratio, n_atoms):
-        # where A^T A is the smaller Gram matrix, the atoms RDM the caller
-        # passes is used instead of a second build, and Q keeps its bits
+        # the atoms RDM the caller passes is used instead of a second build,
+        # also where the field RDM would be the smaller one (n_max <= N), and
+        # Q keeps its bits
         gs = resonant_ground(ratio, n_atoms)
         atoms = partial_trace(gs, "atoms")
         fresh = average_linear_entropy_Q(gs)
@@ -209,8 +210,7 @@ class TestAverageQ:
         monkeypatch.setattr(entanglement, "_make_rdm", recording_make_rdm)
         reused = average_linear_entropy_Q(gs, _atoms_rdm=atoms)
         assert reused == fresh
-        field_smaller = gs.basis.n_max <= n_atoms
-        assert built == (["single-atom", "field"] if field_smaller else ["single-atom"])
+        assert built == ["single-atom"]
 
     def test_atom_part_approaches_closed_form(self, resonant_ground):
         mu = 0.25  # coupling at twice the critical value

@@ -145,8 +145,8 @@ class TestRunSweep:
         assert zero["jz_mean"] == -0.5
 
     def test_ed_point_builds_the_atoms_rdm_once(self, monkeypatch):
-        # n_max > N at N = 4, 1.5 lambda_c: Q's smaller Gram matrix is the
-        # atoms RDM that s_vn and l_lin already use
+        # Q reads the atoms RDM that s_vn and l_lin already use; here at
+        # n_max > N, and test_reuses_the_callers_atoms_rdm covers n_max <= N
         built = []
         make_rdm = entanglement._make_rdm
 
