@@ -6,30 +6,32 @@ that block alone, stored by its diagonals: 5 for even N and 7 for odd N.
 Every block is diagonalized by two-pass Lanczos, except a block whose
 off-diagonals are all zero (coupling 0): its ground state is the basis
 vector of its smallest diagonal entry, exact to the bit, with residual 0.
-The first pass runs the three-term recurrence without reorthogonalization
-and watches the lowest Ritz pair of the tridiagonal matrix; the second pass
-regenerates the same Lanczos vectors and sums the Ritz vector, so a large
-solve holds three vectors and one scratch vector, not one per step.  Where
-all the vectors fit in 8 MB the first pass keeps them instead and the
-second pass needs no matvec.  For an extremal eigenvalue plain Lanczos
-needs neither reorthogonalization nor restarts: in floating point the
-Lanczos vectors lose orthogonality only as a Ritz pair converges, and the
-residual estimate of that pair stays valid (C. C. Paige, Linear Algebra
-Appl. 34, 235 (1980)).  ground_state's residual check, taken on the block,
-certifies the result either way.
+The first pass runs the three-term recurrence without reorthogonalization,
+watches the lowest Ritz pair of the tridiagonal matrix, and keeps its
+Lanczos vectors while they fit in 8 MB.  The second pass sums the Ritz
+vector over the kept vectors, then resumes the recurrence from the last two
+of them with the recorded coefficients: it regenerates the other vectors
+bit for bit, one matvec and no dot product each, so a solve past the budget
+holds three vectors beyond the kept ones, not one per step.  For an
+extremal eigenvalue plain Lanczos needs neither reorthogonalization nor
+restarts: in floating point the Lanczos vectors lose orthogonality only as
+a Ritz pair converges, and the residual estimate of that pair stays valid
+(C. C. Paige, Linear Algebra Appl. 34, 235 (1980)).  ground_state's
+residual check, taken on the block, certifies the result either way.
 
 One cold solve at N = 256, lambda = 2 lambda_c, n_max 352 (45,361 states)
-takes 2 x 340 Lanczos steps: 0.29 s, or 0.43 ms a step against a
-0.17-0.18 ms matvec on the diagonal block, after 3.8 ms of assembly (2-core
-Intel Xeon VM).  The rest of a step is vector work on a preallocated
-scratch vector, 13-25 us per pass over the 45k entries, and the LAPACK
-bisection and inverse iteration of the Ritz check (dstebz and dstein, about
-50 us at k = 100) every _RITZ_EVERY steps.  On the 200-5,000-state blocks
-of most sweep solves a step is instead dominated by per-call overhead, so
-there the vector work goes through BLAS level-1 calls, the cheapest to
-call, up to the size where OpenBLAS starts threading them (_vector_ops):
-replaying the 477 ground solves of one paper_datasets pass, the sum of
-per-solve best times fell from 0.71 to 0.48 s.
+takes 340 Lanczos steps in the first pass and, with 22 vectors kept, 318 in
+the second: 0.15-0.16 s, or 0.24 ms a step against a 0.13-0.15 ms matvec on
+the diagonal block, after 3 ms of assembly (2-core Intel Xeon VM).  The
+vector work of a step, two dot products and two axpys over five chunks
+(_vector_ops), takes 40-49 us, against 95-115 us for an einsum dot and a
+NumPy axpy; the rest is the LAPACK bisection and inverse iteration of the
+Ritz check (dstebz and dstein, about 50 us at k = 100) every _RITZ_EVERY
+steps, and the second pass's sum of the Ritz vector.  On the 200-5,000-state
+blocks of most sweep solves a step is dominated by per-call overhead, and
+BLAS level-1 calls are the cheapest to make: replaying the 477 ground
+solves of one paper_datasets pass, the sum of per-solve best times was
+0.48 s with them against 0.71 s with NumPy.
 
 Small blocks go to Lanczos too.  Replaying the 140 coupled solves of at
 most 140 states from one paper_datasets pass (sum of per-solve best times
@@ -59,8 +61,9 @@ and the same sweep still gives the same bytes.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,41 +115,49 @@ class GroundState:
         return float((self.amplitudes[-1] ** 2).sum())
 
 
-def _einsum_dot(x: np.ndarray, y: np.ndarray) -> float:
-    return np.einsum("i,i", x, y)
-
-
 def _norm(x: np.ndarray) -> float:
-    """Euclidean norm through einsum (see _vector_ops on BLAS)."""
-    return math.sqrt(_einsum_dot(x, x))
+    """Euclidean norm through einsum, which never threads (see _vector_ops)."""
+    return math.sqrt(np.einsum("i,i", x, x))
 
 
 def _vector_ops(size: int) -> tuple[Callable, Callable]:
     """dot(x, y) and axpy(x, y, a=a), which adds a x to y in place, for size entries.
 
-    Up to _BLAS_MAX entries both are BLAS level-1 calls (ddot, daxpy) from
-    scipy.linalg.blas: at 200-4,600 entries ddot costs 0.3-1.3 us against
-    0.7-2.1 us for np.dot and 2.2-4.3 us for einsum, and daxpy 0.4-1.7 us
-    against 1.4-4.9 us for a NumPy multiply and add.  OpenBLAS threads
-    level-1 calls above 10,000 entries, and in the Lanczos loop np.dot made
-    solves at 19k and 45k states 20-40 % slower (waking its threads), so
-    larger vectors take einsum and a product into a scratch vector.  The
-    rule depends on the size alone: both passes of a solve take the same
-    one and give the same bits.
+    Both are BLAS level-1 calls from scipy.linalg.blas, ddot and daxpy, one
+    per chunk of at most _BLAS_MAX entries; the wrappers' n and offset
+    arguments address each chunk, so no slice is copied, and dot sums the
+    chunk partials from left to right.  At 200-4,600 entries ddot costs
+    0.3-1.3 us against 0.7-2.1 us for np.dot and 2.2-4.3 us for einsum, and
+    daxpy 0.4-1.7 us against 1.4-4.9 us for a NumPy multiply and add.
+    OpenBLAS threads a level-1 call only above 10,000 entries: unchunked,
+    ddot and daxpy made the large_n sweep twice as slow (waking its
+    threads), and their bits depended on the BLAS thread count.  Chunked,
+    the bits depend on the size alone, so both passes of a solve, and any
+    thread count, give the same ones.
     """
-    if size <= _BLAS_MAX:
-        return ddot, daxpy
-    scratch = np.empty(size)
+    chunks = [(offset, min(_BLAS_MAX, size - offset))
+              for offset in range(0, size, _BLAS_MAX)]
+    (_, first), *rest = chunks
+
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        # the first partial starts the sum: one chunk gives ddot's own bits
+        total = ddot(x, y, first)
+        for offset, n in rest:
+            total += ddot(x, y, n, offset, 1, offset, 1)
+        return total
 
     def axpy(x: np.ndarray, y: np.ndarray, a: float) -> np.ndarray:
-        y += np.multiply(a, x, out=scratch)
+        for offset, n in chunks:
+            daxpy(x, y, n, a, offset, 1, offset, 1)
         return y
 
-    return _einsum_dot, axpy
+    return dot, axpy
 
 
-def _lanczos_vectors(H: sp.spmatrix,
-                     q: np.ndarray) -> Iterator[tuple[np.ndarray, float, float]]:
+def _lanczos_vectors(H: sp.spmatrix, q: np.ndarray, q_prev: np.ndarray | None = None,
+                     beta: float = 0.0,
+                     recorded: Iterable[tuple[float, float]] | None = None
+                     ) -> Iterator[tuple[np.ndarray, float, float]]:
     """Yield (q_k, alpha_k, beta_k) of the Lanczos recurrence from unit q.
 
     beta_k q_{k+1} = H q_k - alpha_k q_k - beta_{k-1} q_{k-1}, without
@@ -155,12 +166,26 @@ def _lanczos_vectors(H: sp.spmatrix,
     yields the same vectors bit for bit.  Each matvec returns a fresh array,
     which becomes q_{k+1}; the dot products and the updates of w are
     _vector_ops calls, so a step makes no other temporary.
+
+    Given recorded, the (alpha_j, beta_j) of an earlier run for j = m, m + 1,
+    ..., with q its q_m, q_prev its q_{m-1} and beta its beta_{m-1}, it
+    replays that run instead: each step takes the recorded pair in place of
+    its two dot products and yields (q_{j+1}, alpha_j, beta_j), with the
+    same bits, one matvec per vector, until recorded runs out.
     """
     dot, axpy = _vector_ops(q.size)
-    q_prev, beta = np.zeros_like(q), 0.0
+    if q_prev is None:
+        q_prev = np.zeros_like(q)
+    if recorded is not None:
+        for alpha, beta_next in recorded:
+            w = axpy(q, axpy(q_prev, H @ q, a=-beta), a=-alpha)
+            w *= 1.0 / beta_next
+            q_prev, q, beta = q, w, beta_next
+            yield q, alpha, beta
+        return
     while True:
         w = axpy(q_prev, H @ q, a=-beta)
-        alpha = float(dot(q, w))
+        alpha = dot(q, w)
         w = axpy(q, w, a=-alpha)
         beta = math.sqrt(dot(w, w))
         yield q, alpha, beta
@@ -200,20 +225,21 @@ def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndar
     The first pass runs the recurrence and every _RITZ_EVERY steps takes the
     lowest Ritz pair (theta, y) of the tridiagonal T_k; it stops when
     beta_k |y_k| <= tol |theta|, ARPACK's test.  The Ritz vector is
-    x = sum_i y_i q_i.  While the Lanczos vectors fit in _KEEP_FLOATS the
-    first pass keeps them (each is a fresh array, so keeping copies
-    nothing); otherwise a second pass regenerates them.  The vectors are the
-    same bits either way, so x is too.
+    x = sum_i y_i q_i.  The first pass keeps q_1, ..., q_m while
+    m dim <= _KEEP_FLOATS (each is a fresh array, so keeping copies
+    nothing), and q_1, the start, in any case.  The second pass sums the
+    kept vectors, then resumes the recurrence from q_{m-1} and q_m with the
+    recorded alpha and beta to regenerate the k - m others: the same bits,
+    without a dot product.
     """
     q = v0 / _norm(v0)
+    keep = max(1, _KEEP_FLOATS // q.size)
     alphas, betas, kept = [], [], []
     for k, (q_k, alpha, beta) in enumerate(_lanczos_vectors(H, q), 1):
         alphas.append(alpha)
         betas.append(beta)
-        if kept is not None and k * q.size <= _KEEP_FLOATS:
+        if k <= keep:
             kept.append(q_k)
-        else:
-            kept = None
         if beta != 0.0 and k % _RITZ_EVERY and k < LANCZOS_MAX_STEPS:
             continue
         theta, y = _lowest_ritz_pair(alphas, betas)
@@ -224,12 +250,13 @@ def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndar
             raise SolverError(f"Lanczos not converged in {k} steps, residual "
                               f"estimate {bound:.3e} (dim={H.shape[0]})",
                               residual=bound)
-    if kept is None:
-        kept = (q_i for q_i, _, _ in _lanczos_vectors(H, q))
+    m = len(kept)
+    q_prev, beta = (kept[-2], betas[m - 2]) if m > 1 else (None, 0.0)
+    replay = _lanczos_vectors(H, kept[-1], q_prev, beta,
+                              zip(alphas[m - 1:k - 1], betas[m - 1:k - 1]))
     x = np.zeros_like(q)
     _, axpy = _vector_ops(q.size)
-    # y first: zip then stops before the generator takes another step
-    for y_i, q_i in zip(y.tolist(), kept):
+    for y_i, q_i in zip(y.tolist(), chain(kept, (q_j for q_j, _, _ in replay))):
         x = axpy(q_i, x, a=y_i)
     return theta, x
 

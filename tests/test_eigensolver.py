@@ -127,8 +127,8 @@ def lanczos_steps(monkeypatch):
     steps = []
     vectors = eigensolver._lanczos_vectors
 
-    def counting_vectors(H, q):
-        for item in vectors(H, q):
+    def counting_vectors(*args):
+        for item in vectors(*args):
             steps.append(item[2])
             yield item
 
@@ -181,34 +181,58 @@ class TestLanczos:
         assert first.energy == second.energy and first.residual == second.residual
         np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
 
-    def test_kept_and_regenerated_vectors_give_the_same_bits(self, monkeypatch,
-                                                             lanczos_steps):
+    @pytest.mark.parametrize("n_kept", [0, 1, 7, "all"])
+    def test_second_pass_resumes_from_the_kept_vectors(self, monkeypatch,
+                                                       lanczos_steps, n_kept):
+        # a 1046-state block solved in k steps, once keeping every vector and
+        # once keeping m: the second pass regenerates only the k - m others,
+        # with the same bits.  With room for none it still keeps q_1, the
+        # start vector, which it holds anyway, so m = 0 resumes as m = 1
         H, _ = hamiltonian_and_basis(make_params(1, 1, 0.5, 16), 45)
+        dim = H.shape[0]
+        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", dim * eigensolver.LANCZOS_MAX_STEPS)
         kept = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
-        n_kept = len(lanczos_steps)
+        k = len(lanczos_steps)
+        m = k if n_kept == "all" else max(n_kept, 1)
+        assert k > 7
+        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", dim * m)
+        resumed = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        assert len(lanczos_steps) == k + k + (k - m)
+        assert kept[0] == resumed[0]
+        np.testing.assert_array_equal(kept[1], resumed[1])
+
+    @pytest.mark.parametrize("n_max, dim, chunks", [
+        pytest.param(605, 9_999, 1, id="605-9999"),
+        pytest.param(607, 10_032, 2, id="607-10032"),
+        pytest.param(1215, 20_064, 3, id="1215-20064")])
+    def test_kept_and_regenerated_bits_at_the_blas_limit(self, monkeypatch, lanczos_steps,
+                                                         n_max, dim, chunks):
+        # N = 32 blocks of one, two and three _BLAS_MAX chunks: both passes
+        # of a solve must chunk their vector operations alike.  The first
+        # solve keeps every vector, the second only q_1
+        H, _ = hamiltonian_and_basis(make_params(1, 1, 0.5, 32), n_max)
+        assert H.shape[0] == dim
+        assert math.ceil(dim / eigensolver._BLAS_MAX) == chunks
+        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", dim * eigensolver.LANCZOS_MAX_STEPS)
+        kept = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        k = len(lanczos_steps)
         monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
         regenerated = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
-        assert len(lanczos_steps) == 3 * n_kept
+        assert len(lanczos_steps) == k + k + (k - 1)
         assert kept[0] == regenerated[0]
         np.testing.assert_array_equal(kept[1], regenerated[1])
 
-    @pytest.mark.parametrize("n_max, dim", [(605, 9_999), (607, 10_032)])
-    def test_kept_and_regenerated_bits_at_the_blas_limit(self, monkeypatch,
-                                                         lanczos_steps, n_max, dim):
-        # N = 32 blocks just below and just above _BLAS_MAX, whose vector
-        # operations go through BLAS and through NumPy: both passes of a
-        # solve must take the same ones.  The first solve keeps every vector
-        H, _ = hamiltonian_and_basis(make_params(1, 1, 0.5, 32), n_max)
-        assert H.shape[0] == dim
-        assert (dim <= eigensolver._BLAS_MAX) == (n_max == 605)
-        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", dim * eigensolver.LANCZOS_MAX_STEPS)
-        kept = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
-        n_kept = len(lanczos_steps)
-        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
-        regenerated = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
-        assert len(lanczos_steps) == 3 * n_kept
-        assert kept[0] == regenerated[0]
-        np.testing.assert_array_equal(kept[1], regenerated[1])
+    def test_multi_chunk_solve_matches_eigsh(self):
+        # a 20,689-state block, three _BLAS_MAX chunks, against ARPACK at
+        # machine precision
+        from scipy.sparse.linalg import eigsh
+        params = make_params(1, 1, 0.75, 256)
+        H, basis = hamiltonian_and_basis(params, 160)
+        assert H.shape[0] == 20_689
+        gs = ground_state(H, basis)
+        w, v = eigsh(H.tocsr(), k=1, which="SA", tol=0)
+        assert abs(gs.energy - w[0]) <= 1e-12 * abs(w[0])
+        assert abs(gs.amplitudes[basis.parity == +1] @ v[:, 0]) >= 1 - 1e-12
 
     def test_exact_eigenvector_start_is_returned(self, lanczos_steps):
         # decoupled, H is diagonal: from the ground basis vector beta_1 = 0,
