@@ -23,11 +23,10 @@ import dataclasses
 import sys
 
 from .errors import ConfigError, DickeError
-from .sweep import SweepConfig, emit, run_sweep
+from .sweep import FORMATS, SweepConfig, emit, run_sweep
 
 _FIELDS = {f.name: f for f in dataclasses.fields(SweepConfig)}
 _OUTPUT_KEYS = ("out", "format")
-_FORMATS = ("csv", "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--single-lobe", dest="two_lobe", action="store_false", default=None,
                    help="report the broken-symmetry single-lobe entropy above lambda_c")
     p.add_argument("--out", help="output file path (default: stdout)")
-    p.add_argument("--format", choices=_FORMATS, help="output format")
+    p.add_argument("--format", choices=tuple(FORMATS), help="output format")
     return p
 
 
@@ -84,7 +83,7 @@ def build_config(args: argparse.Namespace) -> tuple[SweepConfig, str | None, str
                   if val is not None and key != "config")
     out_path = merged.pop("out", None)
     fmt = merged.pop("format", "csv")
-    if fmt not in _FORMATS:
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
     config = SweepConfig(**merged)
     config.validate()

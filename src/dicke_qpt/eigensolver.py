@@ -89,8 +89,8 @@ LANCZOS_MAX_STEPS = 2000
 # the first pass keeps its Lanczos vectors while steps x dim stays within
 # this many floats (8 MB); past it the second pass regenerates them
 _KEEP_FLOATS = 1_000_000
-# Lanczos vector operations go through BLAS on blocks of up to this many
-# states, through NumPy on larger ones (see _vector_ops)
+# every Lanczos vector operation is a BLAS ddot or daxpy call per chunk of
+# at most this many entries, on blocks of any size (see _vector_ops)
 _BLAS_MAX = 10_000
 
 

@@ -11,8 +11,6 @@ identical configurations reproduce byte-identical output files.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -35,10 +33,15 @@ BASE_COLUMNS = ("lambda", "lambda_rel", "n_atoms", "n_max", "s_vn", "l_lin",
 EXTRA_COLUMNS = ("t_eff", "kappa")
 # the keys of a sweep table, in output order
 COLUMNS = BASE_COLUMNS + EXTRA_COLUMNS + ("backend",)
-_PLAIN_TYPES = frozenset((type(None), bool, int, float, str))
-_JSON_NONFINITE = {"Infinity": '"inf"', "-Infinity": '"-inf"', "NaN": '"nan"'}
-# rows per JSON encoder pass: bounds the transient one-string-per-value list
-_JSON_BLOCK = 4096
+_NUMBER_TYPES = frozenset((type(None), bool, int, float))
+# per output format, its spelling of the C JSON encoder's tokens that differ
+FORMATS = {
+    "csv": {"null": "", "Infinity": "inf", "-Infinity": "-inf", "NaN": "nan",
+            **{json.dumps(b): b for b in KNOWN_BACKENDS}},
+    "json": {"Infinity": '"inf"', "-Infinity": '"-inf"', "NaN": '"nan"'},
+}
+# rows per encoder pass: bounds the transient one-string-per-value list
+_BLOCK_ROWS = 4096
 # relative half-width of the lambda_c hole punched into TD grids
 CRITICAL_EXCLUSION = 1e-12
 # domain failures that become per-point rows; anything else is a bug and raises
@@ -448,43 +451,22 @@ def fit_critical_exponents(table: dict, omega: float,
     return out
 
 
-def _csv_text(columns: tuple, cells: list[list]) -> str:
-    """Header and rows: bools as true/false, None empty, the rest as str()."""
-    for k, values in enumerate(cells):
-        if bool in set(map(type, values)):
-            cells[k] = ["true" if v is True else "false" if v is False else v
-                        for v in values]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*cells))
-    return buf.getvalue()
+def _rows(cells: list[list], row: str, sep: str, spelling: dict) -> list[str]:
+    """The rows filled into the %s template row and joined by sep, as pieces.
 
-
-def _json_reports(cells: list[list], columns: tuple) -> list[str]:
-    """The "reports" array as json.dumps(indent=2) lays it out at depth 1.
-
-    Returned as pieces to concatenate.  Each block of rows is one C-encoder
-    pass with one value per line (an encoded value never contains a raw
-    newline), filled into a fixed row template.  Non-finite floats come out
-    as the bare tokens Infinity, -Infinity and NaN, and are written as the
-    strings "inf", "-inf" and "nan".
+    Each block of rows is one C-encoder pass with one value per line (an
+    encoded value never contains a raw newline), each token respelled
+    through spelling where it has an entry.
     """
-    n_rows = len(cells[0])
-    if n_rows == 0:
-        return ["[]"]
-    row = ("    {\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
-           + "\n    }")
-    pieces = ["[\n"]
-    for start in range(0, n_rows, _JSON_BLOCK):
-        block = [values[start:start + _JSON_BLOCK] for values in cells]
+    pieces = []
+    for start in range(0, len(cells[0]), _BLOCK_ROWS):
+        block = [values[start:start + _BLOCK_ROWS] for values in cells]
         flat = json.dumps(list(chain.from_iterable(zip(*block))), separators=("\n", ":"))
         tokens = flat[1:-1].split("\n")
-        encoded = tuple(map(_JSON_NONFINITE.get, tokens, tokens))
         if start:
-            pieces.append(",\n")
-        pieces.append(",\n".join([row] * len(block[0])) % encoded)
-    pieces.append("\n  ]")
+            pieces.append(sep)
+        pieces.append(sep.join([row] * len(block[0]))
+                      % tuple(map(spelling.get, tokens, tokens)))
     return pieces
 
 
@@ -492,36 +474,45 @@ def emit(table: dict, fits: dict[str, ScalingFit] | None = None,
          path=None, fmt: str = "csv", failures: list[SweepFailure] = ()) -> str:
     """Write the dataset to path; returns the serialized text.
 
-    table maps each name in COLUMNS to a list of plain Python scalars
-    (None, bool, int, float or str), one per row, as run_sweep returns it;
-    any other value raises TypeError, and columns of unequal length raise
-    ValueError.  Rows are written in the order given.  Columns: the base
-    columns in order, then t_eff and kappa when some row carries them, then
-    backend.
+    table maps each name in COLUMNS to a list of plain Python scalars, one
+    per row, as run_sweep returns it: None, bool, int or float, and in
+    backend also a str of KNOWN_BACKENDS.  Before anything is written, any
+    other value raises TypeError (a str outside backend too), an unknown
+    backend ValueError, and columns of unequal length ValueError.  Rows are
+    written in the order given.  Columns: the base columns in order, then
+    t_eff and kappa when some row carries them, then backend.  One row
+    writer makes both formats: each cell is spelled as the C JSON encoder
+    spells it, unless FORMATS[fmt] respells that token.
 
     CSV: the header line, then one line per row, each ending in "\n",
     cells joined by ",": None is empty, bools are true/false, floats are
-    repr() (so inf, -inf and nan), ints and strings are str().  Only a
-    string holding a comma, a quote or a newline would be quoted, and no
-    column written by this package holds one.  JSON: byte-identical to
+    repr() (so inf, -inf and nan), ints and backend names are str(); no
+    cell is quoted.  JSON: byte-identical to
     json.dumps(payload, indent=2, allow_nan=False) + "\n", where payload is
     {"reports": [one object per row, keys as the CSV columns], "fits":
     {name: fit.as_dict() per item of fits, sorted by name}, "errors":
     [f.as_dict() per failure]} and
     non-finite table values are the strings "inf", "-inf" and "nan".
     """
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}")
     extras = any(v is not None for name in EXTRA_COLUMNS for v in table[name])
     columns = BASE_COLUMNS + (EXTRA_COLUMNS if extras else ()) + ("backend",)
     cells = [table[name] for name in columns]
     for name, values in zip(columns, cells):
-        if not _PLAIN_TYPES.issuperset(map(type, values)):
-            raise TypeError(f"column {name!r} holds a value that is not a plain "
-                            "Python scalar")
+        allowed = _NUMBER_TYPES | {str} if name == "backend" else _NUMBER_TYPES
+        if not allowed.issuperset(map(type, values)):
+            raise TypeError(f"column {name!r} holds a value that is not a plain Python "
+                            "scalar (None, bool, int or float; a str only in backend)")
+    unknown = [b for b in set(cells[-1]).difference(KNOWN_BACKENDS) if type(b) is str]
+    if unknown:
+        raise ValueError(f"unknown backend {unknown[0]!r}")
     if len(set(map(len, cells))) != 1:
         raise ValueError("table columns differ in length")
     if fmt == "csv":
-        text = _csv_text(columns, cells)
-    elif fmt == "json":
+        row = ",".join(["%s"] * len(columns)) + "\n"
+        text = "".join([",".join(columns), "\n", *_rows(cells, row, "", FORMATS[fmt])])
+    else:
         # the small rest of the payload goes through json.dumps as it is;
         # the reports array is spliced in where its empty "[]" was written
         rest = json.dumps({
@@ -530,10 +521,11 @@ def emit(table: dict, fits: dict[str, ScalingFit] | None = None,
             "errors": [f.as_dict() for f in failures],
         }, indent=2, allow_nan=False)
         head = '{\n  "reports": '
-        text = "".join([head, *_json_reports(cells, columns),
-                        rest[len(head + "[]"):], "\n"])
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+        row = ("    {\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
+               + "\n    }")
+        rows = _rows(cells, row, ",\n", FORMATS[fmt])
+        reports = ["[\n", *rows, "\n  ]"] if rows else ["[]"]
+        text = "".join([head, *reports, rest[len(head + "[]"):], "\n"])
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from unittest import mock
@@ -665,13 +667,14 @@ class TestEmit:
            block=st.sampled_from((1, 2, 5, 4096)))
     @example(pairs=[], fits=None, failures=[], block=4096)
     def test_matches_byte_oracle(self, pairs, fits, failures, block):
-        # the C-encoded emitter writes what the per-cell oracle writes for the
-        # plain rows, in the order given, whatever the JSON block size; a
-        # table holding a numpy scalar is rejected, not converted
+        # the C-encoded row writer writes what the per-cell oracle writes for
+        # the plain rows, in the order given, in either format and whatever
+        # the block size; a table holding a numpy scalar is rejected, not
+        # converted
         plain = [p for p, _ in pairs]
         twins = [t for _, t in pairs]
         has_numpy = any(isinstance(v, np.generic) for t in twins for v in t.values())
-        with mock.patch.object(sweep, "_JSON_BLOCK", block):
+        with mock.patch.object(sweep, "_BLOCK_ROWS", block):
             for fmt in ("csv", "json"):
                 assert (emit(table_of(plain), fits=fits, fmt=fmt, failures=failures)
                         == oracle_emit(plain, fits=fits, fmt=fmt, failures=failures))
@@ -686,10 +689,45 @@ class TestEmit:
         assert emit(table_of([row])).splitlines()[1] == "0.25,0.5,8,12,0.75,,,,-0.5,inf,true,ed"
         for name, value in row.items():
             if name != "backend":
-                twin = table_of([{**row, name: as_numpy(value)}])
-                for fmt in ("csv", "json"):
-                    with pytest.raises(TypeError, match=repr(name)):
-                        emit(twin, fmt=fmt)
+                # a str cell would come out as a quoted JSON literal in the CSV
+                for bad in (as_numpy(value), str(value)):
+                    twin = table_of([{**row, name: bad}])
+                    for fmt in ("csv", "json"):
+                        with pytest.raises(TypeError, match=repr(name)):
+                            emit(twin, fmt=fmt)
+        # a backend is one of KNOWN_BACKENDS, compared by exact type str
+        for backend, error in (("foo", ValueError), ("a,b", ValueError),
+                               ('"td"', ValueError), (np.str_("ed"), TypeError)):
+            for fmt in ("csv", "json"):
+                with pytest.raises(error, match="backend"):
+                    emit(table_of([row, {**row, "backend": backend}]), fmt=fmt)
+
+    def test_csv_reads_back_as_the_json_reports(self):
+        # both formats come from one row writer: a --backend all --n-atoms inf
+        # table, with non-finite cells added, reads back cell for cell alike
+        table, failures = run_sweep(SweepConfig(
+            backend="all", n_atoms=("inf",), lambda_steps=9,
+            measures=("s_vn", "l_lin", "q_avg", "ipr_inv", "t_eff", "kappa")))
+        assert not failures and set(table["backend"]) == {"td", "perturbative"}
+        table["residual"][:3] = [math.nan, -math.inf, math.inf]
+        table["s_vn"][-1] = math.nan
+        non_finite = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+        def from_csv(name, cell):
+            if name == "backend":
+                return cell
+            spelled = {"": None, "true": True, "false": False, **non_finite}
+            # NaN or Infinity would stay strings, and not match
+            return spelled[cell] if cell in spelled else json.loads(
+                cell, parse_constant=str)
+
+        csv_rows = list(csv.DictReader(io.StringIO(emit(table))))
+        json_rows = json.loads(emit(table, fmt="json"))["reports"]
+        assert len(json_rows) == len(table["lambda"])
+        assert ([[(k, repr(from_csv(k, v))) for k, v in row.items()] for row in csv_rows]
+                == [[(k, repr(non_finite.get(v, v) if isinstance(v, str) and k != "backend"
+                              else v)) for k, v in row.items()] for row in json_rows])
+        assert [row["residual"] for row in json_rows[:3]] == ["nan", "-inf", "inf"]
 
     def test_ragged_table_rejected(self):
         table = table_of([{"backend": "td", "lambda": 0.25, "lambda_rel": 0.5}])
