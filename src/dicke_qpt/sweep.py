@@ -22,7 +22,7 @@ import numpy as np
 from . import entanglement, thermo
 from .eigensolver import (DEFAULT_ENERGY_TOL, DEFAULT_GROWTH, DEFAULT_TOL,
                           converge_cutoff)
-from .errors import ConfigError, DickeError, FitError
+from .errors import ConfigError, DickeError, FitError, ParameterError
 from .model import DEFAULT_MAX_DIMENSION, make_params
 from .perturbative import perturbative_entropy
 
@@ -281,32 +281,55 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float,
     return row, state.amplitudes
 
 
-def _grid_columns(backend: str, params, n_atoms, values: dict) -> dict:
-    """The table of one converged row per coupling of the grid params.coupling;
-    values holds the measure columns, and the columns it lacks are None."""
-    rows = params.coupling.size
+def _grid_columns(backend: str, params, n_atoms,
+                  values: dict) -> tuple[dict, list[SweepFailure]]:
+    """The table of one converged row per coupling of the grid params.coupling,
+    and a failure per coupling where a column of values came out nan.
+
+    values holds the measure columns as arrays, and the columns it lacks are
+    None.  A nan is never written as a cell: outside the closed forms' range
+    (a frequency near 1e-300, say) a coupling's row becomes a ParameterError
+    failure instead.
+    """
+    couplings = params.coupling
+    failed = np.zeros(couplings.size, dtype=bool)
+    for column in values.values():
+        failed |= np.isnan(column)
+    failures = []
+    for i in np.flatnonzero(failed).tolist():
+        names = ", ".join(name for name, column in values.items() if np.isnan(column[i]))
+        error = ParameterError(f"{names} came out nan at omega={params.omega}, "
+                               f"omega0={params.omega0}, beyond the closed forms' range")
+        failures.append(SweepFailure.from_exception(backend, float(couplings[i]), None, error))
+    if failures:
+        couplings, values = couplings[~failed], {k: v[~failed] for k, v in values.items()}
+    rows = couplings.size
     return {**{name: [None] * rows for name in COLUMNS},
-            "lambda": params.coupling.tolist(),
-            "lambda_rel": (params.coupling / params.lambda_c).tolist(),
+            "lambda": couplings.tolist(),
+            "lambda_rel": (couplings / params.lambda_c).tolist(),
             "n_atoms": [n_atoms] * rows, "converged": [True] * rows,
-            "backend": [backend] * rows, **values}
+            "backend": [backend] * rows,
+            **{name: column.tolist() for name, column in values.items()}}, failures
 
 
-def measure_point_td(config: SweepConfig, couplings: np.ndarray) -> dict:
+def measure_point_td(config: SweepConfig,
+                     couplings: np.ndarray) -> tuple[dict, list[SweepFailure]]:
     """The table of every coupling of the grid couplings from one closed_forms
-    call, bit for bit one call per coupling (see thermo); n_atoms is inf."""
+    call, bit for bit one call per coupling (see thermo); n_atoms is inf.
+    A coupling with a nan measure is a failure instead (_grid_columns)."""
     params = make_params(config.omega, config.omega0, couplings, 2)
     forms = thermo.closed_forms(params, two_lobe=config.two_lobe)
     return _grid_columns("td", params, math.inf, {
-        m: getattr(forms, m).tolist() for m in ("jz_mean",) + config.measures})
+        m: getattr(forms, m) for m in ("jz_mean",) + config.measures})
 
 
-def measure_point_perturbative(config: SweepConfig, couplings: np.ndarray) -> dict:
+def measure_point_perturbative(config: SweepConfig,
+                               couplings: np.ndarray) -> tuple[dict, list[SweepFailure]]:
     """The s_vn table of every coupling of the grid couplings from one
     perturbative_entropy call, bit for bit one per coupling; n_atoms is None."""
     params = make_params(config.omega, config.omega0, couplings, 2)
     return _grid_columns("perturbative", params, None,
-                         {"s_vn": perturbative_entropy(params).tolist()})
+                         {"s_vn": perturbative_entropy(params)})
 
 
 def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
@@ -321,7 +344,8 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
     (the first point of each N, and a point after a failed one, start from
     the fixed vector).  td and perturbative make one call each over their
     whole grid (td_lambda_grid, lambda_grid); a domain error from it becomes
-    one failure row per coupling.  Point functions are looked up at every
+    one failure row per coupling, and so does each coupling whose measure
+    comes out nan.  Point functions are looked up at every
     call.
     """
     config.validate()
@@ -344,9 +368,10 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
         measure, grid = ((measure_point_td, config.td_lambda_grid()) if backend == "td"
                          else (measure_point_perturbative, config.lambda_grid()))
         try:
-            columns = measure(config, grid)
+            columns, failed = measure(config, grid)
             for name, column in table.items():
                 column += columns[name]
+            failures += failed
         except POINT_ERRORS as exc:
             failures += (SweepFailure.from_exception(backend, lam, None, exc)
                          for lam in grid.tolist())

@@ -135,7 +135,14 @@ def _solve(params: ModelParams, phase: str | None) -> PhaseSolution:
     normal = lam <= lc if phase is None else np.full(lam.shape, phase == "normal")
     columns = np.empty((4, lam.size))
     for mask, kernel in ((normal, _normal), (~normal, _superradiant)):
-        columns[:, mask] = kernel(w, w0, lc, lam[mask])
+        try:
+            columns[:, mask] = kernel(w, w0, lc, lam[mask])
+        except OverflowError as exc:
+            # a float power beyond the largest float (frequencies above about
+            # 1e77): outside the closed forms' range, not a bug
+            raise ParameterError(f"the {kernel.__name__[1:]} phase solution overflows at "
+                                 f"omega={w}, omega0={w0}, beyond the closed forms' "
+                                 f"range") from exc
     names = np.where(normal, "normal", "superradiant")
     columns = (*columns, _libm(math.cos, columns[2]), _libm(math.sin, columns[2]))
     return PhaseSolution(names.item() if scalar else names, w, w0, params.coupling,
@@ -209,7 +216,10 @@ def rdm_params(solution: PhaseSolution) -> GaussianRDMParams:
     d_coeff = _libm(pow, em - ep, 2) * c2 * s2
     A = em * c2 + ep * s2
     B = em * s2 + ep * c2
-    kappa = np.sqrt(np.sqrt(em * ep * B / A) / solution.omega)
+    # A underflows to 0 for a frequency near 1e-300, and kappa is then nan
+    # (0/0), which a sweep writes as a failure row, not a cell
+    with np.errstate(invalid="ignore"):
+        kappa = np.sqrt(np.sqrt(em * ep * B / A) / solution.omega)
     return GaussianRDMParams(*(_result(v, scalar) for v in (em, ep, c, s, d_coeff, kappa)),
                              omega=solution.omega)
 

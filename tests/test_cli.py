@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -94,6 +96,34 @@ class TestMain:
         assert "Traceback" not in err
         assert err.count("failed: backend=td") == 2
         assert out.count('"error": "ParameterError"') == 2
+
+    @pytest.mark.parametrize("flag", ["--omega", "--omega0"])
+    def test_huge_frequency_fails_per_coupling(self, capsys, flag):
+        # a frequency of 1e300 overflows the closed forms' float powers: one
+        # ParameterError failure row per coupling and exit 2, not a traceback
+        code, out, err = run_cli(["--backend", "td", flag, "1e300", "--lambda-steps", "3",
+                                  "--format", "json"], capsys)
+        assert code == 2
+        assert "Traceback" not in err and "OverflowError" not in err
+        assert err.count("failed: backend=td") == 3
+        report = json.loads(out)
+        assert report["reports"] == []
+        assert [e["error"] for e in report["errors"]] == ["ParameterError"] * 3
+
+    def test_nan_measure_fails_its_coupling(self, capsys):
+        # at omega = 1e-300 kappa comes out 0/0: each coupling becomes a
+        # failure row instead of a nan cell, without a RuntimeWarning
+        args = ["--backend", "td", "--omega", "1e-300", "--lambda-steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(args + ["--measures", "s_vn,kappa"], capsys)
+        assert code == 2
+        assert out.strip().splitlines()[1:] == []
+        assert err.count("failed: backend=td") == 3
+        assert err.count("ParameterError: kappa came out nan") == 3
+        # without kappa no measure is nan, and every row is written
+        code, out, _ = run_cli(args + ["--measures", "s_vn"], capsys)
+        assert code == 0 and len(out.strip().splitlines()) == 4 and "nan" not in out
 
     def test_single_lobe_flag_drops_one_bit(self, capsys):
         args = ["--backend", "td", "--lambda-min", "1.4", "--lambda-max",

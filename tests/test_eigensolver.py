@@ -350,6 +350,129 @@ class TestLanczos:
         assert proc.stdout.splitlines()[1].split() == ["True", "False"]
 
 
+@pytest.fixture
+def windows(monkeypatch):
+    """The window and block rows of every windowed Lanczos solve, in order."""
+    calls = []
+    block = eigensolver._window_block
+
+    def recording_block(H, basis, window):
+        sub, rows = block(H, basis, window)
+        calls.append((window, rows))
+        return sub, rows
+
+    monkeypatch.setattr(eigensolver, "_window_block", recording_block)
+    return calls
+
+
+def certified(state, H, rows=None):
+    """The whole-block certificate, reported as the residual, and for a
+    solve on a window of block rows, its leak: ||Hv - Ev|| outside them."""
+    v = state.amplitudes[state.basis.parity == +1]
+    r = H @ v - state.energy * v
+    bound = eigensolver.DEFAULT_TOL * abs(state.energy)
+    if rows is not None:
+        r_out = r.copy()
+        r_out[rows] = 0.0
+        if np.linalg.norm(r_out) > 1e-3 * bound:
+            return False
+    residual = np.linalg.norm(r)
+    return state.residual == pytest.approx(residual, rel=1e-12) and residual <= bound
+
+
+class TestWindowedSolve:
+    # each solve starts from the ground state a quarter of lambda_c lower, at
+    # the same cutoff, as the large_n sweep continues its points; blocks of
+    # 2,113 to 45,361 states, 5 diagonals for even N and 7 for odd N
+    @pytest.mark.parametrize("n_atoms, ratio, n_max", [
+        (64, 0.5, 64), (64, 1.0, 72), (65, 0.5, 64), (65, 1.0, 72), (128, 2.0, 240),
+        (129, 2.0, 240), (256, 0.5, 40), (256, 1.0, 108), (256, 2.0, 352)])
+    def test_matches_the_whole_block_solve(self, monkeypatch, windows, n_atoms, ratio, n_max):
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 0.5 * ratio, n_atoms), n_max)
+        start = ground_state(*hamiltonian_and_basis(
+            make_params(1, 1, 0.5 * (ratio - 0.25), n_atoms), n_max)).amplitudes
+        windowed = ground_state(H, basis, start=start)
+        assert windows and windows[-1][1].size < H.shape[0]
+        assert certified(windowed, H, windows[-1][1])
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolver, "_WINDOW_MAX_FRACTION", 0.0)
+            count = len(windows)
+            whole = ground_state(H, basis, start=start)
+            assert len(windows) == count
+        assert certified(whole, H)
+        assert abs(windowed.energy - whole.energy) <= 1e-12 * abs(whole.energy)
+        s_windowed = von_neumann_entropy(partial_trace(windowed, "atoms"))
+        s_whole = von_neumann_entropy(partial_trace(whole, "atoms"))
+        assert abs(s_windowed - s_whole) <= 1e-11
+
+    def test_narrow_start_grows_the_window(self, windows):
+        # three Dicke columns of the ground state: their window misses most
+        # of its weight, leaks, and grows around each windowed solution
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 1.0, 128), 160)
+        whole = ground_state(H, basis)
+        assert windows == []
+        peak = int(np.argmax(np.abs(whole.amplitudes).max(axis=0)))
+        start = np.zeros_like(whole.amplitudes)
+        start[:, peak - 1:peak + 2] = whole.amplitudes[:, peak - 1:peak + 2]
+        gs = ground_state(H, basis, start=start)
+        assert len(windows) >= 2
+        for (before, _), (after, _) in zip(windows, windows[1:]):
+            assert after != before and after[0] <= before[0]
+            assert after[1] <= before[1] and after[2] >= before[2]
+        assert certified(gs, H)
+        assert abs(gs.energy - whole.energy) <= 1e-12 * abs(whole.energy)
+
+    def test_cold_and_covering_starts_solve_the_whole_block(self, windows):
+        # the block-wide path of a solve without windows, to the bit
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 0.6, 64), 72)
+        plus = basis.parity == +1
+        for start in (None, np.where(plus, 1.0, 0.0)):
+            gs = ground_state(H, basis, start=start)
+            energy, vec = eigensolver._lowest_eigenpair(
+                H, eigensolver.DEFAULT_TOL, None if start is None else start[plus])
+            vec = eigensolver._fix_sign(vec / eigensolver._norm(vec))
+            assert gs.energy == energy
+            np.testing.assert_array_equal(gs.amplitudes[plus], vec)
+        assert windows == []
+
+    def test_window_reaches_the_cutoff(self, windows):
+        # a start from a smaller cutoff has no weight on the new top layers,
+        # which the window holds all the same: escalation reads their weight
+        params = make_params(1, 1, 0.5, 128)
+        prev = ground_state(*hamiltonian_and_basis(params, 40))
+        H, basis = hamiltonian_and_basis(params, 60)
+        gs = ground_state(H, basis, start=prev.amplitudes)
+        assert windows
+        for _, rows in windows:
+            layers = parity_indices(basis, +1)[rows] // (basis.n_atoms + 1)
+            assert layers.max() == basis.n_max
+        assert gs.top_fock_weight() > 0.0
+        assert certified(gs, H, windows[-1][1])
+
+    def test_window_block_is_the_principal_sub_block(self):
+        # every aligned window of small even and odd N, bit for bit the
+        # slice of the dense block, with 5 diagonals for an even width
+        for n_atoms, n_max in [(1, 5), (4, 6), (5, 7), (8, 9), (9, 8)]:
+            H, basis = hamiltonian_and_basis(make_params(1.0, 0.7, 0.45, n_atoms), n_max)
+            dense = H.toarray()
+            plus = basis.parity == +1
+            index = np.zeros(plus.shape, dtype=int)
+            index[plus] = np.arange(H.shape[0])
+            for n_lo in range(0, n_max + 1, 2):
+                for b_lo in range(0, n_atoms + 1, 2):
+                    for b_hi in range(b_lo, n_atoms + 1):
+                        if (b_hi - b_lo) % 2 and b_hi < n_atoms:
+                            continue
+                        sub, rows = eigensolver._window_block(H, basis, (n_lo, b_lo, b_hi))
+                        inside = np.zeros(plus.shape, dtype=bool)
+                        inside[n_lo:, b_lo:b_hi + 1] = True
+                        np.testing.assert_array_equal(rows, index[plus & inside])
+                        np.testing.assert_array_equal(sub.toarray(), dense[np.ix_(rows, rows)])
+                        assert list(sub.offsets) == sorted(sub.offsets)
+                        if (b_hi - b_lo) % 2 == 0:
+                            assert sub.offsets.size <= 5
+
+
 class TestCutoffConvergence:
     def test_zero_coupling_converges_immediately(self):
         gs = converge_cutoff(make_params(1, 1, 0.0, 4), n_max_start=10)
@@ -390,8 +513,19 @@ class TestCutoffConvergence:
         s_cold = von_neumann_entropy(partial_trace(cold, "atoms"))
         assert abs(s_warm - s_cold) <= 1e-10
 
-    def test_escalation_starts_from_padded_previous_vector(self, monkeypatch):
-        starts, states = [], []
+    def test_escalation_starts_from_padded_previous_vector(self, monkeypatch, windows):
+        # blocks below _WINDOW_MIN_DIM: every solve runs on the whole block
+        self.check_escalation_starts(monkeypatch, windows, n_atoms=16, solves=3, on_windows=0)
+
+    def test_windowed_escalation_starts_from_the_window_of_padded_vector(
+            self, monkeypatch, windows):
+        # the second solve runs on a window, from the padded previous vector
+        # restricted to it
+        self.check_escalation_starts(monkeypatch, windows, n_atoms=128, solves=2, on_windows=1)
+
+    @staticmethod
+    def check_escalation_starts(monkeypatch, windows, n_atoms, solves, on_windows):
+        starts, states, firsts = [], [], []
         lanczos = eigensolver._lanczos
 
         def recording_lanczos(H, v0, tol):
@@ -399,21 +533,28 @@ class TestCutoffConvergence:
             return lanczos(H, v0, tol)
 
         def recording_ground_state(H, basis, tol, *, start=None):
+            firsts.append((len(starts), len(windows)))
             states.append(ground_state(H, basis, tol, start=start))
             return states[-1]
 
         monkeypatch.setattr(eigensolver, "_lanczos", recording_lanczos)
         monkeypatch.setattr(eigensolver, "ground_state", recording_ground_state)
-        params = make_params(1, 1, 0.75, 16)
-        converge_cutoff(params)                 # three Lanczos solves
-        assert len(starts) == len(states) == 3
+        params = make_params(1, 1, 0.75, n_atoms)
+        converge_cutoff(params)
+        assert len(starts) == len(states) == solves
         # the first solve keeps the fixed start of a standalone solve
         ground_state(*hamiltonian_and_basis(params, states[0].basis.n_max))
         np.testing.assert_array_equal(starts[0], starts[-1])
-        for prev, state, v0 in zip(states, states[1:], starts[1:]):
+        windowed = 0
+        for prev, state, (k, w) in zip(states, states[1:], firsts[1:]):
             padded = np.zeros(state.basis.dim)
             padded[:prev.basis.dim] = prev.amplitudes.ravel()
-            np.testing.assert_array_equal(v0, padded[parity_indices(state.basis, +1)])
+            expected = padded[parity_indices(state.basis, +1)]
+            if starts[k].size < expected.size:
+                expected = expected[windows[w][1]]
+                windowed += 1
+            np.testing.assert_array_equal(starts[k], expected)
+        assert windowed == on_windows
 
     def test_growth_must_exceed_one(self):
         for growth in (1.0, math.nan, math.inf):

@@ -518,6 +518,15 @@ class TestCouplingGrid:
             with pytest.raises(ParameterError, match="underflows"):
                 closed_forms(make_params(1.0, 1.0, lam, 2))
 
+    @pytest.mark.parametrize("omega, omega0", [(1e300, 1.0), (1.0, 1e300), (1e78, 1.0)])
+    def test_overflowing_frequency_is_a_domain_error(self, omega, omega0):
+        # a frequency's square, or the square of their difference, overflows
+        # a float power in either phase solution: ParameterError, not the
+        # OverflowError of the power
+        for lam in (0.0, 2.0 * math.sqrt(omega * omega0), np.array([0.0, 1.0])):
+            with pytest.raises(ParameterError, match="overflows"):
+                closed_forms(make_params(omega, omega0, lam, 2))
+
     @pytest.mark.parametrize("ratio", [1e39, 5e78])
     def test_overflowing_effective_frequency_is_a_domain_error(self, ratio):
         # omega0^2/mu^2 squared overflows beyond about 3.4e38 lambda_c, and
