@@ -70,14 +70,15 @@ Its entries are sliced from the block's (_window_block).  The solution,
 zero outside the window, then passes the whole-block residual check
 ||Hv - Ev|| <= tol |E| as any solve does, and the residual outside the
 window, its leak, must stay within _LEAK_FRACTION tol |E|.  A solution that
-leaks more grows the window to its own support at twice the margin, joined
-with the old window, and is solved again from there; after _WINDOW_GROWTHS
-growths, or when a window would hold more than _WINDOW_MAX_FRACTION of the
-block, the whole block is solved, as it is for a cold solve.  On the
-large_n sweep 27 of 29 solves start on a window and 2 of them end on the
-whole block; most of the 15 growths re-solve in 10-30 steps, the accepted
-windows hold 11-86 % of their block, and the Lanczos work (block size x
-steps) falls from 114.7 to 65.8 million row operations per pass.
+leaks more doubles the margin and takes the window of its own support,
+and is solved again from there, until a window stops leaking or is the
+whole block, which is then solved as for a cold solve.  The doubling
+margin covers the block within about log2(max(N, n_max) / _WINDOW_MARGIN)
+growths, so the chain ends.  On the large_n sweep 27 of 29 solves start on
+a window and every one of them ends on a window; most of the 17 growths
+re-solve in 10-30 steps, the accepted windows hold 11-92 % of their block,
+and the Lanczos work (block size x steps) falls from 114.7 to 65.7 million
+row operations per pass.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (CapacityError, CutoffConvergenceError, ParameterError,
                      SolverError)
-from .model import (DEFAULT_MAX_DIMENSION, BasisIndex, ModelParams, _block_dim,
+from .model import (DEFAULT_MAX_DIMENSION, BasisIndex, ModelParams, _layer_pair,
                     assemble_hamiltonian, build_basis)
 
 DEFAULT_TOL = 1e-10
@@ -121,11 +122,8 @@ _BLAS_MAX = 10_000
 _WINDOW_MIN_DIM = 2000
 _SUPPORT_LEVEL = 1e-12
 # Fock layers below, and Dicke columns on each side of, the support that a
-# window adds; each of at most _WINDOW_GROWTHS growths doubles it
+# window adds; each growth doubles it
 _WINDOW_MARGIN = 8
-_WINDOW_GROWTHS = 2
-# a window of more than this fraction of the block's states solves the block
-_WINDOW_MAX_FRACTION = 0.9
 # a window is accepted when the residual outside it, its leak, is at most
 # this times tol |E|: a tenth of Lanczos's own stopping target
 _LEAK_FRACTION = 1e-3
@@ -315,22 +313,19 @@ def _lowest_eigenpair(H: sp.dia_matrix, tol: float,
     return _lanczos(H, v0, tol * 1e-2)
 
 
-def _window(amplitudes: np.ndarray, margin: int,
-            around: tuple[int, int, int] | None = None) -> tuple[int, int, int] | None:
+def _window(amplitudes: np.ndarray, margin: int) -> tuple[int, int, int] | None:
     """The window (n_lo, b_lo, b_hi) around the support of an amplitude matrix.
 
     The support is where |psi| exceeds _SUPPORT_LEVEL times its largest
     entry.  The window holds Fock layers n_lo ... n_max, always up to the
     cutoff, whose top layers escalation reads, and Dicke columns
     b_lo ... b_hi: the support's first layer, first and last column, widened
-    by margin, joined with the window around if given, and aligned (n_lo and
-    b_lo even, b_hi - b_lo even unless b_hi = N), so that the window's
-    states in each layer pair are laid out as in the block at N' = b_hi - b_lo,
-    with 5 diagonals for even N'.  Returns None, from the row and column
-    maxima alone, when the window would hold more than _WINDOW_MAX_FRACTION
-    of the block's states.
+    by margin and aligned (n_lo and b_lo even, b_hi - b_lo even unless
+    b_hi = N), so that the window's states in each layer pair are laid out
+    as in the block at N' = b_hi - b_lo, with 5 diagonals for even N'.
+    Returns None when the window is the whole block.
     """
-    n_max, n_atoms = amplitudes.shape[0] - 1, amplitudes.shape[1] - 1
+    n_atoms = amplitudes.shape[1] - 1
     magnitude = np.abs(amplitudes)
     rows, columns = magnitude.max(axis=1), magnitude.max(axis=0)
     level = _SUPPORT_LEVEL * columns.max()
@@ -338,13 +333,10 @@ def _window(amplitudes: np.ndarray, margin: int,
     n_lo = max(0, int(np.argmax(rows > level)) - margin)
     b_lo = max(0, int(np.argmax(on_columns)) - margin)
     b_hi = min(n_atoms, n_atoms - int(np.argmax(on_columns[::-1])) + margin)
-    if around is not None:
-        n_lo, b_lo, b_hi = min(n_lo, around[0]), min(b_lo, around[1]), max(b_hi, around[2])
     n_lo, b_lo = n_lo - n_lo % 2, b_lo - b_lo % 2
     if (b_hi - b_lo) % 2 and b_hi < n_atoms:
         b_hi += 1
-    if (_block_dim(b_hi - b_lo, n_max - n_lo)
-            > _WINDOW_MAX_FRACTION * _block_dim(n_atoms, n_max)):
+    if n_lo == b_lo == 0 and b_hi == n_atoms:
         return None
     return n_lo, b_lo, b_hi
 
@@ -354,59 +346,34 @@ def _window_block(H: sp.dia_matrix, basis: BasisIndex,
     """The principal sub-block of the block H on a window's states, and their rows in H.
 
     H is laid out in pairs of Fock layers of N + 1 states (see
-    model._layer_pair): layer n holds n_b = n mod 2, n mod 2 + 2, ..., and the
-    window's states of one pair are two runs of that pair, so their rows
-    follow from the pair index.  The window's layers are laid out alike
-    with N' = b_hi - b_lo, so its coupling offsets are those of the block
-    at N'.  Each sub-block diagonal is one gather from H.data: the
-    (n + 1, n_b +- 1) partner of a state of layer parity p lies s_p + p or
-    s_p + p - 1 rows further on, with s_p the layer's size, both in H and in
-    the window, and the gather is zero where that partner falls outside
-    the window's columns.  The entries are H's, bit for bit, and the
-    offsets ascending, as in assemble_hamiltonian.
+    model._layer_pair): state (n, n_b) is row (n//2) (N + 1) + n_b//2 in an
+    even layer, and N//2 + 1 rows further on in an odd one.  The
+    window's states are laid out alike with N' = b_hi - b_lo, so its
+    diagonals are those of the block at N'.  H keeps H[r + D, r] in column r
+    of its diagonal -D, so entry (i + d, i) of the sub-block is read there
+    wherever rows[i + d] - rows[i] is one of H's offsets D, and is zero
+    elsewhere.  The entries are H's, bit for bit, and the offsets
+    ascending, as in assemble_hamiltonian.
     """
     n_lo, b_lo, b_hi = window
-    N, width = basis.n_atoms, b_hi - b_lo
-    dim = _block_dim(width, basis.n_max - n_lo)
-    n_b = np.concatenate([np.arange(b_lo, b_hi + 1, 2), np.arange(b_lo + 1, b_hi + 1, 2)])
-    parity = np.repeat([0, 1], (width // 2 + 1, (width + 1) // 2))
-    pairs = np.arange(n_lo // 2, basis.n_max // 2 + 1)[:, None]
-    grid = pairs * (N + 1) + (n_b // 2 + parity * (N // 2 + 1))
-    rows = grid.ravel()[:dim]
-    # per column of a layer pair, the offset of its (n + 1, n_b + 1) partner
-    # in the window and in H; its (n + 1, n_b - 1) partner lies one row before
-    raise_local = np.array([width // 2 + 1, (width + 1) // 2])[parity] + parity
-    raise_block = np.array([N // 2 + 1, (N + 1) // 2])[parity] + parity
-    upper: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # window offset -> H offset, valid
-    for shift, valid in ((0, n_b < b_hi), (-1, n_b > b_lo)):
-        local = raise_local + shift
-        for offset in np.unique(local[valid]).tolist():
-            block, mask = upper.setdefault(offset, (np.zeros(width + 1, np.int64),
-                                                    np.zeros(width + 1, bool)))
-            chosen = valid & (local == offset)
-            block[chosen] = raise_block[chosen] + shift
-            mask[chosen] = True
-    offsets = [offset for offset in sorted(upper) if offset < dim]
-    # H[r, r + D] is H.data[k, r + D], k the row of offset D; an offset that
-    # H lacks is reached by no row of the window, and reads the diagonal.
-    # Past the block's end (the top pair's missing odd layer) the gather is
-    # clipped, and those entries fall beyond dim - offset
-    size = H.shape[0]
-    flat = H.data.ravel()
-    row_of = np.full(max(H.offsets.max(), raise_block.max()) + 1,
-                     int(np.flatnonzero(H.offsets == 0)[0]))
-    row_of[H.offsets[H.offsets >= 0]] = np.flatnonzero(H.offsets >= 0)
-    centre = len(offsets)
+    N = basis.n_atoms
+    n, n_b = np.nonzero(basis.parity[n_lo:, b_lo:b_hi + 1] == +1)
+    n, n_b = n + n_lo, n_b + b_lo
+    rows = n // 2 * (N + 1) + n_b // 2 + n % 2 * (N // 2 + 1)
+    dim = rows.size
+    offsets = _layer_pair(b_hi - b_lo)[2]
+    offsets = offsets[offsets < dim]
+    lower = {-D: diagonal for D, diagonal in zip(H.offsets.tolist(), H.data) if D < 0}
+    centre = offsets.size
     data = np.zeros((2 * centre + 1, dim))
-    data[centre] = flat[row_of[0] * size + rows]
-    for i, offset in enumerate(offsets):
-        block, mask = upper[offset]
-        values = flat.take(grid + (row_of[block] * size + block), mode="clip")
-        values[:, ~mask] = 0.0
-        values = values.ravel()[:dim - offset]
-        data[centre + 1 + i, offset:] = values
-        data[centre - 1 - i, :dim - offset] = values
-    offsets = np.array(offsets, dtype=np.int64)
+    data[centre] = H.diagonal()[rows]
+    for i, d in enumerate(offsets.tolist()):
+        gaps = rows[d:] - rows[:-d]
+        values = data[centre - 1 - i, :dim - d]
+        for D, diagonal in lower.items():
+            on = gaps == D
+            values[on] = diagonal[rows[:-d][on]]
+        data[centre + 1 + i, d:] = values
     return sp.dia_matrix((data, np.concatenate([-offsets[::-1], [0], offsets])),
                          shape=(dim, dim)), rows
 
@@ -431,8 +398,9 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
 
     A solve from a start, on a block of at least _WINDOW_MIN_DIM states,
     runs Lanczos on a window of the block around the start's support
-    (_window), grown while the solution leaks out of it, and falls back to
-    the whole block (see the module docstring).
+    (_window).  While the solution leaks out of its window, the margin
+    doubles and the solution's own window is solved, until a window holds
+    or is the whole block (see the module docstring).
 
     The residual ||Hv - Ev|| is taken on the whole block.  It equals the
     residual over the whole basis: the amplitudes vanish on the -1 sector,
@@ -457,7 +425,7 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
             window = _window(np.where(plus, padded, 0.0), _WINDOW_MARGIN)
         if window is not None and not hamiltonian.data[hamiltonian.offsets != 0].any():
             window = None           # decoupled: read off the whole diagonal
-    growths = 0
+    margin = _WINDOW_MARGIN
     while True:
         if window is None:
             energy, vec = _lowest_eigenpair(hamiltonian, tol, v0)
@@ -478,9 +446,8 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
         v0 = vec
         amplitudes = np.zeros(plus.shape)
         amplitudes[plus] = vec
-        growths += 1
-        window = (_window(amplitudes, _WINDOW_MARGIN << growths, around=window)
-                  if growths <= _WINDOW_GROWTHS else None)
+        margin *= 2
+        window = _window(amplitudes, margin)
     if residual > threshold:
         raise SolverError(
             f"residual {residual:.3e} above tolerance {threshold:.3e} "

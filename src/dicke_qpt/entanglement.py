@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import IntegrityError, ParameterError
-from .eigensolver import GroundState
+from .eigensolver import GroundState, _vector_ops
 from .model import BasisIndex, ModelParams
 
 TRACE_TOL = 1e-8
@@ -269,10 +269,12 @@ def inverse_participation_ratio(state: GroundState, basis: BasisIndex,
     e, o = even @ rows[0::2], odd @ rows[1::2]
     # sum of (e + o)^4 at y = t and (e - o)^4 at y = -t[1:]: (e + o)^4 +
     # (e - o)^4 = 2 (e^4 + 6 e^2 o^2 + o^4), whose terms are all positive,
-    # less (e - o)^4 on the centre row t[0]
+    # less (e - o)^4 on the centre row t[0]; the sums are chunked ddot calls,
+    # whose bits do not depend on the BLAS thread count (see _vector_ops)
     centre = float(np.sum((e[0] - o[0]) ** 4))
     e *= e
     o *= o
     e, o = e.ravel(), o.ravel()
-    total = 2.0 * (e @ e + 6.0 * (e @ o) + o @ o) - centre
+    dot, _ = _vector_ops(e.size)
+    total = 2.0 * (dot(e, e) + 6.0 * dot(e, o) + dot(o, o)) - centre
     return float(math.sqrt(params.omega * params.omega0) / 2.0 * total)

@@ -284,21 +284,24 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float,
 def _grid_columns(backend: str, params, n_atoms,
                   values: dict) -> tuple[dict, list[SweepFailure]]:
     """The table of one converged row per coupling of the grid params.coupling,
-    and a failure per coupling where a column of values came out nan.
+    and a failure per coupling where a column of values came out nan or
+    infinite.
 
     values holds the measure columns as arrays, and the columns it lacks are
-    None.  A nan is never written as a cell: outside the closed forms' range
-    (a frequency near 1e-300, say) a coupling's row becomes a ParameterError
-    failure instead.
+    None.  A nan or an infinity is never written as a cell: outside the
+    closed forms' range (a frequency near 1e-300, say) a coupling's row
+    becomes a ParameterError failure instead.  The td grid leaves out
+    lambda_c, so no coupling in range has an infinite measure.
     """
     couplings = params.coupling
     failed = np.zeros(couplings.size, dtype=bool)
     for column in values.values():
-        failed |= np.isnan(column)
+        failed |= ~np.isfinite(column)
     failures = []
     for i in np.flatnonzero(failed).tolist():
-        names = ", ".join(name for name, column in values.items() if np.isnan(column[i]))
-        error = ParameterError(f"{names} came out nan at omega={params.omega}, "
+        names = ", ".join(f"{name} came out {float(column[i])!r}"
+                          for name, column in values.items() if not np.isfinite(column[i]))
+        error = ParameterError(f"{names} at omega={params.omega}, "
                                f"omega0={params.omega0}, beyond the closed forms' range")
         failures.append(SweepFailure.from_exception(backend, float(couplings[i]), None, error))
     if failures:
@@ -316,7 +319,8 @@ def measure_point_td(config: SweepConfig,
                      couplings: np.ndarray) -> tuple[dict, list[SweepFailure]]:
     """The table of every coupling of the grid couplings from one closed_forms
     call, bit for bit one call per coupling (see thermo); n_atoms is inf.
-    A coupling with a nan measure is a failure instead (_grid_columns)."""
+    A coupling with a nan or infinite measure is a failure instead
+    (_grid_columns)."""
     params = make_params(config.omega, config.omega0, couplings, 2)
     forms = thermo.closed_forms(params, two_lobe=config.two_lobe)
     return _grid_columns("td", params, math.inf, {
@@ -345,7 +349,7 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
     the fixed vector).  td and perturbative make one call each over their
     whole grid (td_lambda_grid, lambda_grid); a domain error from it becomes
     one failure row per coupling, and so does each coupling whose measure
-    comes out nan.  Point functions are looked up at every
+    comes out nan or infinite.  Point functions are looked up at every
     call.
     """
     config.validate()

@@ -125,6 +125,16 @@ class TestMain:
         code, out, _ = run_cli(args + ["--measures", "s_vn"], capsys)
         assert code == 0 and len(out.strip().splitlines()) == 4 and "nan" not in out
 
+    def test_infinite_measure_fails_its_coupling(self, capsys):
+        # at omega0 = 1e-300 s_vn and t_eff come out inf: each coupling
+        # becomes a failure row instead of an inf cell
+        code, out, err = run_cli(["--backend", "td", "--n-atoms", "inf", "--omega0", "1e-300",
+                                  "--lambda-steps", "3", "--measures", "s_vn,t_eff"], capsys)
+        assert code == 2
+        assert out.strip().splitlines()[1:] == []
+        assert err.count("failed: backend=td") == 3
+        assert err.count("ParameterError: s_vn came out inf, t_eff came out inf") == 3
+
     def test_single_lobe_flag_drops_one_bit(self, capsys):
         args = ["--backend", "td", "--lambda-min", "1.4", "--lambda-max",
                 "1.8", "--lambda-steps", "2", "--measures", "s_vn"]

@@ -395,7 +395,7 @@ class TestWindowedSolve:
         assert windows and windows[-1][1].size < H.shape[0]
         assert certified(windowed, H, windows[-1][1])
         with monkeypatch.context() as patch:
-            patch.setattr(eigensolver, "_WINDOW_MAX_FRACTION", 0.0)
+            patch.setattr(eigensolver, "_WINDOW_MIN_DIM", H.shape[0] + 1)
             count = len(windows)
             whole = ground_state(H, basis, start=start)
             assert len(windows) == count
@@ -420,6 +420,37 @@ class TestWindowedSolve:
             assert after != before and after[0] <= before[0]
             assert after[1] <= before[1] and after[2] >= before[2]
         assert certified(gs, H)
+        assert abs(gs.energy - whole.energy) <= 1e-12 * abs(whole.energy)
+
+    def test_one_column_start_grows_until_the_window_holds(self, monkeypatch, windows):
+        # from a margin of 1, each leaking solution takes the window of its own
+        # support at twice the margin, until one stops leaking or the window
+        # is the whole block, which a margin of max(N, n_max) reaches
+        monkeypatch.setattr(eigensolver, "_WINDOW_MARGIN", 1)
+        margins = []
+        window = eigensolver._window
+
+        def recording_window(amplitudes, margin):
+            margins.append(margin)
+            return window(amplitudes, margin)
+
+        monkeypatch.setattr(eigensolver, "_window", recording_window)
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 1.0, 128), 160)
+        whole = ground_state(H, basis)
+        peak = int(np.argmax(np.abs(whole.amplitudes).max(axis=0)))
+        start = np.zeros_like(whole.amplitudes)
+        start[:, peak] = whole.amplitudes[:, peak]
+        gs = ground_state(H, basis, start=start)
+        assert 2 <= len(windows) <= 1 + math.ceil(math.log2(160))
+        assert margins == [1 << i for i in range(len(margins))]
+        assert [rows.size for _, rows in windows] == sorted({rows.size for _, rows in windows})
+        # here the chain ends on a window short of the block, which holds
+        # the state: zero outside it, and no leak
+        v = gs.amplitudes[basis.parity == +1]
+        outside = np.ones(v.size, dtype=bool)
+        outside[windows[-1][1]] = False
+        assert outside.any() and not v[outside].any()
+        assert certified(gs, H, windows[-1][1])
         assert abs(gs.energy - whole.energy) <= 1e-12 * abs(whole.energy)
 
     def test_cold_and_covering_starts_solve_the_whole_block(self, windows):
@@ -452,7 +483,7 @@ class TestWindowedSolve:
     def test_window_block_is_the_principal_sub_block(self):
         # every aligned window of small even and odd N, bit for bit the
         # slice of the dense block, with 5 diagonals for an even width
-        for n_atoms, n_max in [(1, 5), (4, 6), (5, 7), (8, 9), (9, 8)]:
+        for n_atoms, n_max in [(1, 5), (4, 6), (5, 7), (8, 9), (9, 8), (16, 9), (17, 10)]:
             H, basis = hamiltonian_and_basis(make_params(1.0, 0.7, 0.45, n_atoms), n_max)
             dense = H.toarray()
             plus = basis.parity == +1
