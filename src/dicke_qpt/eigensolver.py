@@ -72,13 +72,21 @@ zero outside the window, then passes the whole-block residual check
 window, its leak, must stay within _LEAK_FRACTION tol |E|.  A solution that
 leaks more doubles the margin and takes the window of its own support,
 and is solved again from there, until a window stops leaking or is the
-whole block, which is then solved as for a cold solve.  The doubling
-margin covers the block within about log2(max(N, n_max) / _WINDOW_MARGIN)
-growths, so the chain ends.  On the large_n sweep 27 of 29 solves start on
-a window and every one of them ends on a window; most of the 17 growths
-re-solve in 10-30 steps, the accepted windows hold 11-92 % of their block,
-and the Lanczos work (block size x steps) falls from 114.7 to 65.7 million
-row operations per pass.
+whole block.  The doubling margin covers the block within about
+log2(max(N, n_max) / _WINDOW_MARGIN) growths, so the chain ends.  On the
+large_n sweep 27 of 29 solves start on a window and every one of them ends
+on a window; most of the 17 growths re-solve in 10-30 steps, the accepted
+windows hold 11-92 % of their block, and the Lanczos work (block size x
+steps) falls from 114.7 to 65.7 million row operations per pass.
+
+So ground_state is one solve loop, in which the whole block is simply the
+window None: each pass takes the block or its window, solves it by one
+Lanczos call (or reads a decoupled block off its diagonal), scatters the
+solution into the block, and takes the whole-block residual and the leak.
+Its one exit is a leak within _LEAK_FRACTION tol |E|, which the whole block
+meets by construction, since it has no rows outside.  A cold solve, a
+decoupled block, a block below _WINDOW_MIN_DIM, and a start whose window is
+the whole block all leave after one pass on the whole block.
 """
 
 from __future__ import annotations
@@ -296,23 +304,6 @@ def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndar
     return theta, x
 
 
-def _lowest_eigenpair(H: sp.dia_matrix, tol: float,
-                      v0: np.ndarray | None) -> tuple[float, np.ndarray]:
-    dim = H.shape[0]
-    if not H.data[H.offsets != 0].any():
-        # decoupled: H is diagonal, and its ground state a basis vector
-        diagonal = H.diagonal()
-        i = int(np.argmin(diagonal))
-        vec = np.zeros(dim)
-        vec[i] = 1.0
-        return float(diagonal[i]), vec
-    if v0 is None:
-        # deterministic start vector keeps repeated runs bit-identical
-        v0 = np.full(dim, 1.0 / math.sqrt(dim))
-        v0[0] += 0.5
-    return _lanczos(H, v0, tol * 1e-2)
-
-
 def _window(amplitudes: np.ndarray, margin: int) -> tuple[int, int, int] | None:
     """The window (n_lo, b_lo, b_hi) around the support of an amplitude matrix.
 
@@ -396,11 +387,14 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
     N + 1 columns, not finite, or without weight on the +1 sector raises
     ParameterError.
 
-    A solve from a start, on a block of at least _WINDOW_MIN_DIM states,
-    runs Lanczos on a window of the block around the start's support
-    (_window).  While the solution leaks out of its window, the margin
-    doubles and the solution's own window is solved, until a window holds
-    or is the whole block (see the module docstring).
+    One loop serves every solve, with the whole block as the window None.
+    A solve from a start, on a coupled block of at least _WINDOW_MIN_DIM
+    states, runs Lanczos on a window of the block around the start's
+    support (_window); any other solve takes the whole block.  While the
+    solution leaks out of its window, the margin doubles and the solution's
+    own window is solved, until a window holds or is the whole block, which
+    never leaks (see the module docstring).  A decoupled block is read off
+    its diagonal, without a Lanczos step.
 
     The residual ||Hv - Ev|| is taken on the whole block.  It equals the
     residual over the whole basis: the amplitudes vanish on the -1 sector,
@@ -409,9 +403,15 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
     ||Hv - Ev|| <= tol * |E| cannot be met, or if Lanczos does not converge
     within LANCZOS_MAX_STEPS steps.
     """
+    dim = hamiltonian.shape[0]
     plus = basis.parity == +1
-    v0 = window = None
-    if start is not None:
+    coupled = hamiltonian.data[hamiltonian.offsets != 0].any()
+    support = None
+    if start is None:
+        # deterministic start vector keeps repeated runs bit-identical
+        v0 = np.full(dim, 1.0 / math.sqrt(dim))
+        v0[0] += 0.5
+    else:
         if start.ndim != 2 or start.shape[1] != basis.n_atoms + 1:
             raise ParameterError(f"start {start.shape} is not an N={basis.n_atoms} state")
         padded = np.zeros(plus.shape)
@@ -420,40 +420,42 @@ def ground_state(hamiltonian: sp.dia_matrix, basis: BasisIndex,
         if not (np.isfinite(start).all() and 0.0 < _norm(v0) < math.inf):
             raise ParameterError("start must be finite and have weight on the "
                                  "positive-parity block")
-        if hamiltonian.shape[0] >= _WINDOW_MIN_DIM:
-            # the support of the start's +1 sector
-            window = _window(np.where(plus, padded, 0.0), _WINDOW_MARGIN)
-        if window is not None and not hamiltonian.data[hamiltonian.offsets != 0].any():
-            window = None           # decoupled: read off the whole diagonal
+        if coupled and dim >= _WINDOW_MIN_DIM:
+            # the start's +1 sector, whose support the first window is drawn
+            # around; padded's -1 entries are not read again
+            padded[~plus] = 0.0
+            support = padded
     margin = _WINDOW_MARGIN
     while True:
-        if window is None:
-            energy, vec = _lowest_eigenpair(hamiltonian, tol, v0)
-        else:
-            sub, rows = _window_block(hamiltonian, basis, window)
+        # window None is the whole block
+        window = None if support is None else _window(support, margin)
+        sub, rows = ((hamiltonian, slice(None)) if window is None
+                     else _window_block(hamiltonian, basis, window))
+        if coupled:
             energy, x = _lanczos(sub, v0[rows], tol * 1e-2)
-            vec = np.zeros(hamiltonian.shape[0])
-            vec[rows] = x
+        else:
+            # decoupled: H is diagonal, and its ground state a basis vector
+            diagonal = sub.diagonal()
+            i = int(np.argmin(diagonal))
+            energy, x = float(diagonal[i]), np.zeros(diagonal.size)
+            x[i] = 1.0
+        vec = np.zeros(dim)
+        vec[rows] = x
         vec = _fix_sign(vec / _norm(vec))
+        amplitudes = np.zeros(plus.shape)
+        amplitudes[plus] = vec
         r = hamiltonian @ vec - energy * vec
         residual = _norm(r)
         threshold = tol * (abs(energy) if energy != 0 else 1.0)
-        if window is None:
-            break
+        # the leak: the residual outside the window, zero on the whole block
         r[rows] = 0.0
         if _norm(r) <= _LEAK_FRACTION * threshold:
             break
-        v0 = vec
-        amplitudes = np.zeros(plus.shape)
-        amplitudes[plus] = vec
-        margin *= 2
-        window = _window(amplitudes, margin)
+        support, v0, margin = amplitudes, vec, 2 * margin
     if residual > threshold:
         raise SolverError(
             f"residual {residual:.3e} above tolerance {threshold:.3e} "
             f"(dim={basis.dim})", residual=residual)
-    amplitudes = np.zeros(plus.shape)
-    amplitudes[plus] = vec
     return GroundState(energy=energy, amplitudes=amplitudes, residual=residual,
                        converged=False, basis=basis)
 

@@ -242,7 +242,7 @@ def inverse_participation_ratio(state: GroundState, basis: BasisIndex,
     excitation boson n_b = m + j (omega0) along y.  The eigenfunction of
     level k at frequency f is f^(1/4) psi_k(sqrt(f) x), so the substitution
     t = sqrt(2 f) x leaves the frequencies only in the factor
-    sqrt(omega omega0) / 2, and both axes use the same table of
+    sqrt(omega omega0) / 2 = lambda_c, and both axes use the same table of
     psi_k(t / sqrt(2)).  Along an axis with top level k, Psi^4 is a
     polynomial of degree 4k in t times exp(-t^2).  A K-node Gauss-Hermite
     rule is exact to degree 2K - 1, so any rule with at least 2 n_max + 1
@@ -277,4 +277,4 @@ def inverse_participation_ratio(state: GroundState, basis: BasisIndex,
     e, o = e.ravel(), o.ravel()
     dot, _ = _vector_ops(e.size)
     total = 2.0 * (dot(e, e) + 6.0 * dot(e, o) + dot(o, o)) - centre
-    return float(math.sqrt(params.omega * params.omega0) / 2.0 * total)
+    return float(params.lambda_c * total)

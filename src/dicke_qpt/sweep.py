@@ -227,8 +227,10 @@ class SweepFailure:
                    energy_history=tuple(getattr(exc, "energy_history", ())))
 
     def as_dict(self) -> dict:
+        # an infinite n_atoms is spelled "inf", as the JSON reports spell it
         return {"backend": self.backend, "lambda": self.coupling,
-                "n_atoms": self.n_atoms, "message": self.message,
+                "n_atoms": "inf" if self.n_atoms == math.inf else self.n_atoms,
+                "message": self.message,
                 "error": self.error, "residual": self.residual,
                 "energy_history": list(self.energy_history)}
 
@@ -281,11 +283,17 @@ def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float,
     return row, state.amplitudes
 
 
-def _grid_columns(backend: str, params, n_atoms,
+def _grid_n_atoms(backend: str) -> float | None:
+    """The n_atoms of a grid backend's rows and failures: inf for td, None
+    for perturbative."""
+    return math.inf if backend == "td" else None
+
+
+def _grid_columns(backend: str, params,
                   values: dict) -> tuple[dict, list[SweepFailure]]:
     """The table of one converged row per coupling of the grid params.coupling,
     and a failure per coupling where a column of values came out nan or
-    infinite.
+    infinite; both carry the backend's n_atoms (_grid_n_atoms).
 
     values holds the measure columns as arrays, and the columns it lacks are
     None.  A nan or an infinity is never written as a cell: outside the
@@ -297,13 +305,15 @@ def _grid_columns(backend: str, params, n_atoms,
     failed = np.zeros(couplings.size, dtype=bool)
     for column in values.values():
         failed |= ~np.isfinite(column)
+    n_atoms = _grid_n_atoms(backend)
     failures = []
     for i in np.flatnonzero(failed).tolist():
         names = ", ".join(f"{name} came out {float(column[i])!r}"
                           for name, column in values.items() if not np.isfinite(column[i]))
         error = ParameterError(f"{names} at omega={params.omega}, "
                                f"omega0={params.omega0}, beyond the closed forms' range")
-        failures.append(SweepFailure.from_exception(backend, float(couplings[i]), None, error))
+        failures.append(SweepFailure.from_exception(backend, float(couplings[i]), n_atoms,
+                                                    error))
     if failures:
         couplings, values = couplings[~failed], {k: v[~failed] for k, v in values.items()}
     rows = couplings.size
@@ -323,7 +333,7 @@ def measure_point_td(config: SweepConfig,
     (_grid_columns)."""
     params = make_params(config.omega, config.omega0, couplings, 2)
     forms = thermo.closed_forms(params, two_lobe=config.two_lobe)
-    return _grid_columns("td", params, math.inf, {
+    return _grid_columns("td", params, {
         m: getattr(forms, m) for m in ("jz_mean",) + config.measures})
 
 
@@ -332,8 +342,7 @@ def measure_point_perturbative(config: SweepConfig,
     """The s_vn table of every coupling of the grid couplings from one
     perturbative_entropy call, bit for bit one per coupling; n_atoms is None."""
     params = make_params(config.omega, config.omega0, couplings, 2)
-    return _grid_columns("perturbative", params, None,
-                         {"s_vn": perturbative_entropy(params)})
+    return _grid_columns("perturbative", params, {"s_vn": perturbative_entropy(params)})
 
 
 def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
@@ -349,8 +358,8 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
     the fixed vector).  td and perturbative make one call each over their
     whole grid (td_lambda_grid, lambda_grid); a domain error from it becomes
     one failure row per coupling, and so does each coupling whose measure
-    comes out nan or infinite.  Point functions are looked up at every
-    call.
+    comes out nan or infinite, with the n_atoms of the backend's rows (inf
+    for td).  Point functions are looked up at every call.
     """
     config.validate()
     table: dict = {name: [] for name in COLUMNS}
@@ -377,7 +386,8 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
                 column += columns[name]
             failures += failed
         except POINT_ERRORS as exc:
-            failures += (SweepFailure.from_exception(backend, lam, None, exc)
+            n_atoms = _grid_n_atoms(backend)
+            failures += (SweepFailure.from_exception(backend, lam, n_atoms, exc)
                          for lam in grid.tolist())
     return table, failures
 

@@ -106,9 +106,12 @@ class TestMain:
         assert code == 2
         assert "Traceback" not in err and "OverflowError" not in err
         assert err.count("failed: backend=td") == 3
+        assert err.count("n_atoms=inf:") == 3
         report = json.loads(out)
         assert report["reports"] == []
         assert [e["error"] for e in report["errors"]] == ["ParameterError"] * 3
+        # each failure carries the n_atoms of the td rows it replaces
+        assert [e["n_atoms"] for e in report["errors"]] == ["inf"] * 3
 
     def test_nan_measure_fails_its_coupling(self, capsys):
         # at omega = 1e-300 kappa comes out 0/0: each coupling becomes a
@@ -128,12 +131,21 @@ class TestMain:
     def test_infinite_measure_fails_its_coupling(self, capsys):
         # at omega0 = 1e-300 s_vn and t_eff come out inf: each coupling
         # becomes a failure row instead of an inf cell
-        code, out, err = run_cli(["--backend", "td", "--n-atoms", "inf", "--omega0", "1e-300",
-                                  "--lambda-steps", "3", "--measures", "s_vn,t_eff"], capsys)
+        args = ["--backend", "td", "--n-atoms", "inf", "--omega0", "1e-300",
+                "--lambda-steps", "3", "--measures", "s_vn,t_eff"]
+        code, out, err = run_cli(args, capsys)
         assert code == 2
         assert out.strip().splitlines()[1:] == []
         assert err.count("failed: backend=td") == 3
+        assert err.count("n_atoms=inf:") == 3
         assert err.count("ParameterError: s_vn came out inf, t_eff came out inf") == 3
+        # each failure carries the n_atoms of the td rows it replaces, spelled
+        # "inf" as the JSON reports spell it
+        code, out, _ = run_cli(args + ["--format", "json"], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["reports"] == []
+        assert [e["n_atoms"] for e in report["errors"]] == ["inf"] * 3
 
     def test_single_lobe_flag_drops_one_bit(self, capsys):
         args = ["--backend", "td", "--lambda-min", "1.4", "--lambda-max",

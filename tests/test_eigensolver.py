@@ -147,10 +147,11 @@ class TestLanczos:
         if not keep:
             monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
         params = make_params(omega, omega0, ratio * math.sqrt(omega * omega0) / 2, 16)
-        H, _ = hamiltonian_and_basis(params, max(46, suggest_cutoff(params) + 10))
-        energy, vec = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        H, basis = hamiltonian_and_basis(params, max(46, suggest_cutoff(params) + 10))
+        gs = ground_state(H, basis)
+        vec = gs.amplitudes[basis.parity == +1]
         w, v = np.linalg.eigh(H.toarray())
-        assert abs(energy - w[0]) <= 1e-12 * abs(w[0])
+        assert abs(gs.energy - w[0]) <= 1e-12 * abs(w[0])
         assert abs(vec @ v[:, 0]) / np.linalg.norm(vec) >= 1 - 1e-12
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 8])
@@ -188,18 +189,18 @@ class TestLanczos:
         # once keeping m: the second pass regenerates only the k - m others,
         # with the same bits.  With room for none it still keeps q_1, the
         # start vector, which it holds anyway, so m = 0 resumes as m = 1
-        H, _ = hamiltonian_and_basis(make_params(1, 1, 0.5, 16), 45)
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 0.5, 16), 45)
         dim = H.shape[0]
         monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", dim * eigensolver.LANCZOS_MAX_STEPS)
-        kept = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        kept = ground_state(H, basis)
         k = len(lanczos_steps)
         m = k if n_kept == "all" else max(n_kept, 1)
         assert k > 7
         monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", dim * m)
-        resumed = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        resumed = ground_state(H, basis)
         assert len(lanczos_steps) == k + k + (k - m)
-        assert kept[0] == resumed[0]
-        np.testing.assert_array_equal(kept[1], resumed[1])
+        assert kept.energy == resumed.energy
+        np.testing.assert_array_equal(kept.amplitudes, resumed.amplitudes)
 
     @pytest.mark.parametrize("n_max, dim, chunks", [
         pytest.param(605, 9_999, 1, id="605-9999"),
@@ -210,17 +211,17 @@ class TestLanczos:
         # N = 32 blocks of one, two and three _BLAS_MAX chunks: both passes
         # of a solve must chunk their vector operations alike.  The first
         # solve keeps every vector, the second only q_1
-        H, _ = hamiltonian_and_basis(make_params(1, 1, 0.5, 32), n_max)
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 0.5, 32), n_max)
         assert H.shape[0] == dim
         assert math.ceil(dim / eigensolver._BLAS_MAX) == chunks
         monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", dim * eigensolver.LANCZOS_MAX_STEPS)
-        kept = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        kept = ground_state(H, basis)
         k = len(lanczos_steps)
         monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
-        regenerated = eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+        regenerated = ground_state(H, basis)
         assert len(lanczos_steps) == k + k + (k - 1)
-        assert kept[0] == regenerated[0]
-        np.testing.assert_array_equal(kept[1], regenerated[1])
+        assert kept.energy == regenerated.energy
+        np.testing.assert_array_equal(kept.amplitudes, regenerated.amplitudes)
 
     def test_multi_chunk_solve_matches_eigsh(self):
         # a 20,689-state block, three _BLAS_MAX chunks, against ARPACK at
@@ -325,7 +326,7 @@ class TestLanczos:
         np.testing.assert_array_equal(y, v[:, 0])
 
     def test_tridiagonal_lapack_failure_raises_solver_error(self, monkeypatch):
-        H, _ = hamiltonian_and_basis(make_params(1, 1, 0.5, 16), 45)
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 0.5, 16), 45)
         stebz, stein = eigensolver.dstebz, eigensolver.dstein
 
         def failing_stebz(*args):
@@ -339,7 +340,7 @@ class TestLanczos:
             with monkeypatch.context() as patch:
                 patch.setattr(eigensolver, name, failing)
                 with pytest.raises(SolverError, match="info"):
-                    eigensolver._lowest_eigenpair(H, eigensolver.DEFAULT_TOL, None)
+                    ground_state(H, basis)
 
     def test_loads_no_sparse_linalg(self, fresh_interpreter):
         # the Lanczos solver needs only a sparse matvec and scipy.linalg;
@@ -454,17 +455,34 @@ class TestWindowedSolve:
         assert abs(gs.energy - whole.energy) <= 1e-12 * abs(whole.energy)
 
     def test_cold_and_covering_starts_solve_the_whole_block(self, windows):
-        # the block-wide path of a solve without windows, to the bit
+        # neither a cold start nor a start whose window is the whole block
+        # takes a window; the covering start's solve is one Lanczos solve on
+        # the whole block from it, to the bit
         H, basis = hamiltonian_and_basis(make_params(1, 1, 0.6, 64), 72)
         plus = basis.parity == +1
-        for start in (None, np.where(plus, 1.0, 0.0)):
-            gs = ground_state(H, basis, start=start)
-            energy, vec = eigensolver._lowest_eigenpair(
-                H, eigensolver.DEFAULT_TOL, None if start is None else start[plus])
-            vec = eigensolver._fix_sign(vec / eigensolver._norm(vec))
-            assert gs.energy == energy
-            np.testing.assert_array_equal(gs.amplitudes[plus], vec)
+        start = np.where(plus, 1.0, 0.0)
+        cold = ground_state(H, basis)
+        gs = ground_state(H, basis, start=start)
         assert windows == []
+        energy, vec = eigensolver._lanczos(H, start[plus], eigensolver.DEFAULT_TOL * 1e-2)
+        vec = eigensolver._fix_sign(vec / eigensolver._norm(vec))
+        assert gs.energy == energy
+        np.testing.assert_array_equal(gs.amplitudes[plus], vec)
+        assert certified(cold, H) and certified(gs, H)
+
+    def test_decoupled_block_from_a_start_is_read_off_its_diagonal(self, windows,
+                                                                   lanczos_steps):
+        # lambda = 0 on a 2,373-state block, started from the lambda = 0.3
+        # state: no window and no Lanczos step, but the exact ground state
+        # |0> x |j, -j> read off the diagonal, with residual 0
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 0.0, 64), 72)
+        assert H.shape[0] == 2_373 >= eigensolver._WINDOW_MIN_DIM
+        start = ground_state(*hamiltonian_and_basis(make_params(1, 1, 0.3, 64), 72)).amplitudes
+        steps = len(lanczos_steps)
+        gs = ground_state(H, basis, start=start)
+        assert windows == [] and len(lanczos_steps) == steps
+        assert gs.energy == -32.0 and gs.residual == 0.0
+        assert gs.amplitudes[0, 0] == 1.0 and abs(gs.amplitudes).sum() == 1.0
 
     def test_window_reaches_the_cutoff(self, windows):
         # a start from a smaller cutoff has no weight on the new top layers,

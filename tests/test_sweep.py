@@ -254,7 +254,8 @@ class TestRunSweep:
 
     def test_grid_domain_error_fails_every_coupling(self, monkeypatch):
         # a domain error from the one td grid call becomes one failure row
-        # per coupling of that grid, and the CLI exits 2
+        # per coupling of that grid, with the n_atoms of the td rows it
+        # replaces, and the CLI exits 2
         from dicke_qpt.cli import main
 
         def domain_error(*args, **kwargs):
@@ -266,9 +267,15 @@ class TestRunSweep:
         table, failures = run_sweep(config)
         assert table["backend"] == ["perturbative"] * 4
         assert [(f.backend, f.coupling, f.n_atoms, f.error) for f in failures] == [
-            ("td", lam, None, "ParameterError") for lam in config.td_lambda_grid().tolist()]
+            ("td", lam, math.inf, "ParameterError") for lam in config.td_lambda_grid().tolist()]
         assert all(f.message == "ParameterError: injected" for f in failures)
         assert main(["--backend", "td", "--lambda-steps", "4", "--measures", "s_vn"]) == 2
+        # a perturbative failure row keeps the None of the perturbative rows
+        monkeypatch.setattr("dicke_qpt.sweep.perturbative_entropy", domain_error)
+        table, failures = run_sweep(config)
+        assert table["lambda"] == []
+        assert [(f.backend, f.n_atoms) for f in failures] == (
+            [("td", math.inf)] * 4 + [("perturbative", None)] * 4)
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only domain failures become rows under "errors"; a bug must crash
