@@ -92,9 +92,9 @@ the whole block all leave after one pass on the whole block.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -197,48 +197,6 @@ def _vector_ops(size: int) -> tuple[Callable, Callable]:
     return dot, axpy
 
 
-def _lanczos_vectors(H: sp.spmatrix, q: np.ndarray, q_prev: np.ndarray | None = None,
-                     beta: float = 0.0,
-                     recorded: Iterable[tuple[float, float]] | None = None
-                     ) -> Iterator[tuple[np.ndarray, float, float]]:
-    """Yield (q_k, alpha_k, beta_k) of the Lanczos recurrence from unit q.
-
-    beta_k q_{k+1} = H q_k - alpha_k q_k - beta_{k-1} q_{k-1}, without
-    reorthogonalization; stops after beta_k = 0 (an invariant subspace).
-    Only q_{k-1}, q_k and w are held, and a second run from the same q
-    yields the same vectors bit for bit.  Each matvec returns a fresh array,
-    which becomes q_{k+1}; the dot products and the updates of w are
-    _vector_ops calls, so a step makes no other temporary.
-
-    Given recorded, the (alpha_j, beta_j) of an earlier run for j = m, m + 1,
-    ..., with q its q_m, q_prev its q_{m-1} and beta its beta_{m-1}, it
-    replays that run instead: each step takes the recorded pair in place of
-    its two dot products and yields (q_{j+1}, alpha_j, beta_j), with the
-    same bits, one matvec per vector, until recorded runs out.
-    """
-    dot, axpy = _vector_ops(q.size)
-    if q_prev is None:
-        q_prev = np.zeros_like(q)
-    if recorded is not None:
-        for alpha, beta_next in recorded:
-            w = axpy(q, axpy(q_prev, H @ q, a=-beta), a=-alpha)
-            w *= 1.0 / beta_next
-            q_prev, q, beta = q, w, beta_next
-            yield q, alpha, beta
-        return
-    while True:
-        w = axpy(q_prev, H @ q, a=-beta)
-        alpha = dot(q, w)
-        w = axpy(q, w, a=-alpha)
-        beta = math.sqrt(dot(w, w))
-        yield q, alpha, beta
-        if beta == 0.0:
-            return
-        # a product by 1 / beta takes a third of the time of a division
-        w *= 1.0 / beta
-        q_prev, q = q, w
-
-
 def _lowest_ritz_pair(alphas: list[float],
                       betas: list[float]) -> tuple[float, np.ndarray]:
     """Lowest eigenpair (theta, y) of the k x k Lanczos tridiagonal T_k.
@@ -265,42 +223,62 @@ def _lowest_ritz_pair(alphas: list[float],
 def _lanczos(H: sp.spmatrix, v0: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of H by two-pass Lanczos.
 
-    The first pass runs the recurrence and every _RITZ_EVERY steps takes the
-    lowest Ritz pair (theta, y) of the tridiagonal T_k; it stops when
-    beta_k |y_k| <= tol |theta|, ARPACK's test.  The Ritz vector is
-    x = sum_i y_i q_i.  The first pass keeps q_1, ..., q_m while
-    m dim <= _KEEP_FLOATS (each is a fresh array, so keeping copies
-    nothing), and q_1, the start, in any case.  The second pass sums the
-    kept vectors, then resumes the recurrence from q_{m-1} and q_m with the
+    The first pass runs the recurrence from q_1 = v0 / |v0|,
+    beta_k q_{k+1} = H q_k - alpha_k q_k - beta_{k-1} q_{k-1}, without
+    reorthogonalization, and at beta_k = 0 (an invariant subspace), every
+    _RITZ_EVERY steps and at LANCZOS_MAX_STEPS takes the lowest Ritz pair
+    (theta, y) of the tridiagonal T_k; it stops when
+    beta_k |y_k| <= tol |theta|, ARPACK's test, or at beta_k = 0.  Only q_{k-1}, q_k and w are
+    held: each matvec returns a fresh array, which becomes q_{k+1}, and the
+    dot products and the updates of w are _vector_ops calls, so a step makes
+    no other temporary.  The pass keeps q_1, ..., q_m while
+    m dim <= _KEEP_FLOATS (keeping copies nothing), and q_1, the start, in
+    any case.
+
+    The Ritz vector is x = sum_i y_i q_i.  The second pass sums the kept
+    vectors, then resumes the recurrence from q_{m-1} and q_m with the
     recorded alpha and beta to regenerate the k - m others: the same bits,
-    without a dot product.
+    one matvec and no dot product each.
     """
+    dot, axpy = _vector_ops(v0.size)
     q = v0 / _norm(v0)
+    q_prev, beta = np.zeros_like(q), 0.0
     keep = max(1, _KEEP_FLOATS // q.size)
     alphas, betas, kept = [], [], []
-    for k, (q_k, alpha, beta) in enumerate(_lanczos_vectors(H, q), 1):
+    for k in range(1, LANCZOS_MAX_STEPS + 1):
+        if k <= keep:
+            kept.append(q)
+        w = axpy(q_prev, H @ q, a=-beta)
+        alpha = dot(q, w)
+        w = axpy(q, w, a=-alpha)
+        beta = math.sqrt(dot(w, w))
         alphas.append(alpha)
         betas.append(beta)
-        if k <= keep:
-            kept.append(q_k)
-        if beta != 0.0 and k % _RITZ_EVERY and k < LANCZOS_MAX_STEPS:
-            continue
-        theta, y = _lowest_ritz_pair(alphas, betas)
-        bound = beta * abs(float(y[-1]))
-        if bound <= tol * abs(theta):
-            break
-        if k >= LANCZOS_MAX_STEPS:
-            raise SolverError(f"Lanczos not converged in {k} steps, residual "
-                              f"estimate {bound:.3e} (dim={H.shape[0]})",
-                              residual=bound)
+        if beta == 0.0 or k % _RITZ_EVERY == 0 or k == LANCZOS_MAX_STEPS:
+            theta, y = _lowest_ritz_pair(alphas, betas)
+            bound = beta * abs(float(y[-1]))
+            # at beta_k = 0 the Ritz pair is exact, and no q_{k+1} exists
+            if bound <= tol * abs(theta) or beta == 0.0:
+                break
+        # a product by 1 / beta takes a third of the time of a division
+        w *= 1.0 / beta
+        q_prev, q = q, w
+    else:
+        raise SolverError(f"Lanczos not converged in {k} steps, residual "
+                          f"estimate {bound:.3e} (dim={H.shape[0]})",
+                          residual=bound)
     m = len(kept)
-    q_prev, beta = (kept[-2], betas[m - 2]) if m > 1 else (None, 0.0)
-    replay = _lanczos_vectors(H, kept[-1], q_prev, beta,
-                              zip(alphas[m - 1:k - 1], betas[m - 1:k - 1]))
+    y = y.tolist()
     x = np.zeros_like(q)
-    _, axpy = _vector_ops(q.size)
-    for y_i, q_i in zip(y.tolist(), chain(kept, (q_j for q_j, _, _ in replay))):
+    for y_i, q_i in zip(y, kept):
         x = axpy(q_i, x, a=y_i)
+    q_prev, beta = (kept[-2], betas[m - 2]) if m > 1 else (np.zeros_like(q), 0.0)
+    q = kept[-1]
+    for alpha, beta_next, y_i in zip(alphas[m - 1:], betas[m - 1:], y[m:]):
+        w = axpy(q, axpy(q_prev, H @ q, a=-beta), a=-alpha)
+        w *= 1.0 / beta_next
+        q_prev, q, beta = q, w, beta_next
+        x = axpy(q, x, a=y_i)
     return theta, x
 
 
@@ -465,10 +443,16 @@ def suggest_cutoff(params: ModelParams) -> int:
 
     The field displacement amplitude is of order sqrt(2j) * coupling / omega;
     covering its Poisson tail needs n_max >= alpha^2 + 6 * alpha, and the
-    cutoff is never below _CUTOFF_FLOOR.
+    cutoff is never below _CUTOFF_FLOOR.  An estimate past the largest float
+    (alpha above about 1.3e154) is clamped to it, which stays an integer and
+    exceeds any basis ceiling, so build_basis raises CapacityError.
     """
     alpha = math.sqrt(2.0 * params.j) * params.coupling / params.omega
-    return max(_CUTOFF_FLOOR, math.ceil(alpha**2 + 6.0 * alpha))
+    try:
+        estimate = alpha**2 + 6.0 * alpha
+    except OverflowError:
+        estimate = math.inf
+    return max(_CUTOFF_FLOOR, math.ceil(min(estimate, sys.float_info.max)))
 
 
 def converge_cutoff(params: ModelParams,

@@ -356,8 +356,9 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
     amplitudes that the point before it at the same N returned as its start
     (the first point of each N, and a point after a failed one, start from
     the fixed vector).  td and perturbative make one call each over their
-    whole grid (td_lambda_grid, lambda_grid); a domain error from it becomes
-    one failure row per coupling, and so does each coupling whose measure
+    whole grid (td_lambda_grid, lambda_grid); if it raises a domain error,
+    each coupling is evaluated alone, with the same bits, and those that
+    raise alone become failure rows.  So does each coupling whose measure
     comes out nan or infinite, with the n_atoms of the backend's rows (inf
     for td).  Point functions are looked up at every call.
     """
@@ -381,14 +382,21 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[SweepFailure]]:
         measure, grid = ((measure_point_td, config.td_lambda_grid()) if backend == "td"
                          else (measure_point_perturbative, config.lambda_grid()))
         try:
-            columns, failed = measure(config, grid)
+            parts = [measure(config, grid)]
+        except POINT_ERRORS:
+            # a one-coupling grid gives that coupling's bits, so alone only
+            # the couplings out of range fail
+            parts = []
+            for lam in grid.tolist():
+                try:
+                    parts.append(measure(config, np.array([lam])))
+                except POINT_ERRORS as exc:
+                    parts.append((dict.fromkeys(COLUMNS, ()), [SweepFailure.from_exception(
+                        backend, lam, _grid_n_atoms(backend), exc)]))
+        for columns, failed in parts:
             for name, column in table.items():
                 column += columns[name]
             failures += failed
-        except POINT_ERRORS as exc:
-            n_atoms = _grid_n_atoms(backend)
-            failures += (SweepFailure.from_exception(backend, lam, n_atoms, exc)
-                         for lam in grid.tolist())
     return table, failures
 
 

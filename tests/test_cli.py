@@ -88,14 +88,31 @@ class TestMain:
 
     def test_out_of_range_td_grid_fails_per_coupling(self, capsys):
         # 1e40 lambda_c lies beyond the closed forms' range, so the one
-        # closed_forms call over the grid fails, giving a row per coupling
+        # closed_forms call over the grid fails; each coupling, evaluated
+        # alone, then fails or keeps its row: lambda = 0 is in range
         code, out, err = run_cli([
             "--backend", "td", "--lambda-min", "0", "--lambda-max", "1e40",
             "--lambda-steps", "2", "--format", "json"], capsys)
         assert code == 2
         assert "Traceback" not in err
-        assert err.count("failed: backend=td") == 2
-        assert out.count('"error": "ParameterError"') == 2
+        assert err.count("failed: backend=td") == 1
+        report = json.loads(out)
+        assert [r["lambda"] for r in report["reports"]] == [0.0]
+        assert [(e["lambda"], e["error"]) for e in report["errors"]] == [(5e39, "ParameterError")]
+
+    def test_huge_ed_coupling_fails_its_point(self, capsys):
+        # at 1e200 lambda_c the displacement estimate alpha^2 overflows a
+        # float: the point is a capacity failure row and lambda = 0 keeps its
+        # row, not an OverflowError traceback
+        code, out, err = run_cli([
+            "--backend", "ed", "--n-atoms", "4", "--lambda-steps", "2",
+            "--lambda-max", "1e200", "--format", "json"], capsys)
+        assert code == 2
+        assert "Traceback" not in err and "OverflowError" not in err
+        report = json.loads(out)
+        assert [r["lambda"] for r in report["reports"]] == [0.0]
+        assert [(e["lambda"], e["error"]) for e in report["errors"]] == [
+            (5e199, "CutoffConvergenceError")]
 
     @pytest.mark.parametrize("flag", ["--omega", "--omega0"])
     def test_huge_frequency_fails_per_coupling(self, capsys, flag):

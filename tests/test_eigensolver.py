@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -121,18 +122,27 @@ class TestGroundState:
         assert gs.energy == pytest.approx(dense, abs=1e-9)
 
 
+class _CountingMatvecs:
+    """A block H whose every product H @ q appends H's size to steps."""
+
+    def __init__(self, H, steps):
+        self.H, self.shape, self.steps = H, H.shape, steps
+
+    def __matmul__(self, q):
+        self.steps.append(self.shape[0])
+        return self.H @ q
+
+
 @pytest.fixture
 def lanczos_steps(monkeypatch):
-    """The beta_k of every Lanczos step taken, second passes included."""
+    """The block size of every Lanczos matvec, second passes included.
+
+    A step of either pass makes one matvec, so its length counts steps.
+    """
     steps = []
-    vectors = eigensolver._lanczos_vectors
-
-    def counting_vectors(*args):
-        for item in vectors(*args):
-            steps.append(item[2])
-            yield item
-
-    monkeypatch.setattr(eigensolver, "_lanczos_vectors", counting_vectors)
+    lanczos = eigensolver._lanczos
+    monkeypatch.setattr(eigensolver, "_lanczos",
+                        lambda H, v0, tol: lanczos(_CountingMatvecs(H, steps), v0, tol))
     return steps
 
 
@@ -223,6 +233,28 @@ class TestLanczos:
         assert kept.energy == regenerated.energy
         np.testing.assert_array_equal(kept.amplitudes, regenerated.amplitudes)
 
+    def test_second_pass_makes_no_dot_product(self, monkeypatch, lanczos_steps):
+        # keeping only q_1, a solve of k first-pass steps regenerates
+        # q_2, ..., q_k by one matvec each and no dot product: two dots a
+        # step of the first pass, none after it
+        H, basis = hamiltonian_and_basis(make_params(1, 1, 0.5, 16), 46)
+        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", H.shape[0] * eigensolver.LANCZOS_MAX_STEPS)
+        ground_state(H, basis)
+        k = len(lanczos_steps)
+        assert k == 90
+        dots = []
+        vector_ops = eigensolver._vector_ops
+
+        def counting_vector_ops(size):
+            dot, axpy = vector_ops(size)
+            return lambda x, y: dots.append(size) or dot(x, y), axpy
+
+        monkeypatch.setattr(eigensolver, "_vector_ops", counting_vector_ops)
+        monkeypatch.setattr(eigensolver, "_KEEP_FLOATS", 0)
+        ground_state(H, basis)
+        assert len(dots) == 2 * k
+        assert len(lanczos_steps) - k == 2 * k - 1
+
     def test_multi_chunk_solve_matches_eigsh(self):
         # a 20,689-state block, three _BLAS_MAX chunks, against ARPACK at
         # machine precision
@@ -237,21 +269,23 @@ class TestLanczos:
 
     def test_exact_eigenvector_start_is_returned(self, lanczos_steps):
         # decoupled, H is diagonal: from the ground basis vector beta_1 = 0,
-        # so Lanczos takes one step (k = 1) and the start comes back
-        # unchanged.  ground_state takes no step there: it reads the ground
-        # state off the diagonal, and gets the same exact state
+        # so Lanczos takes one step (k = 1), one matvec on the block, and the
+        # start comes back unchanged; step 1 is no Ritz-check step, so only
+        # beta_1 = 0 ends a solve there.  ground_state takes no step: it
+        # reads the ground state off the diagonal, and gets the same exact
+        # state
         params = make_params(1, 1, 0.0, 16)
         H, basis = hamiltonian_and_basis(params, 30)
         start = np.zeros(H.shape[0])
         start[0] = 1.0
         energy, vec = eigensolver._lanczos(H, start, eigensolver.DEFAULT_TOL)
-        assert lanczos_steps == [0.0]
+        assert lanczos_steps == [H.shape[0]]
         assert energy == -8.0
         np.testing.assert_array_equal(vec, start)
         amplitudes = np.zeros(basis.parity.shape)
         amplitudes[0, 0] = 1.0
         gs = ground_state(H, basis, start=amplitudes)
-        assert lanczos_steps == [0.0]
+        assert lanczos_steps == [H.shape[0]]
         assert gs.energy == -8.0 and gs.residual == 0.0
         np.testing.assert_array_equal(gs.amplitudes, amplitudes)
 
@@ -550,6 +584,22 @@ class TestCutoffConvergence:
             converge_cutoff(make_params(1, 1, 2.0, 8), n_max_start=10,
                             max_dim=200)
         assert len(err.value.energy_history) >= 1
+
+    @pytest.mark.parametrize("coupling, omega", [(1e200, 1.0), (1.0, 1e-300), (1e300, 1e-300)])
+    def test_huge_coupling_hits_capacity(self, coupling, omega):
+        # alpha^2 + 6 alpha past the largest float (alpha**2 overflows, or
+        # alpha itself is inf) is clamped to it: the cutoff stays an integer
+        # beyond any basis ceiling, and escalation hits capacity
+        params = make_params(omega, 1, coupling, 4)
+        assert suggest_cutoff(params) == math.ceil(sys.float_info.max)
+        with pytest.raises(CutoffConvergenceError):
+            converge_cutoff(params)
+
+    def test_largest_finite_cutoff_estimate_is_kept(self):
+        # alpha = 1.3e154 at N = 4: alpha^2 is still finite, and taken as it is
+        params = make_params(1, 1, 0.65e154, 4)
+        alpha = 1.3e154
+        assert suggest_cutoff(params) == math.ceil(alpha**2 + 6.0 * alpha) < sys.float_info.max
 
     @pytest.mark.parametrize("n_atoms, ratio", [(16, 1.0), (32, 1.5), (64, 1.1)])
     def test_warm_start_matches_cold_escalation(self, n_atoms, ratio):

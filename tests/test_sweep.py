@@ -277,6 +277,31 @@ class TestRunSweep:
         assert [(f.backend, f.n_atoms) for f in failures] == (
             [("td", math.inf)] * 4 + [("perturbative", None)] * 4)
 
+    @pytest.mark.parametrize("backend, lambda_max, s_vn", [
+        ("td", 1e39, [0.0, 1.0]), ("perturbative", 1e300, [0.0])])
+    def test_grid_domain_error_fails_only_the_couplings_out_of_range(self, backend,
+                                                                     lambda_max, s_vn):
+        # td: lambda = 0 and 1.67e38 lie in the closed forms' range, 3.33e38
+        # and 5e38 beyond it; perturbative: only lambda = 0 squares sigma to
+        # a finite float.  The grid call fails, each coupling is evaluated
+        # alone, and only those out of range become failure rows, in grid
+        # order.  The rows kept are those of their one-coupling grids
+        config = SweepConfig(lambda_max=lambda_max, lambda_steps=4, n_atoms=(2,),
+                             backend=backend, measures=("s_vn",))
+        measure = getattr(sweep, f"measure_point_{backend}")
+        grid = config.td_lambda_grid() if backend == "td" else config.lambda_grid()
+        with pytest.raises(ParameterError):
+            measure(config, grid)
+        table, failures = run_sweep(config)
+        kept = len(s_vn)
+        assert table["lambda"] == grid[:kept].tolist() and table["s_vn"] == s_vn
+        for i, row in enumerate(rows_of(table)):
+            alone, none_failed = measure(config, grid[i:i + 1])
+            assert not none_failed and [row] == rows_of(alone)
+        n_atoms = math.inf if backend == "td" else None
+        assert [(f.coupling, f.n_atoms, f.error) for f in failures] == [
+            (lam, n_atoms, "ParameterError") for lam in grid[kept:].tolist()]
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only domain failures become rows under "errors"; a bug must crash
         def broken(*args, **kwargs):
