@@ -94,6 +94,16 @@ class BasisIndex:
         return (self.n_max + 1) * (self.n_atoms + 1)
 
 
+def _short_int(n: int) -> str:
+    """A non-negative int in full up to 15 digits, and beyond as its leading
+    four digits and exponent (8.988e+308); never through float, which a
+    dimension can exceed."""
+    digits = str(n)
+    if len(digits) <= 15:
+        return digits
+    return f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+
+
 def build_basis(params: ModelParams, n_max: int,
                 max_dim: int = DEFAULT_MAX_DIMENSION) -> BasisIndex:
     """Enumerate the truncated Fock (x) Dicke basis with parity labels."""
@@ -103,8 +113,8 @@ def build_basis(params: ModelParams, n_max: int,
     dim = (n_max + 1) * n_states
     if dim > max_dim:
         raise CapacityError(
-            f"basis dimension {dim} exceeds ceiling {max_dim} "
-            f"(n_max={n_max}, N={params.n_atoms})")
+            f"basis dimension {_short_int(dim)} exceeds ceiling {_short_int(max_dim)} "
+            f"(n_max={_short_int(n_max)}, N={_short_int(params.n_atoms)})")
     n_plus_n_b = np.add.outer(np.arange(n_max + 1), np.arange(n_states))
     parity = np.where(n_plus_n_b % 2 == 0, 1, -1).astype(np.int8)
     return BasisIndex(n_max=n_max, n_atoms=params.n_atoms, parity=parity)

@@ -499,21 +499,41 @@ def fit_critical_exponents(table: dict, omega: float,
 
 
 def _rows(cells: list[list], row: str, sep: str, spelling: dict) -> list[str]:
-    """The rows filled into the %s template row and joined by sep, as pieces.
+    """The rows filled into row, one %s per cell, and joined by sep, as pieces.
 
-    Each block of rows is one C-encoder pass with one value per line (an
-    encoded value never contains a raw newline), each token respelled
-    through spelling where it has an entry.
+    Each cell is the C JSON encoder's token, respelled through spelling
+    where it has an entry, and only the cells that vary are formatted.  Each
+    block of rows builds its own template from row, column by column:
+    - a column of one exact type whose values are all equal (a float zero
+      never is, since 0.0 == -0.0) has its token written in once;
+    - a column of finite floats is %r, which is what the encoder writes for
+      a finite float and no format respells;
+    - any other column is one encoder pass with one value per line (an
+      encoded value never contains a raw newline), split into its tokens.
     """
+    texts = [text.replace("%", "%%") for text in row.split("%s")]
     pieces = []
     for start in range(0, len(cells[0]), _BLOCK_ROWS):
         block = [values[start:start + _BLOCK_ROWS] for values in cells]
-        flat = json.dumps(list(chain.from_iterable(zip(*block))), separators=("\n", ":"))
-        tokens = flat[1:-1].split("\n")
+        template, args = [texts[0]], []
+        for values, text in zip(block, texts[1:]):
+            first, kinds = values[0], set(map(type, values))
+            if (len(kinds) == 1 and values.count(first) == len(values)
+                    and not (type(first) is float and first == 0)):
+                token = json.dumps(first)
+                template.append(spelling.get(token, token).replace("%", "%%"))
+            elif kinds == {float} and math.isfinite(sum(values)):
+                template.append("%r")
+                args.append(values)
+            else:
+                tokens = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+                template.append("%s")
+                args.append(map(spelling.get, tokens, tokens))
+            template.append(text)
         if start:
             pieces.append(sep)
-        pieces.append(sep.join([row] * len(block[0]))
-                      % tuple(map(spelling.get, tokens, tokens)))
+        pieces.append(sep.join(["".join(template)] * len(block[0]))
+                      % tuple(chain.from_iterable(zip(*args))))
     return pieces
 
 
@@ -529,7 +549,10 @@ def emit(table: dict, fits: dict[str, ScalingFit] | None = None,
     written in the order given.  Columns: the base columns in order, then
     t_eff and kappa when some row carries them, then backend.  One row
     writer makes both formats: each cell is spelled as the C JSON encoder
-    spells it, unless FORMATS[fmt] respells that token.
+    spells it, unless FORMATS[fmt] respells that token.  Per block of
+    _BLOCK_ROWS rows it writes a column of one repeated value once into the
+    block's row template, fills a column of finite floats by %r, and encodes
+    only the other cells (_rows).
 
     CSV: the header line, then one line per row, each ending in "\n",
     cells joined by ",": None is empty, bools are true/false, floats are

@@ -113,6 +113,14 @@ class TestMain:
         assert [r["lambda"] for r in report["reports"]] == [0.0]
         assert [(e["lambda"], e["error"]) for e in report["errors"]] == [
             (5e199, "CutoffConvergenceError")]
+        # the message names the dimension, the ceiling, n_max and N in short
+        # form, not in 309 digits, on stderr as in the JSON
+        message = report["errors"][0]["message"]
+        for part in ("basis dimension 8.988e+308", "ceiling 4000000", "n_max=1.797e+308",
+                     "N=4)"):
+            assert part in message
+        line, = [line for line in err.splitlines() if line.startswith("failed:")]
+        assert line.endswith(message) and len(line) < 200
 
     @pytest.mark.parametrize("flag", ["--omega", "--omega0"])
     def test_huge_frequency_fails_per_coupling(self, capsys, flag):

@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 
 import numpy as np
@@ -92,8 +93,21 @@ class TestBasis:
         assert build_basis(make_params(1, 1, 0.1, 8), 40).dim == 369
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"^basis dimension 369 exceeds ceiling 100 "
+                                                r"\(n_max=40, N=8\)$"):
             build_basis(make_params(1, 1, 0.1, 8), 40, max_dim=100)
+
+    def test_capacity_error_spells_huge_sizes_short(self):
+        # a cutoff at the largest float makes a 309-digit dimension, past
+        # any float: the message gives four digits and the exponent of each
+        # size beyond 15 digits
+        with pytest.raises(CapacityError) as info:
+            build_basis(make_params(1, 1, 0.1, 4), math.ceil(sys.float_info.max))
+        assert str(info.value) == ("basis dimension 8.988e+308 exceeds ceiling 4000000 "
+                                   "(n_max=1.797e+308, N=4)")
+        assert model._short_int(10**15 - 1) == "999999999999999"
+        assert model._short_int(10**15) == "1.000e+15"
+        assert model._short_int(10**400 * 12345) == "1.234e+404"
 
     def test_n_major_layout(self):
         # state (n, n_b) sits at n * (N + 1) + n_b of the flat order, so an

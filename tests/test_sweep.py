@@ -645,7 +645,51 @@ FAILURES = st.builds(
     energy_history=st.lists(FINITE, max_size=3).map(tuple))
 
 
+# columns of six td rows, over blocks of 2 or 3 rows: each block builds its own
+# row template, so a column may be written once in one block and per cell in
+# the next
+BLOCK_CASES = {
+    "constant_then_varying": {"s_vn": [0.5, 0.5, 0.5, 0.25, 0.5, 0.125],
+                              "n_max": [7, 7, 7, 8, 9, 9],
+                              "l_lin": [None, None, None, 0.5, None, 0.75]},
+    "signed_zeros": {"s_vn": [0.0, -0.0, -0.0, 0.0, 0.0, 0.0], "jz_mean": [-0.0] * 6,
+                     "n_max": [0, 0.0, 0, 0, 0, 0]},
+    "equal_values_of_three_types": {"n_max": [1, 1.0, True, 1, 1, 1],
+                                    "converged": [True, True, 1, 1.0, True, True]},
+    "non_finite": {"n_atoms": [math.inf] * 6, "residual": [-math.inf] * 6,
+                   "l_lin": [math.nan] * 6,
+                   "s_vn": [float("nan") for _ in range(6)],
+                   "q_avg": [math.inf, -math.inf, math.nan, math.inf, 1.5, -math.inf]},
+    "finite_floats_whose_sum_overflows": {"s_vn": [1e308, 1e308, 1e308, 1e308, 0.5, 1e308]},
+}
+
+
 class TestEmit:
+    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_block_templates_match_byte_oracle(self, case, block):
+        # a float zero is never written once for a whole column (0.0 ==
+        # -0.0), nor are equal values of different types (1 == 1.0 == True),
+        # nor nans that are distinct objects
+        rows = [{"backend": "td", "lambda": 0.5 + k,
+                 **{name: values[k] for name, values in BLOCK_CASES[case].items()}}
+                for k in range(6)]
+        with mock.patch.object(sweep, "_BLOCK_ROWS", block):
+            for fmt in ("csv", "json"):
+                assert emit(table_of(rows), fmt=fmt) == oracle_emit(rows, fmt=fmt)
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_backend_switch_inside_a_block(self, block):
+        # blocks of 2 rows hold one td and one perturbative row in the middle
+        # block; blocks of 3 switch at the block boundary
+        table, failures = run_sweep(SweepConfig(
+            backend="all", n_atoms=("inf",), lambda_steps=3,
+            measures=("s_vn", "l_lin", "q_avg", "ipr_inv", "t_eff", "kappa")))
+        assert not failures and table["backend"] == ["td"] * 3 + ["perturbative"] * 3
+        with mock.patch.object(sweep, "_BLOCK_ROWS", block):
+            for fmt in ("csv", "json"):
+                assert emit(table, fmt=fmt) == oracle_emit(rows_of(table), fmt=fmt)
+
     def test_empty_reports_give_header_only_csv(self):
         assert emit(table_of([])) == BASE_HEADER + ",backend\n"
 
