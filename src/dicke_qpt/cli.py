@@ -9,7 +9,9 @@ any flag; explicit flags win.
 Every SweepConfig field is a config-file key, and every field that carries
 help metadata is also a --flag of the same name (underscores as dashes).
 Each field's text parser lives in its metadata, so a config-file value is
-read exactly as the flag's would be.
+read exactly as the flag's would be.  The only other flags are --config,
+--single-lobe (two_lobe = false), --out and --format.  No flag sets the
+boson cutoffs: ED escalates them on its own schedule, up to --max-dim.
 
 Exit status: 0 on full success, 1 on bad arguments or configuration, 2 when
 some sweep points failed (the failures are listed under "errors" in JSON

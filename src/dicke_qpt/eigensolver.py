@@ -108,10 +108,11 @@ from .model import (DEFAULT_MAX_DIMENSION, BasisIndex, ModelParams, _layer_pair,
 
 DEFAULT_TOL = 1e-10
 DEFAULT_ENERGY_TOL = 1e-9
-DEFAULT_GROWTH = 1.5
 TOP_WEIGHT_LIMIT = 1e-8
-# the smallest starting cutoff suggest_cutoff returns
+# the smallest starting cutoff suggest_cutoff returns, and the factor each
+# escalation step grows the cutoff by (by at least 2)
 _CUTOFF_FLOOR = 8
+_CUTOFF_GROWTH = 1.5
 # Lanczos steps between two solves of the tridiagonal eigenproblem, and the
 # most steps one solve may take before it raises SolverError (benchmark and
 # validation solves took at most 350)
@@ -456,16 +457,16 @@ def suggest_cutoff(params: ModelParams) -> int:
 
 
 def converge_cutoff(params: ModelParams,
-                    n_max_start: int | None = None,
-                    growth: float = DEFAULT_GROWTH,
                     energy_tol: float = DEFAULT_ENERGY_TOL,
                     tol: float = DEFAULT_TOL,
                     max_dim: int = DEFAULT_MAX_DIMENSION, *,
                     start: np.ndarray | None = None) -> GroundState:
     """Escalate n_max until the ground energy and Fock tail are certified.
 
-    Convergence requires successive ground energies to agree within
-    energy_tol and the weight on the top Fock layer to stay below 1e-8.
+    The first cutoff is suggest_cutoff(params), and each later one is
+    max(n_max + 2, ceil(1.5 n_max)).  Convergence requires successive
+    ground energies to agree within energy_tol and the weight on the top
+    Fock layer to stay below 1e-8.
     The first solve starts from start, an amplitude matrix at the same N
     (see ground_state), or from the fixed vector if it is None; run_sweep
     passes the previous point's.  Each later solve starts Lanczos from the
@@ -475,9 +476,7 @@ def converge_cutoff(params: ModelParams,
     Raises CutoffConvergenceError (with the observed energy sequence) if the
     dimension ceiling is hit first.
     """
-    if not 1.0 < growth < math.inf:
-        raise ParameterError(f"growth must be a finite number above 1, got {growth}")
-    n_max = n_max_start if n_max_start is not None else suggest_cutoff(params)
+    n_max = suggest_cutoff(params)
     history: list[float] = []
     while True:
         try:
@@ -495,5 +494,5 @@ def converge_cutoff(params: ModelParams,
         if settled and state.top_fock_weight() < TOP_WEIGHT_LIMIT:
             return replace(state, converged=True)
         start = state.amplitudes
-        n_max = max(n_max + 2, math.ceil(n_max * growth))
+        n_max = max(n_max + 2, math.ceil(n_max * _CUTOFF_GROWTH))
 

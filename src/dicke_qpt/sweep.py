@@ -20,8 +20,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import entanglement, thermo
-from .eigensolver import (DEFAULT_ENERGY_TOL, DEFAULT_GROWTH, DEFAULT_TOL,
-                          converge_cutoff)
+from .eigensolver import DEFAULT_ENERGY_TOL, DEFAULT_TOL, converge_cutoff
 from .errors import ConfigError, DickeError, FitError, ParameterError
 from .model import DEFAULT_MAX_DIMENSION, make_params
 from .perturbative import perturbative_entropy
@@ -81,9 +80,12 @@ class SweepConfig:
     |lambda - lambda_c| / lambda_c logarithmically on
     [lambda_min, lambda_max], at most 1, and places points on both sides
     of lambda_c.
-    n_atoms is a non-empty tuple of positive ints; the string "inf" requests
-    thermodynamic-limit rows.  tol is the cutoff-convergence energy
-    tolerance; solver_tol bounds each eigenpair residual relative to |E|.
+    n_atoms is a non-empty tuple (or list) of positive ints; the string
+    "inf" requests thermodynamic-limit rows.  measures is a tuple (or list)
+    of KNOWN_MEASURES.  tol is the cutoff-convergence energy tolerance;
+    solver_tol bounds each eigenpair residual relative to |E|.  The boson
+    cutoffs an ED point tries are converge_cutoff's own schedule, which no
+    field sets; max_dim only caps the basis it may reach.
     two_lobe=False reports the broken-symmetry single-lobe entropy above
     lambda_c.  Every field is a config-file key, and its metadata holds the
     "parse" function that reads it from text, for the key and the flag
@@ -107,11 +109,6 @@ class SweepConfig:
                               "comma subset of " + ",".join(KNOWN_MEASURES))
     backend: str = _option(
         "ed", str, "ed (finite-N), td (closed forms), perturbative, or all")
-    cutoff_start: int | None = _option(
-        None, int, "initial boson cutoff (default: displacement estimate)")
-    cutoff_growth: float = _option(
-        DEFAULT_GROWTH, float,
-        f"cutoff escalation factor (> 1, default {DEFAULT_GROWTH:g})")
     tol: float = _option(DEFAULT_ENERGY_TOL, float, "cutoff-convergence energy tolerance")
     solver_tol: float = _option(
         DEFAULT_TOL, float,
@@ -121,12 +118,16 @@ class SweepConfig:
                            "basis dimension ceiling (capacity guard)")
 
     def validate(self) -> None:
-        # a non-number in a float field would escape the comparisons below
-        # as a bare TypeError, a bool in a number field would pass for 0 or
-        # 1, and a truthy non-bool (the string "false") would pass for True
+        # a non-number in a float field, or a bare number or None in a list
+        # field, would escape the checks below as a bare TypeError, a bare
+        # string in a list field would be read letter by letter, a bool in a
+        # number field would pass for 0 or 1, and a truthy non-bool (the
+        # string "false") would pass for True
         for option in fields(self):
             value = getattr(self, option.name)
             parse = option.metadata["parse"]
+            if parse in (_parse_list, _parse_n_atoms) and not isinstance(value, (tuple, list)):
+                raise ConfigError(f"{option.name} must be a tuple or list, got {value!r}")
             if parse in (int, float) and isinstance(value, bool):
                 raise ConfigError(f"{option.name} must be a number, got {value!r}")
             if parse is float and not isinstance(value, Real):
@@ -153,11 +154,6 @@ class SweepConfig:
         for meas in self.measures:
             if meas not in KNOWN_MEASURES:
                 raise ConfigError(f"unknown measure {meas!r}")
-        if not 1.0 < self.cutoff_growth < math.inf:
-            raise ConfigError("cutoff_growth must be finite and exceed 1")
-        if self.cutoff_start is not None and not (
-                isinstance(self.cutoff_start, Integral) and 0 <= self.cutoff_start):
-            raise ConfigError("cutoff_start must be None or an integer >= 0")
         if not (0 < self.tol < math.inf and 0 < self.solver_tol < math.inf):
             raise ConfigError("tol and solver_tol must be positive and finite")
         if not (isinstance(self.max_dim, Integral) and 1 <= self.max_dim):
@@ -256,12 +252,11 @@ class ScalingFit:
 def measure_point_ed(config: SweepConfig, n_atoms: int, coupling: float,
                      start: np.ndarray | None = None) -> tuple[dict, np.ndarray]:
     """The point's row {column: value} and its ground amplitudes; start as
-    in converge_cutoff."""
+    in converge_cutoff, which certifies the state at a cutoff of its own
+    choosing under config's tol, solver_tol and max_dim."""
     params = make_params(config.omega, config.omega0, coupling, n_atoms)
-    state = converge_cutoff(params, n_max_start=config.cutoff_start,
-                            growth=config.cutoff_growth, energy_tol=config.tol,
-                            tol=config.solver_tol, max_dim=config.max_dim,
-                            start=start)
+    state = converge_cutoff(params, energy_tol=config.tol, tol=config.solver_tol,
+                            max_dim=config.max_dim, start=start)
     row = dict.fromkeys(COLUMNS)
     atoms_rdm = None
     if "s_vn" in config.measures or "l_lin" in config.measures:
@@ -498,12 +493,15 @@ def fit_critical_exponents(table: dict, omega: float,
     return out
 
 
-def _rows(cells: list[list], row: str, sep: str, spelling: dict) -> list[str]:
+def _rows(columns: tuple, cells: list[list], row: str, sep: str,
+          spelling: dict) -> list[str]:
     """The rows filled into row, one %s per cell, and joined by sep, as pieces.
 
     Each cell is the C JSON encoder's token, respelled through spelling
-    where it has an entry, and only the cells that vary are formatted.  Each
-    block of rows builds its own template from row, column by column:
+    where it has an entry, and only the cells that vary are formatted.  A
+    value that is not a plain Python scalar (None, bool, int or float; a str
+    only in the column named backend) raises TypeError naming its column.
+    Each block of rows builds its own template from row, column by column:
     - a column of one exact type whose values are all equal (a float zero
       never is, since 0.0 == -0.0) has its token written in once;
     - a column of finite floats is %r, which is what the encoder writes for
@@ -516,8 +514,11 @@ def _rows(cells: list[list], row: str, sep: str, spelling: dict) -> list[str]:
     for start in range(0, len(cells[0]), _BLOCK_ROWS):
         block = [values[start:start + _BLOCK_ROWS] for values in cells]
         template, args = [texts[0]], []
-        for values, text in zip(block, texts[1:]):
+        for name, values, text in zip(columns, block, texts[1:]):
             first, kinds = values[0], set(map(type, values))
+            if not kinds <= (_NUMBER_TYPES | {str} if name == "backend" else _NUMBER_TYPES):
+                raise TypeError(f"column {name!r} holds a value that is not a plain Python "
+                                "scalar (None, bool, int or float; a str only in backend)")
             if (len(kinds) == 1 and values.count(first) == len(values)
                     and not (type(first) is float and first == 0)):
                 token = json.dumps(first)
@@ -569,19 +570,12 @@ def emit(table: dict, fits: dict[str, ScalingFit] | None = None,
     extras = any(v is not None for name in EXTRA_COLUMNS for v in table[name])
     columns = BASE_COLUMNS + (EXTRA_COLUMNS if extras else ()) + ("backend",)
     cells = [table[name] for name in columns]
-    for name, values in zip(columns, cells):
-        allowed = _NUMBER_TYPES | {str} if name == "backend" else _NUMBER_TYPES
-        if not allowed.issuperset(map(type, values)):
-            raise TypeError(f"column {name!r} holds a value that is not a plain Python "
-                            "scalar (None, bool, int or float; a str only in backend)")
-    unknown = [b for b in set(cells[-1]).difference(KNOWN_BACKENDS) if type(b) is str]
-    if unknown:
-        raise ValueError(f"unknown backend {unknown[0]!r}")
     if len(set(map(len, cells))) != 1:
         raise ValueError("table columns differ in length")
     if fmt == "csv":
         row = ",".join(["%s"] * len(columns)) + "\n"
-        text = "".join([",".join(columns), "\n", *_rows(cells, row, "", FORMATS[fmt])])
+        text = "".join([",".join(columns), "\n",
+                        *_rows(columns, cells, row, "", FORMATS[fmt])])
     else:
         # the small rest of the payload goes through json.dumps as it is;
         # the reports array is spliced in where its empty "[]" was written
@@ -593,9 +587,13 @@ def emit(table: dict, fits: dict[str, ScalingFit] | None = None,
         head = '{\n  "reports": '
         row = ("    {\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
                + "\n    }")
-        rows = _rows(cells, row, ",\n", FORMATS[fmt])
+        rows = _rows(columns, cells, row, ",\n", FORMATS[fmt])
         reports = ["[\n", *rows, "\n  ]"] if rows else ["[]"]
         text = "".join([head, *reports, rest[len(head + "[]"):], "\n"])
+    # every value is hashable once _rows has checked its type
+    unknown = [b for b in set(cells[-1]).difference(KNOWN_BACKENDS) if type(b) is str]
+    if unknown:
+        raise ValueError(f"unknown backend {unknown[0]!r}")
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -73,8 +73,9 @@ class TestMain:
         assert code == 0
         assert "--solver-tol" in out
 
-    def test_jobs_flag_rejected(self, capsys):
-        code, _, err = run_cli(["--jobs", "2"], capsys)
+    @pytest.mark.parametrize("flag", ["--jobs", "--cutoff-start", "--cutoff-growth"])
+    def test_removed_flag_rejected(self, flag, capsys):
+        code, _, err = run_cli([flag, "2"], capsys)
         assert code == 1
         assert "unrecognized arguments" in err
 
@@ -238,12 +239,13 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             read_config_file(cfg)
 
-    def test_jobs_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["jobs", "cutoff_start", "cutoff_growth"])
+    def test_removed_key_rejected(self, key, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("backend = td\njobs = 2\n")
+        cfg.write_text(f"backend = td\n{key} = 2\n")
         code, _, err = run_cli(["--config", str(cfg)], capsys)
         assert code == 1
-        assert "unknown config key 'jobs'" in err
+        assert f"unknown config key {key!r}" in err
 
     def test_unknown_format_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -269,8 +271,6 @@ FIELD_SAMPLES = {
     "n_atoms": ("4,inf", (4, "inf")),
     "measures": ("s_vn,kappa", ("s_vn", "kappa")),
     "backend": ("td", "td"),
-    "cutoff_start": ("12", 12),
-    "cutoff_growth": ("2.0", 2.0),
     "tol": ("1e-7", 1e-7),
     "solver_tol": ("1e-9", 1e-9),
     "two_lobe": ("false", False),
@@ -306,6 +306,17 @@ def test_every_config_field_reaches_config(fld, tmp_path):
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
     config, _, _ = build_config(build_parser().parse_args(["--config", str(cfg)]))
     assert getattr(config, fld.name) == expected
+
+
+def test_flags_are_the_fields_with_help():
+    """The parser's options are exactly the fixed ones and a --flag per
+    SweepConfig field with help metadata."""
+    fixed = ["--help", "--config", "--single-lobe", "--out", "--format"]
+    flags = ["--" + f.name.replace("_", "-") for f in dataclasses.fields(SweepConfig)
+             if f.metadata["help"]]
+    options = [s for action in build_parser()._actions for s in action.option_strings
+               if s != "-h"]
+    assert sorted(options) == sorted(fixed + flags)
 
 
 def test_module_entry_point():

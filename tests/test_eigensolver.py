@@ -20,8 +20,9 @@ def hamiltonian_and_basis(params, n_max):
     return assemble_hamiltonian(params, basis), basis
 
 
-def cold_escalation(params, growth=1.5):
-    """Oracle: converge_cutoff's acceptance rule, each solve from scratch."""
+def cold_escalation(params):
+    """Oracle: converge_cutoff's cutoffs and acceptance rule, each solve from
+    scratch."""
     n_max = suggest_cutoff(params)
     prev = None
     while True:
@@ -30,7 +31,7 @@ def cold_escalation(params, growth=1.5):
                 and abs(state.energy - prev.energy) < DEFAULT_ENERGY_TOL):
             return state
         prev = state
-        n_max = max(n_max + 2, math.ceil(n_max * growth))
+        n_max = max(n_max + 2, math.ceil(n_max * 1.5))
 
 
 class TestGroundState:
@@ -296,9 +297,10 @@ class TestLanczos:
         # weight divides 0 by 0, and the tridiagonal eigensolver then fails;
         # a flat vector or an N = 4 state, resized into the N = 16 block,
         # would be a scrambled start.  Steps are counted once the start is
-        # built, since building the N = 4 state takes some
+        # built, since building the N = 4 state takes some.  The block is
+        # the one converge_cutoff solves first, at the suggested cutoff
         params = make_params(1, 1, 0.5, 16)
-        H, basis = hamiltonian_and_basis(params, 30)
+        H, basis = hamiltonian_and_basis(params, suggest_cutoff(params))
         plus, minus = parity_indices(basis, +1), parity_indices(basis, -1)
         start = np.zeros(basis.dim)
         if kind == "minus_one":
@@ -319,7 +321,7 @@ class TestLanczos:
         with pytest.raises(ParameterError):
             ground_state(H, basis, start=start)
         with pytest.raises(ParameterError):
-            converge_cutoff(params, n_max_start=30, start=start)
+            converge_cutoff(params, start=start)
         assert lanczos_steps == []
 
     def test_start_is_keyword_only(self):
@@ -558,9 +560,9 @@ class TestWindowedSolve:
 
 class TestCutoffConvergence:
     def test_zero_coupling_converges_immediately(self):
-        gs = converge_cutoff(make_params(1, 1, 0.0, 4), n_max_start=10)
+        gs = converge_cutoff(make_params(1, 1, 0.0, 4))
         assert gs.converged
-        assert gs.basis.n_max == 10
+        assert gs.basis.n_max == suggest_cutoff(make_params(1, 1, 0.0, 4)) == 8
         assert gs.energy == -2.0
 
     def test_stable_under_further_doubling(self, resonant_ground):
@@ -580,10 +582,13 @@ class TestCutoffConvergence:
         assert gs.top_fock_weight() < 1e-8
 
     def test_capacity_exhaustion_reports_history(self):
+        # the suggested cutoff 66 gives 603 states, within the ceiling; the
+        # next, 99, gives 900, beyond it
+        params = make_params(1, 1, 2.0, 8)
+        assert suggest_cutoff(params) == 66
         with pytest.raises(CutoffConvergenceError) as err:
-            converge_cutoff(make_params(1, 1, 2.0, 8), n_max_start=10,
-                            max_dim=200)
-        assert len(err.value.energy_history) >= 1
+            converge_cutoff(params, max_dim=700)
+        assert len(err.value.energy_history) == 1
 
     @pytest.mark.parametrize("coupling, omega", [(1e200, 1.0), (1.0, 1e-300), (1e300, 1e-300)])
     def test_huge_coupling_hits_capacity(self, coupling, omega):
@@ -654,11 +659,6 @@ class TestCutoffConvergence:
                 windowed += 1
             np.testing.assert_array_equal(starts[k], expected)
         assert windowed == on_windows
-
-    def test_growth_must_exceed_one(self):
-        for growth in (1.0, math.nan, math.inf):
-            with pytest.raises(ParameterError):
-                converge_cutoff(make_params(1, 1, 0.2, 2), growth=growth)
 
     def test_energy_per_atom_approaches_mean_field(self, ground):
         # normal phase, large N: E/N -> -omega0/2

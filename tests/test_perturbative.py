@@ -40,16 +40,15 @@ class TestWeakCoupling:
 class TestStrongCoupling:
     def test_overlap_with_exact_ground_state(self, ground):
         params = make_params(1, 1, 2.0, 8)  # four times critical
-        start = suggest_cutoff(params) + 10
-        gs = ground(1.0, 1.0, 2.0, 8, n_max_start=start)
+        gs = ground(1.0, 1.0, 2.0, 8)
+        assert gs.basis.n_max == 149
         limit_state = strong_coupling_state(params, gs.basis)
         overlap = float(np.vdot(limit_state, gs.amplitudes)) ** 2
         assert overlap > 0.98
 
     def test_limiting_state_atom_rdm_is_balanced(self, ground):
         params = make_params(1, 1, 2.0, 8)
-        gs = ground(1.0, 1.0, 2.0, 8,
-                    n_max_start=suggest_cutoff(params) + 10)
+        gs = ground(1.0, 1.0, 2.0, 8)
         A = strong_coupling_state(params, gs.basis)
         ev = np.sort(np.linalg.eigvalsh(A.T @ A))[::-1]
         assert ev[0] == pytest.approx(0.5, abs=1e-6)
@@ -58,16 +57,14 @@ class TestStrongCoupling:
 
     def test_limiting_state_entropy_is_one_bit(self, ground):
         params = make_params(1, 1, 2.0, 8)
-        gs = ground(1.0, 1.0, 2.0, 8,
-                    n_max_start=suggest_cutoff(params) + 10)
+        gs = ground(1.0, 1.0, 2.0, 8)
         A = strong_coupling_state(params, gs.basis)
         rdm = _make_rdm("atoms", A.T @ A)
         assert von_neumann_entropy(rdm) == pytest.approx(1.0, abs=1e-6)
 
     def test_positive_parity(self, ground):
         params = make_params(1, 1, 2.0, 8)
-        gs = ground(1.0, 1.0, 2.0, 8,
-                    n_max_start=suggest_cutoff(params) + 10)
+        gs = ground(1.0, 1.0, 2.0, 8)
         psi = strong_coupling_state(params, gs.basis)
         assert float((gs.basis.parity * psi**2).sum()) == pytest.approx(1.0, abs=1e-12)
 

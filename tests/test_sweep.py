@@ -58,40 +58,49 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(lambda_steps=1), dict(lambda_scale="cubic"),
         dict(backend="dmrg"), dict(measures=("s_vn", "negativity")),
-        dict(cutoff_growth=1.0), dict(n_atoms=(0,)),
+        dict(n_atoms=(0,)),
         dict(lambda_min=0.5, lambda_max=0.2),
         dict(lambda_scale="log", lambda_min=0.0, lambda_max=0.1),
         dict(omega=-1.0), dict(omega0=0.0),
         dict(tol=0.0), dict(solver_tol=-1e-10), dict(max_dim=0),
-        dict(cutoff_start=-1),
         dict(omega=math.nan), dict(omega=math.inf), dict(omega0=math.nan),
         dict(omega0=math.inf), dict(lambda_max=math.inf),
         dict(lambda_scale="log", lambda_min=0.1, lambda_max=math.inf),
         dict(tol=math.nan), dict(tol=math.inf), dict(solver_tol=math.nan),
-        dict(solver_tol=math.inf), dict(cutoff_growth=math.nan),
-        dict(cutoff_growth=math.inf),
+        dict(solver_tol=math.inf),
         dict(lambda_steps=3.0), dict(lambda_steps=2.5), dict(lambda_steps=math.nan),
-        dict(lambda_steps=math.inf), dict(cutoff_start=12.0),
-        dict(cutoff_start=math.nan), dict(cutoff_start=math.inf),
+        dict(lambda_steps=math.inf),
         dict(n_atoms=(math.nan,)), dict(n_atoms=(math.inf,)),
         dict(n_atoms=(4, -math.inf)),
         dict(max_dim=2.5), dict(max_dim=math.inf), dict(max_dim=9.0),
         dict(max_dim="9"), dict(lambda_min="0"), dict(omega="1"),
         dict(omega0="1"), dict(lambda_max="3"), dict(tol="1e-9"),
-        dict(solver_tol="1e-10"), dict(cutoff_growth="1.5"),
+        dict(solver_tol="1e-10"),
         dict(lambda_scale="log", lambda_min="0.1", lambda_max=1.0),
         dict(lambda_scale="log", lambda_min=0.5, lambda_max=2.0),
         dict(lambda_scale="log", lambda_min=0.1, lambda_max=1.0 + 1e-12),
         dict(two_lobe="false"), dict(two_lobe=0), dict(n_atoms=(4, 4)),
         dict(n_atoms=()),
-        dict(cutoff_start=True), dict(cutoff_start=False), dict(max_dim=True),
+        dict(max_dim=True),
         dict(omega=True), dict(omega0=True), dict(lambda_min=False),
         dict(lambda_max=True), dict(tol=True), dict(solver_tol=True),
         dict(n_atoms=(True,)), dict(n_atoms=(4, True)),
+        dict(n_atoms=8), dict(n_atoms=None), dict(n_atoms=8.0), dict(n_atoms=math.inf),
+        dict(n_atoms="8"), dict(n_atoms="inf"), dict(measures=None), dict(measures=3),
+        dict(measures="s_vn"), dict(measures="s_vn,l_lin"),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
             SweepConfig(**bad).validate()
+
+    def test_list_fields_take_a_tuple_or_list(self):
+        # a bare value is named as the field's error, not read entry by entry
+        for name, bare in (("n_atoms", 8), ("n_atoms", None), ("measures", None),
+                           ("measures", "s_vn")):
+            with pytest.raises(ConfigError, match=f"{name} must be a tuple or list"):
+                SweepConfig(**{name: bare}).validate()
+        for kind in (tuple, list):
+            SweepConfig(n_atoms=kind((8, "inf")), measures=kind(("s_vn",))).validate()
 
     def test_linear_grid_in_critical_units(self):
         config = SweepConfig(lambda_min=0.0, lambda_max=2.0, lambda_steps=5)
